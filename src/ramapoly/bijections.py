@@ -19,7 +19,13 @@ from __future__ import annotations
 from itertools import permutations as iter_permutations
 from typing import Iterable, Iterator, Sequence
 
-from .treecore import PlaneTree
+from .treecore import PlaneTree, right_to_left_minima
+
+
+def _is_word_over_n(word: Sequence) -> bool:
+    """True when word lists 1..len(word) in some order (bools are not integers)."""
+    return (all(type(a) is int for a in word)
+            and sorted(word) == list(range(1, len(word) + 1)))
 
 
 class Permutation:
@@ -29,7 +35,7 @@ class Permutation:
 
     def __init__(self, word: Sequence[int]):
         word = tuple(word)
-        if sorted(word) != list(range(1, len(word) + 1)):
+        if not _is_word_over_n(word):
             raise ValueError(f"{word} is not a permutation of [n]")
         self.word = word
 
@@ -81,18 +87,6 @@ class Permutation:
         return cls([image[i] for i in range(1, n + 1)])
 
 
-def right_to_left_minima(word: Sequence[int]) -> list[int]:
-    """Positions (0-based) of the right-to-left minima."""
-    positions = []
-    suffix_min = None
-    for idx in range(len(word) - 1, -1, -1):
-        if suffix_min is None or word[idx] < suffix_min:
-            positions.append(idx)
-            suffix_min = word[idx]
-    positions.reverse()
-    return positions
-
-
 def psi(perm: Permutation) -> tuple[int, ...]:
     word: list[int] = []
     for cycle in perm.cycles():
@@ -101,7 +95,7 @@ def psi(perm: Permutation) -> tuple[int, ...]:
 
 
 def psi_inv(word: Sequence[int]) -> Permutation:
-    if sorted(word) != list(range(1, len(word) + 1)):
+    if not _is_word_over_n(word):
         raise ValueError(f"{tuple(word)} is not a word over [n]")
     cycles = []
     prev = -1

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import bijections, halfmobile, harness, qpolys, treecore
 from .polyring import PolyError
-from .treecore import BoundExceeded
+from .qpolys import BoundExceeded
 
 
 def _emit(obj) -> None:
@@ -48,6 +48,8 @@ def cmd_qn(args, parser) -> int:
 
 
 def cmd_qnk(args, parser) -> int:
+    if args.k is not None and not 0 <= args.k < args.n:
+        raise ValueError(f"--k must satisfy 0 <= k < n = {args.n}, got {args.k}")
     ks = [args.k] if args.k is not None else range(args.n)
     for k in ks:
         poly = qpolys.q_nk(args.n, k, shifted=args.shifted)
@@ -113,6 +115,8 @@ def cmd_stats(args, parser) -> int:
 def cmd_bijection(args, parser) -> int:
     data = _load_json(args.input)
     name = args.map
+    if name in ("psi", "psi-inv") and not isinstance(data, list):
+        raise ValueError(f"{args.input}: a permutation must be a JSON array")
     if name == "psi":
         word = bijections.psi(bijections.Permutation(data))
         _emit(list(word))
@@ -191,11 +195,7 @@ def cmd_verify(args, parser) -> int:
                 if key in entry.defaults:
                     overrides.setdefault(entry.name, {})[key] = args.max_n
                     break
-    if args.qtable_cache and Path(args.qtable_cache).exists():
-        qpolys.load_default_cache(args.qtable_cache)
     reports = harness.run_suite(names, overrides, jobs=args.jobs)
-    if args.qtable_cache:
-        qpolys.save_default_cache(args.qtable_cache)
     report_file = open(args.report, "a") if args.report else None
     try:
         for report in reports:
@@ -289,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 0 even when bounds were exceeded")
     p.add_argument("--report", help="append JSON-lines records to this file")
     p.add_argument("--config", help="key=value overrides (identity.param=value)")
-    p.add_argument("--qtable-cache", dest="qtable_cache",
-                   help="JSON cache of table polynomials to load/refresh")
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--list", action="store_true", help="list registry and exit")
     p.set_defaults(func=cmd_verify)
@@ -305,9 +303,12 @@ def main(argv=None) -> int:
         return args.func(args, parser)
     except BoundExceeded as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
-        return 0 if getattr(args, "allow_skip", False) else 1
+        return 1
     except BrokenPipeError:
         return 0
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
     except (PolyError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -145,20 +145,11 @@ def type_count(type_vector: Sequence[int], flavor: str) -> int:
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
-def degree_sequences_of_type(type_vector: Sequence[int], n: int) -> Iterator[tuple[int, ...]]:
-    """All ordered degree sequences on [n] whose degree multiset matches the
-    type vector (r_i vertices of degree i)."""
-    degrees: list[int] = []
-    for deg, count in enumerate(type_vector):
-        degrees.extend([deg] * count)
-    if len(degrees) != n:
-        raise ValueError("type vector does not describe n vertices")
-    seen: set[tuple[int, ...]] = set()
-    from itertools import permutations
-    for arrangement in permutations(degrees):
-        if arrangement not in seen:
-            seen.add(arrangement)
-            yield arrangement
+def degree_type(degrees: Sequence[int]) -> tuple[int, ...]:
+    """The type vector of a degree sequence: entry i counts the vertices of
+    degree i, up to the largest degree."""
+    top = max(degrees, default=0)
+    return tuple(sum(1 for d in degrees if d == i) for i in range(top + 1))
 
 
 def ordered_degree_sequence(forest: Sequence[PlaneTree], n: int) -> tuple[int, ...]:
@@ -170,6 +161,4 @@ def ordered_degree_sequence(forest: Sequence[PlaneTree], n: int) -> tuple[int, .
 
 
 def forest_type(forest: Sequence[PlaneTree], n: int) -> tuple[int, ...]:
-    degs = ordered_degree_sequence(forest, n)
-    top = max(degs)
-    return tuple(sum(1 for d in degs if d == i) for i in range(top + 1))
+    return degree_type(ordered_degree_sequence(forest, n))

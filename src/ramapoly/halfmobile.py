@@ -19,12 +19,11 @@ excess, and improper edge count -> improper edge count.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .polyring import Poly
-from .treecore import PlaneTree, TreeEnumerator
+from .treecore import PlaneTree, TreeEnumerator, right_to_left_minima
 
 HM_VARS = ("x", "y", "t")
 
@@ -195,32 +194,24 @@ def hm_stats(forest: HalfMobileForest) -> HmStats:
 # -- theta ------------------------------------------------------------------------
 
 
-def _rl_minima_blocks(children: Sequence[PlaneTree]) -> Iterator[Sequence[PlaneTree]]:
-    current = None
-    marks = []
-    for idx in range(len(children) - 1, -1, -1):
-        beta = children[idx].beta
-        if current is None or beta < current:
-            marks.append(idx)
-            current = beta
-    marks.reverse()
-    prev = -1
-    for pos in marks:
-        yield children[prev + 1:pos + 1]
-        prev = pos
-
-
 def _to_hm(v: PlaneTree, shift: int) -> HmNode:
     return HmNode(v.label - shift, tuple(_hm_blocks(v, shift)))
 
 
 def _hm_blocks(v: PlaneTree, shift: int) -> list[HmNode]:
+    """v's children cut into blocks that end at the right-to-left minima of
+    the child beta word; a block of one child stays white, a longer one
+    becomes a black vertex."""
+    children = v.children
     blocks = []
-    for block in _rl_minima_blocks(v.children):
-        if len(block) == 1:
-            blocks.append(_to_hm(block[0], shift))
+    prev = -1
+    for pos in right_to_left_minima([c.beta for c in children]):
+        if pos == prev + 1:
+            blocks.append(_to_hm(children[pos], shift))
         else:
-            blocks.append(HmNode(None, tuple(_to_hm(c, shift) for c in block)))
+            blocks.append(HmNode(None, tuple(_to_hm(c, shift)
+                                              for c in children[prev + 1:pos + 1])))
+        prev = pos
     return blocks
 
 
@@ -354,7 +345,7 @@ def node_from_obj(obj: Mapping) -> HmNode:
     children = tuple(node_from_obj(c) for c in obj.get("children", []))
     if kind == "white":
         label = obj.get("label")
-        if not isinstance(label, int) or label < 1:
+        if not isinstance(label, int) or isinstance(label, bool) or label < 1:
             raise ValueError(f"white node needs a positive integer label, got {label!r}")
         return HmNode(label, children)
     if kind == "black":
@@ -366,7 +357,3 @@ def forest_from_obj(obj: Mapping) -> HalfMobileForest:
     if "components" not in obj:
         raise ValueError("forest object needs a 'components' list")
     return HalfMobileForest(tuple(node_from_obj(c) for c in obj["components"]))
-
-
-def forest_to_json(forest: HalfMobileForest) -> str:
-    return json.dumps(forest.to_obj(), sort_keys=True)

@@ -2,10 +2,12 @@
 
 Every combinatorial statement the library implements has a named entry here.
 An identity runner yields (instance, status, payload) triples where status is
-"pass", "fail" or "bound-exceeded"; payloads become the failure witness (for
-fails) or informational notes.  ``run_suite`` executes a selection, optionally
-across processes, and aggregates exit status: pass only when every instance of
-every selected identity passes.
+"pass" or "fail"; payloads become the failure witness (for fails) or
+informational notes.  A runner that hits a hard cap raises BoundExceeded;
+``run_identity`` records that as one "bound-exceeded" instance and ends the
+identity there.  ``run_suite`` executes a selection, optionally across
+processes, and aggregates exit status: pass only when every instance of every
+selected identity passes.
 
 Default bounds keep the whole suite within a few minutes on commodity
 hardware; they can be overridden per identity (``max_n`` and friends) through
@@ -78,15 +80,15 @@ class IdentityEntry:
     runner: Callable[..., Iterator[Outcome]]
 
 
-def _cmp(instance: dict, lhs: Poly, rhs: Poly, info: Payload = None) -> Outcome:
-    if lhs == rhs:
+def _check(instance: dict, witness: Payload, info: Payload = None) -> Outcome:
+    """Pass (with the optional info) when there is no failure witness."""
+    if witness is None:
         return instance, PASS, info
-    return instance, FAIL, {"lhs": lhs.render(), "rhs": rhs.render()}
+    return instance, FAIL, witness
 
 
-def _from_qresult(res: qpolys.QIdentityResult, instance: dict) -> Outcome:
-    payload = res.witness or None
-    return instance, res.status, payload
+def _cmp(instance: dict, lhs: Poly | int, rhs: Poly | int, info: Payload = None) -> Outcome:
+    return _check(instance, qpolys.mismatch(lhs, rhs), info)
 
 
 def _xt_in_t(poly: Poly) -> Poly:
@@ -101,38 +103,34 @@ def _xt_in_t(poly: Poly) -> Poly:
 
 def run_thm_1_1(max_n: int = 10) -> Iterator[Outcome]:
     for n in range(1, max_n + 1):
-        yield _from_qresult(qpolys.verify_identity("duality", n),
-                            {"n": n, "check": "substitution"})
-        yield _from_qresult(qpolys.verify_identity("mainconj", n),
-                            {"n": n, "check": "coefficient-level"})
+        yield _check({"n": n, "check": "substitution"},
+                     qpolys.verify_identity("duality", n))
+        yield _check({"n": n, "check": "coefficient-level"},
+                     qpolys.verify_identity("mainconj", n))
+
+
+def _run_symbolic(name: str, max_n: int) -> Iterator[Outcome]:
+    for n in range(1, max_n + 1):
+        yield _check({"n": n}, qpolys.verify_identity(name, n))
 
 
 def run_eq_expansion(max_n: int = 8) -> Iterator[Outcome]:
-    for n in range(1, max_n + 1):
-        yield _from_qresult(qpolys.verify_identity("expansion", n), {"n": n})
-
-
-def _run_specialization(name: str, max_n: int) -> Iterator[Outcome]:
-    for n in range(1, max_n + 1):
-        yield _from_qresult(qpolys.verify_identity(name, n), {"n": n})
+    yield from _run_symbolic("expansion", max_n)
 
 
 def run_eq_special2(max_n: int = 10) -> Iterator[Outcome]:
-    yield from _run_specialization("special2", max_n)
+    yield from _run_symbolic("special2", max_n)
 
 
 def run_eq_factor(max_n: int = 10) -> Iterator[Outcome]:
-    yield from _run_specialization("factor", max_n)
+    yield from _run_symbolic("factor", max_n)
 
 
 def run_eq_qnxt(max_n: int = 10, ones_max_n: int = 9) -> Iterator[Outcome]:
-    yield from _run_specialization("qnxt", max_n)
+    yield from _run_symbolic("qnxt", max_n)
     for n in range(1, ones_max_n + 1):
         value = qpolys.q_n(n).evaluate({"x": 1, "y": 1, "z": 1, "t": 1})
-        expected = factorial(n) * qpolys.catalan(n)
-        status = PASS if value == expected else FAIL
-        yield ({"n": n, "check": "all-ones"}, status,
-               None if status == PASS else {"lhs": str(value), "rhs": str(expected)})
+        yield _cmp({"n": n, "check": "all-ones"}, value, factorial(n) * qpolys.catalan(n))
 
 
 def run_eq_lambert(max_n: int = 10) -> Iterator[Outcome]:
@@ -145,9 +143,7 @@ def run_eq_lambert(max_n: int = 10) -> Iterator[Outcome]:
             "value-at-one": (r.evaluate({"y": 1}), n ** (n - 1)),
         }
         for check, (got, expected) in checks.items():
-            status = PASS if got == expected else FAIL
-            yield ({"n": n, "check": check}, status,
-                   None if status == PASS else {"lhs": str(got), "rhs": str(expected)})
+            yield _cmp({"n": n, "check": check}, got, expected)
         spec_r = qpolys.q_n(n).substitute({"x": 0, "z": 1, "t": 0})
         yield _cmp({"n": n, "check": "q-specialization"}, spec_r, r.extend(Q_VARS))
         spec_p = qpolys.q_n(n).substitute({"z": 1, "t": 0})
@@ -157,34 +153,26 @@ def run_eq_lambert(max_n: int = 10) -> Iterator[Outcome]:
 
 def run_lemma_6_1(max_n: int = 8) -> Iterator[Outcome]:
     for n in range(2, max_n + 1):
-        yield _from_qresult(qpolys.verify_identity("rec2", n), {"n": n, "check": "rec2"})
-        yield _from_qresult(qpolys.verify_identity("rec3", n), {"n": n, "check": "rec3"})
+        yield _check({"n": n, "check": "rec2"}, qpolys.verify_identity("rec2", n))
+        yield _check({"n": n, "check": "rec3"}, qpolys.verify_identity("rec3", n))
 
 
 def run_lemma_6_2(max_n: int = 8) -> Iterator[Outcome]:
     for n in range(2, max_n + 1):
-        yield _from_qresult(qpolys.verify_identity("diff", n), {"n": n})
+        yield _check({"n": n}, qpolys.verify_identity("diff", n))
 
 
 def run_remark_6(max_n: int = 6) -> Iterator[Outcome]:
-    for n in range(1, max_n + 1):
-        yield _from_qresult(qpolys.verify_identity("operator-remark", n), {"n": n})
+    yield from _run_symbolic("operator-remark", max_n)
 
 
 def run_lemma_4_1(max_n: int = 10) -> Iterator[Outcome]:
-    for n in range(1, max_n + 1):
-        yield _from_qresult(qpolys.verify_identity("chu", n), {"n": n})
-
-
-def run_eq_equiv(max_n: int = 6) -> Iterator[Outcome]:
-    for n in range(1, max_n + 1):
-        yield _from_qresult(qpolys.verify_identity("eq-equiv", n), {"n": n})
+    yield from _run_symbolic("chu", max_n)
 
 
 def run_eq_gs(max_n: int = 10, enum_max_n: int = 5) -> Iterator[Outcome]:
     for n in range(1, max_n + 1):
-        yield _from_qresult(qpolys.verify_identity("gessel-seo", n),
-                            {"n": n, "check": "product"})
+        yield _check({"n": n, "check": "product"}, qpolys.verify_identity("gessel-seo", n))
     uni = ("x", "z", "t")
     x, z, t = (Poly.var(uni, v) for v in uni)
     enum = treecore.TreeEnumerator()
@@ -211,6 +199,25 @@ def run_eq_general(max_n: int = 7) -> Iterator[Outcome]:
         lhs = Poly(uni, {(g,): c for g, c in counts.items()})
         rhs = poly_prod((t * j + 1 for j in range(1, n)), uni)
         yield _cmp({"n": n}, lhs, rhs)
+
+
+def run_eq_equiv(max_n: int = 6) -> Iterator[Outcome]:
+    """Per n, the first k at which the root-1 sum and the shifted free sum differ."""
+    x = Poly.var(QK_VARS, "x")
+    t = Poly.var(QK_VARS, "t")
+    enum = treecore.TreeEnumerator()
+    for n in range(1, max_n + 1):
+        left = treecore.weight_census(range(1, n + 2), root=1, enumerator=enum)
+        right = treecore.weight_census(range(1, n + 1), enumerator=enum)
+        witness = None
+        for k in range(n):
+            lhs = treecore.census_poly(left.get(k, {}), mode="o")
+            rhs = treecore.census_poly(right.get(k, {}), mode="p").substitute(
+                {"x": x + t + 1})
+            witness = qpolys.mismatch(lhs, rhs)
+            if witness is not None:
+                break
+        yield _check({"n": n}, witness)
 
 
 def _census_vs_table(n: int, census, mode: str, shifted: bool,
@@ -272,10 +279,8 @@ def run_cor_2_4(max_n: int = 6) -> Iterator[Outcome]:
             pooled_free = pooled_free + treecore.census_poly(cells, "p")
         pooled_free = pooled_free.substitute({"x": x + t + 1})
         printed_matches = pooled_free == (x + t + 1) * pooled_table
-        inst, status, payload = _cmp({"n": n, "side": "free", "check": "pooled"},
-                                     pooled_free, pooled_table)
-        yield inst, status, (payload if status == FAIL else
-                             {"printed_exponent_variant_matches": printed_matches})
+        yield _cmp({"n": n, "side": "free", "check": "pooled"}, pooled_free, pooled_table,
+                   info={"printed_exponent_variant_matches": printed_matches})
 
         for k in sorted(set(rooted) | set(free) | set(range(n))):
             lhs_rooted = treecore.census_poly(rooted.get(k, {}), "o")
@@ -311,16 +316,10 @@ def run_prop_2_5(enum_max_n: int = 6, count_max_n: int = 8) -> Iterator[Outcome]
             yield _cmp({"n": n, "check": "enumeration"},
                        treecore.census_poly(census.get(0, {}), "p"), product)
         plane_count = sum(1 for _ in treecore.increasing_plane_trees(n))
-        expected_plane = qpolys.odd_double_factorial(2 * n - 3)
-        status = PASS if plane_count == expected_plane else FAIL
-        yield ({"n": n, "check": "increasing-plane"}, status,
-               None if status == PASS else
-               {"lhs": str(plane_count), "rhs": str(expected_plane)})
+        yield _cmp({"n": n, "check": "increasing-plane"},
+                   plane_count, qpolys.odd_double_factorial(2 * n - 3))
         rooted_count = sum(1 for _ in treecore.increasing_rooted_trees(n))
-        status = PASS if rooted_count == factorial(n - 1) else FAIL
-        yield ({"n": n, "check": "increasing-rooted"}, status,
-               None if status == PASS else
-               {"lhs": str(rooted_count), "rhs": str(factorial(n - 1))})
+        yield _cmp({"n": n, "check": "increasing-rooted"}, rooted_count, factorial(n - 1))
 
 
 # -- section 3: half-mobile forests ------------------------------------------------
@@ -435,14 +434,12 @@ def run_cor_catalan(max_vertices: int = 7) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
     for m in range(1, max_vertices + 1):
         count = sum(1 for _ in enum.trees(range(1, m + 1)))
-        labeled = factorial(2 * m - 2) // factorial(m - 1)
-        status = PASS if count == labeled else FAIL
-        yield ({"vertices": m, "check": "labeled"}, status,
-               None if status == PASS else {"lhs": str(count), "rhs": str(labeled)})
+        yield _cmp({"vertices": m, "check": "labeled"},
+                   count, factorial(2 * m - 2) // factorial(m - 1))
         unlabeled = qpolys.catalan(m - 1)
         ok = count % factorial(m) == 0 and count // factorial(m) == unlabeled
-        yield ({"vertices": m, "check": "unlabeled"}, PASS if ok else FAIL,
-               None if ok else {"lhs": str(count), "rhs": f"{unlabeled}*{m}!"})
+        yield _check({"vertices": m, "check": "unlabeled"},
+                     None if ok else {"lhs": str(count), "rhs": f"{unlabeled}*{m}!"})
 
 
 def run_cor_narayana(max_vertices: int = 7, leafset_max_vertices: int = 6) -> Iterator[Outcome]:
@@ -451,26 +448,19 @@ def run_cor_narayana(max_vertices: int = 7, leafset_max_vertices: int = 6) -> It
         profile = treecore.leaf_profile(m, enum)
         n = m - 1
         for k in sorted(set(profile) | set(range(1, n + 1))):
-            count = profile.get(k, 0)
-            expected = qpolys.narayana(n, k) * factorial(m)
-            status = PASS if count == expected else FAIL
-            yield ({"vertices": m, "k": k}, status,
-                   None if status == PASS else {"lhs": str(count), "rhs": str(expected)})
+            yield _cmp({"vertices": m, "k": k},
+                       profile.get(k, 0), qpolys.narayana(n, k) * factorial(m))
         for k in range(1, n + 1):
             got = treecore.leaf_set_count(n, k)
-            expected = factorial(n) * comb(n - 1, k - 1)
-            status = PASS if got == expected else FAIL
-            yield ({"vertices": m, "k": k, "check": "inclusion-exclusion"}, status,
-                   None if status == PASS else {"lhs": str(got), "rhs": str(expected)})
+            yield _cmp({"vertices": m, "k": k, "check": "inclusion-exclusion"},
+                       got, factorial(n) * comb(n - 1, k - 1))
             if m <= leafset_max_vertices:
                 target = frozenset(range(1, k + 1))
                 by_enum = sum(1 for tree in enum.trees(range(1, m + 1))
                               if tree.leaf_count == k and
                               frozenset(v.label for v in tree.walk()
                                         if not v.children) == target)
-                status = PASS if by_enum == got else FAIL
-                yield ({"vertices": m, "k": k, "check": "exact-leaf-set"}, status,
-                       None if status == PASS else {"lhs": str(by_enum), "rhs": str(got)})
+                yield _cmp({"vertices": m, "k": k, "check": "exact-leaf-set"}, by_enum, got)
 
 
 # -- forests -----------------------------------------------------------------------
@@ -496,28 +486,24 @@ def run_cor_planted(enum_max_n: int = 6, cayley_max_n: int = 7) -> Iterator[Outc
         for forest in forests.plane_forests(range(1, n + 1), enum):
             d = forests.ordered_degree_sequence(forest, n)
             by_degseq[d] = by_degseq.get(d, 0) + 1
-        ok = True
-        witness = None
-        for k in range(1, n + 1):
-            for d in _degree_sequences(n, n - k):
-                planted = forests.planted_count(d)
-                multiplicity = factorial(k)
-                for deg in d:
-                    multiplicity *= factorial(deg)
-                expected = planted * multiplicity
-                if by_degseq.get(d, 0) != expected:
-                    ok = False
-                    witness = {"d": list(d),
-                               "lhs": str(by_degseq.get(d, 0)), "rhs": str(expected)}
-                    break
-            if not ok:
-                break
-        yield {"n": n, "check": "plane-enumeration"}, PASS if ok else FAIL, witness
+        yield _check({"n": n, "check": "plane-enumeration"}, _first_planted_mismatch(n, by_degseq))
     for n in range(1, cayley_max_n + 1):
         total = sum(forests.planted_count(d) for d in _degree_sequences(n, n - 1))
-        status = PASS if total == n ** (n - 1) else FAIL
-        yield ({"n": n, "check": "cayley-sum"}, status,
-               None if status == PASS else {"lhs": str(total), "rhs": str(n ** (n - 1))})
+        yield _cmp({"n": n, "check": "cayley-sum"}, total, n ** (n - 1))
+
+
+def _first_planted_mismatch(n: int, by_degseq: dict[tuple[int, ...], int]) -> Payload:
+    """Witness for the first degree sequence whose plane-forest count is not
+    the planted count times the orderings of components and children."""
+    for k in range(1, n + 1):
+        for d in _degree_sequences(n, n - k):
+            multiplicity = factorial(k)
+            for deg in d:
+                multiplicity *= factorial(deg)
+            witness = qpolys.mismatch(by_degseq.get(d, 0), forests.planted_count(d) * multiplicity)
+            if witness is not None:
+                return {"d": list(d), **witness}
+    return None
 
 
 def _types(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -525,8 +511,7 @@ def _types(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     for k in range(1, n + 1):
         seen: set[tuple[int, ...]] = set()
         for d in _degree_sequences(n, n - k):
-            top = max(d) if d else 0
-            r = tuple(sum(1 for deg in d if deg == i) for i in range(top + 1))
+            r = forests.degree_type(d)
             if r not in seen:
                 seen.add(r)
                 yield r, k
@@ -535,16 +520,9 @@ def _types(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
 def run_cor_type_planted(max_n: int = 6) -> Iterator[Outcome]:
     for n in range(1, max_n + 1):
         for r, k in _types(n):
-            total = 0
-            for d in _degree_sequences(n, n - k):
-                top = max(d) if d else 0
-                this_type = tuple(sum(1 for deg in d if deg == i) for i in range(top + 1))
-                if this_type == r:
-                    total += forests.planted_count(d)
-            got = forests.type_count(r, "planted")
-            status = PASS if got == total else FAIL
-            yield ({"n": n, "type": list(r)}, status,
-                   None if status == PASS else {"lhs": str(got), "rhs": str(total)})
+            total = sum(forests.planted_count(d) for d in _degree_sequences(n, n - k)
+                        if forests.degree_type(d) == r)
+            yield _cmp({"n": n, "type": list(r)}, forests.type_count(r, "planted"), total)
 
 
 def run_cor_plane(max_n: int = 6) -> Iterator[Outcome]:
@@ -554,23 +532,17 @@ def run_cor_plane(max_n: int = 6) -> Iterator[Outcome]:
         for forest in forests.plane_forests(range(1, n + 1), enum):
             r = forests.forest_type(forest, n)
             by_type[r] = by_type.get(r, 0) + 1
-        ok = True
         witness = None
         for r, k in _types(n):
-            expected = forests.type_count(r, "plane-unlabeled") * factorial(n)
-            if by_type.get(r, 0) != expected:
-                ok = False
-                witness = {"type": list(r),
-                           "lhs": str(by_type.get(r, 0)), "rhs": str(expected)}
+            witness = qpolys.mismatch(by_type.get(r, 0),
+                                      forests.type_count(r, "plane-unlabeled") * factorial(n))
+            if witness is not None:
+                witness = {"type": list(r), **witness}
                 break
-        yield {"n": n, "check": "type-census"}, PASS if ok else FAIL, witness
+        yield _check({"n": n, "check": "type-census"}, witness)
         single = sum(forests.type_count(r, "plane-unlabeled")
                      for r, k in _types(n) if k == 1)
-        expected_catalan = qpolys.catalan(n - 1)
-        status = PASS if single == expected_catalan else FAIL
-        yield ({"n": n, "check": "catalan-telescope"}, status,
-               None if status == PASS else
-               {"lhs": str(single), "rhs": str(expected_catalan)})
+        yield _cmp({"n": n, "check": "catalan-telescope"}, single, qpolys.catalan(n - 1))
 
 
 def run_thm_5_1(max_n: int = 7, max_r: int = 3) -> Iterator[Outcome]:
@@ -596,16 +568,6 @@ ALIASES = {
     "lemma-6-1/eq-rec2": "lemma-6-1",
     "lemma-6-2/eq-diff": "lemma-6-2",
     "remark-6/operator": "remark-6",
-    # convenience names matching qpolys.verify_identity tags
-    "duality": "thm-1-1",
-    "mainconj": "thm-1-1",
-    "expansion": "eq-expansion",
-    "special2": "eq-special2",
-    "factor": "eq-factor",
-    "qnxt": "eq-qnxt",
-    "lambert": "eq-lambert",
-    "chu": "lemma-4-1",
-    "gessel-seo": "eq-gs",
 }
 
 
@@ -679,6 +641,14 @@ def resolve(name: str) -> IdentityEntry:
     return REGISTRY[canonical]
 
 
+def _outcomes(runner: Callable[..., Iterator[Outcome]], params: dict) -> Iterator[Outcome]:
+    """The runner's outcomes; a hard cap ends them with one skipped instance."""
+    try:
+        yield from runner(**params)
+    except treecore.BoundExceeded as exc:
+        yield {}, SKIP, {"reason": str(exc)}
+
+
 def run_identity(name: str, overrides: dict | None = None) -> VerificationReport:
     entry = resolve(name)
     params = dict(entry.defaults)
@@ -689,7 +659,7 @@ def run_identity(name: str, overrides: dict | None = None) -> VerificationReport
         params.update(overrides)
     report = VerificationReport(entry.name, params)
     clock = time.perf_counter()
-    for instance, status, payload in entry.runner(**params):
+    for instance, status, payload in _outcomes(entry.runner, params):
         now = time.perf_counter()
         witness = payload if status == FAIL else None
         info = payload if status != FAIL else None
@@ -708,6 +678,9 @@ def run_suite(names: list[str] | None = None,
     targets = [resolve(name).name for name in names]
     for name in overrides:
         resolve(name)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    jobs = min(jobs, len(targets))
     if jobs <= 1:
         return [run_identity(name, overrides.get(name)) for name in targets]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -18,11 +18,8 @@ the operator identities, and the Chu-Vandermonde variant).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from math import comb
-from pathlib import Path
-from typing import Iterator
+from typing import Callable
 
 from .polyring import Poly, poly_prod
 
@@ -31,13 +28,12 @@ QK_VARS = ("x", "t")
 P_VARS = ("x", "y")
 R_VARS = ("y",)
 
-IDENTITY_NAMES = frozenset({
-    "duality", "expansion", "special2", "factor", "qnxt",
-    "rec2", "rec3", "diff", "mainconj", "operator-remark",
-    "chu", "gessel-seo", "eq-equiv",
-})
-
 MAX_SYMBOLIC_N = 64
+
+
+class BoundExceeded(RuntimeError):
+    """A request exceeded a hard cap: the symbolic n cap here, or the
+    enumeration label cap of :class:`treecore.TreeEnumerator`."""
 
 
 def catalan(n: int) -> int:
@@ -146,23 +142,6 @@ class QTable:
             self._shifted[key] = self.get(n, k).substitute({"x": x - t - 1})
         return self._shifted[key]
 
-    def row(self, n: int) -> list[Poly]:
-        return [self.get(n, k) for k in range(n)]
-
-    def save(self, path: str | Path) -> None:
-        data = {f"{n},{k}": poly.render() for (n, k), poly in sorted(self._plain.items())}
-        Path(path).write_text(json.dumps(data, sort_keys=True, indent=1))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "QTable":
-        from .polyring import parse
-        table = cls()
-        data = json.loads(Path(path).read_text())
-        for key, text in data.items():
-            n_str, k_str = key.split(",")
-            table._plain[(int(n_str), int(k_str))] = parse(text, QK_VARS)
-        return table
-
 
 _default_table = QTable()
 
@@ -170,16 +149,6 @@ _default_table = QTable()
 def q_nk(n: int, k: int, shifted: bool = False) -> Poly:
     """Q_{n,k}(x, t), or Q_{n,k}(x - t - 1, t) when shifted."""
     return _default_table.get_shifted(n, k) if shifted else _default_table.get(n, k)
-
-
-def load_default_cache(path: str | Path) -> None:
-    """Prewarm the module table from a saved JSON cache."""
-    loaded = QTable.load(path)
-    _default_table._plain.update(loaded._plain)
-
-
-def save_default_cache(path: str | Path) -> None:
-    _default_table.save(path)
 
 
 # -- closed-form products ----------------------------------------------------
@@ -207,88 +176,88 @@ def closed_form(name: str, n: int) -> Poly:
 
 # -- identity verification ---------------------------------------------------
 
-@dataclass
-class QIdentityResult:
-    name: str
-    n: int
-    k: int | None
-    status: str                      # "pass" | "fail" | "bound-exceeded"
-    witness: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "pass"
+Witness = dict | None
 
 
-def _result(name, n, k, lhs: Poly, rhs: Poly) -> QIdentityResult:
+def mismatch(lhs: Poly | int, rhs: Poly | int) -> Witness:
+    """None when lhs == rhs, else the failure witness with both sides rendered."""
     if lhs == rhs:
-        return QIdentityResult(name, n, k, "pass")
-    return QIdentityResult(name, n, k, "fail",
-                           {"lhs": lhs.render(), "rhs": rhs.render()})
+        return None
+    return {"lhs": str(lhs), "rhs": str(rhs)}
 
 
-def _first_failure(name, n, results: Iterator[QIdentityResult]) -> QIdentityResult:
-    for res in results:
-        if not res.ok:
-            return res
-    return QIdentityResult(name, n, None, "pass")
-
-
-def _duality(n: int) -> QIdentityResult:
+def _duality(n: int) -> Witness:
     q = q_n(n)
     x = Poly.var(Q_VARS, "x")
     z = Poly.var(Q_VARS, "z")
     t = Poly.var(Q_VARS, "t")
-    rhs = q.substitute({"x": x + z * n + t * n, "z": -t, "t": -z})
-    return _result("duality", n, None, q, rhs)
+    return mismatch(q, q.substitute({"x": x + z * n + t * n, "z": -t, "t": -z}))
 
 
-def _expansion(n: int) -> QIdentityResult:
+def _expansion(n: int) -> Witness:
     lhs = q_n(n).substitute({"z": 1})
     y = Poly.var(Q_VARS, "y")
     rhs = Poly.zero(Q_VARS)
     for k in range(n):
         rhs = rhs + q_nk(n, k).extend(Q_VARS) * y ** k
-    return _result("expansion", n, None, lhs, rhs)
+    return mismatch(lhs, rhs)
 
 
-def _specialization(name: str, n: int) -> QIdentityResult:
+def _specialization(name: str, n: int) -> Witness:
     subs = {"special2": {"t": -Poly.var(Q_VARS, "y")},
             "factor": {"y": 0},
             "qnxt": {"y": Poly.var(Q_VARS, "z")}}[name]
-    return _result(name, n, None, q_n(n).substitute(subs), closed_form(name, n))
+    return mismatch(q_n(n).substitute(subs), closed_form(name, n))
 
 
-def _gessel_seo(n: int) -> QIdentityResult:
+def _gessel_seo(n: int) -> Witness:
     z = Poly.var(Q_VARS, "z")
     t = Poly.var(Q_VARS, "t")
     lhs = Poly.var(Q_VARS, "x") * q_n(n).substitute({"y": z, "t": t - z})
-    return _result("gessel-seo", n, None, lhs, closed_form("gessel-seo", n))
+    return mismatch(lhs, closed_form("gessel-seo", n))
 
 
-def _rec2(n: int, k: int) -> QIdentityResult:
+def _each_k(check: Callable[[int, int], Witness]) -> Callable[[int, int | None], Witness]:
+    """Lift a table identity at (n, k) to n: the given k, else the first
+    failing k < n.  The table identities start at n = 2."""
+    def run(n: int, k: int | None) -> Witness:
+        if n < 2:
+            return None
+        for kk in (range(n) if k is None else [k]):
+            witness = check(n, kk)
+            if witness is not None:
+                return witness
+        return None
+    return run
+
+
+@_each_k
+def _rec2(n: int, k: int) -> Witness:
     x = Poly.var(QK_VARS, "x")
     t = Poly.var(QK_VARS, "t")
     shift = {"x": x + t + 1}
     rhs = (x - k + t + 1) * q_nk(n - 1, k).substitute(shift) \
         + q_nk(n - 1, k - 1).substitute(shift) * (n + k - 2)
-    return _result("rec2", n, k, q_nk(n, k), rhs)
+    return mismatch(q_nk(n, k), rhs)
 
 
-def _rec3(n: int, k: int) -> QIdentityResult:
+@_each_k
+def _rec3(n: int, k: int) -> Witness:
     x = Poly.var(QK_VARS, "x")
     rhs = (x - k) * q_nk(n - 1, k) + q_nk(n - 1, k - 1) * (n + k - 2)
-    return _result("rec3", n, k, q_nk(n, k, shifted=True), rhs)
+    return mismatch(q_nk(n, k, shifted=True), rhs)
 
 
-def _diff(n: int, k: int) -> QIdentityResult:
+@_each_k
+def _diff(n: int, k: int) -> Witness:
     t = Poly.var(QK_VARS, "t")
     lhs = q_nk(n, k) - q_nk(n, k, shifted=True)
     rhs = (t + 1) * q_nk(n - 1, k) * (n + k - 1)
-    return _result("diff", n, k, lhs, rhs)
+    return mismatch(lhs, rhs)
 
 
-def _mainconj(n: int, k: int) -> QIdentityResult:
+@_each_k
+def _mainconj(n: int, k: int) -> Witness:
     # Q_{n,k}(-(x+n+nt)/t, 1/t) * (-t)^(n-k-1) with the powers of t cleared
     # monomial by monomial; polynomial because deg Q_{n,k} <= n-k-1.
     p = q_nk(n, k)
@@ -300,14 +269,13 @@ def _mainconj(n: int, k: int) -> QIdentityResult:
     for (a, b), coeff in p.terms.items():
         residue = d - a - b
         if residue < 0:
-            return QIdentityResult("mainconj", n, k, "fail",
-                                   {"reason": f"monomial x^{a}*t^{b} exceeds degree {d}"})
+            return {"reason": f"monomial x^{a}*t^{b} exceeds degree {d}"}
         sign = -1 if (a + d) % 2 else 1
         rhs = rhs + base ** a * t ** residue * (sign * coeff)
-    return _result("mainconj", n, k, p, rhs)
+    return mismatch(p, rhs)
 
 
-def _operator_remark(n: int) -> QIdentityResult:
+def _operator_remark(n: int) -> Witness:
     x = Poly.var(Q_VARS, "x")
     z = Poly.var(Q_VARS, "z")
     y = Poly.var(Q_VARS, "y")
@@ -317,25 +285,20 @@ def _operator_remark(n: int) -> QIdentityResult:
     shifted = f_next.substitute({"x": x - z - t})
     # F_{n+1}(x - z - t) == [x + nz + (y - z)(n + y d/dy)] F_n
     rhs1 = (x + z * n) * f_n + (y - z) * f_n.shifted_derivative("y", n)
-    res = _result("operator-remark", n, None, shifted, rhs1)
-    if not res.ok:
-        return res
     # F_{n+1}(x) - F_{n+1}(x - z - t) == (z + t)(n + y d/dy) F_n
-    rhs2 = (z + t) * f_n.shifted_derivative("y", n)
-    res = _result("operator-remark", n, None, f_next - shifted, rhs2)
-    if not res.ok:
-        return res
-    if n >= 2:
-        # (y+t)(n + y d/dy)(n-1 + y d/dy) == (n-1 + y d/dy)[(y+t)(n + y d/dy) - y]
-        # applied to F_{n-1}, the instance the inductive argument uses.
-        f_prev = q_n(n - 1)
-        lhs = (y + t) * f_prev.shifted_derivative("y", n - 1).shifted_derivative("y", n)
-        inner = (y + t) * f_prev.shifted_derivative("y", n) - y * f_prev
-        res = _result("operator-remark", n, None, lhs, inner.shifted_derivative("y", n - 1))
-    return res
+    witness = (mismatch(shifted, rhs1)
+               or mismatch(f_next - shifted, (z + t) * f_n.shifted_derivative("y", n)))
+    if witness is not None or n < 2:
+        return witness
+    # (y+t)(n + y d/dy)(n-1 + y d/dy) == (n-1 + y d/dy)[(y+t)(n + y d/dy) - y]
+    # applied to F_{n-1}, the instance the inductive argument uses.
+    f_prev = q_n(n - 1)
+    lhs = (y + t) * f_prev.shifted_derivative("y", n - 1).shifted_derivative("y", n)
+    inner = (y + t) * f_prev.shifted_derivative("y", n) - y * f_prev
+    return mismatch(lhs, inner.shifted_derivative("y", n - 1))
 
 
-def _chu(n: int) -> QIdentityResult:
+def _chu(n: int) -> Witness:
     uni = ("x", "y", "t")
     x = Poly.var(uni, "x")
     y = Poly.var(uni, "y")
@@ -346,56 +309,38 @@ def _chu(n: int) -> QIdentityResult:
         tail = poly_prod((y + t * j for j in range(n - k)), uni)
         lhs = lhs + head * tail * comb(n, k)
     rhs = x * poly_prod((x + y + t * k for k in range(1, n + 1)), uni)
-    return _result("chu", n, None, lhs, rhs)
+    return mismatch(lhs, rhs)
 
 
-def _eq_equiv(n: int, k: int | None) -> QIdentityResult:
-    from . import treecore
-    x = Poly.var(QK_VARS, "x")
-    t = Poly.var(QK_VARS, "t")
-    enum = treecore.TreeEnumerator()
-    left = treecore.weight_census(range(1, n + 2), root=1, enumerator=enum)
-    right = treecore.weight_census(range(1, n + 1), enumerator=enum)
-    ks = range(n) if k is None else [k]
-    for kk in ks:
-        lhs = treecore.census_poly(left.get(kk, {}), mode="o")
-        rhs = treecore.census_poly(right.get(kk, {}), mode="p").substitute({"x": x + t + 1})
-        if lhs != rhs:
-            return QIdentityResult("eq-equiv", n, kk, "fail",
-                                   {"lhs": lhs.render(), "rhs": rhs.render()})
-    return QIdentityResult("eq-equiv", n, k, "pass")
+# name -> check(n, k); only the table identities read k
+_CHECKS: dict[str, Callable[[int, int | None], Witness]] = {
+    "duality": lambda n, k: _duality(n),
+    "expansion": lambda n, k: _expansion(n),
+    "special2": lambda n, k: _specialization("special2", n),
+    "factor": lambda n, k: _specialization("factor", n),
+    "qnxt": lambda n, k: _specialization("qnxt", n),
+    "gessel-seo": lambda n, k: _gessel_seo(n),
+    "chu": lambda n, k: _chu(n),
+    "operator-remark": lambda n, k: _operator_remark(n),
+    "rec2": _rec2,
+    "rec3": _rec3,
+    "diff": _diff,
+    "mainconj": _mainconj,
+}
 
 
-def verify_identity(name: str, n: int, k: int | None = None) -> QIdentityResult:
-    """Check one named identity exactly at the given n (and k, where relevant)."""
-    if name not in IDENTITY_NAMES:
-        raise ValueError(f"unknown identity {name!r}; known: {sorted(IDENTITY_NAMES)}")
+def verify_identity(name: str, n: int, k: int | None = None) -> Witness:
+    """Check one named identity exactly at the given n (and k, for the table
+    identities rec2, rec3, diff and mainconj).
+
+    Returns None when it holds, else the failure witness; raises
+    BoundExceeded above MAX_SYMBOLIC_N.
+    """
+    check = _CHECKS.get(name)
+    if check is None:
+        raise ValueError(f"unknown identity {name!r}; known: {sorted(_CHECKS)}")
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > MAX_SYMBOLIC_N:
-        return QIdentityResult(name, n, k, "bound-exceeded",
-                               {"reason": f"n > {MAX_SYMBOLIC_N}"})
-    if name == "duality":
-        return _duality(n)
-    if name == "expansion":
-        return _expansion(n)
-    if name in ("special2", "factor", "qnxt"):
-        return _specialization(name, n)
-    if name == "gessel-seo":
-        return _gessel_seo(n)
-    if name == "chu":
-        return _chu(n)
-    if name == "operator-remark":
-        return _operator_remark(n)
-    if name == "eq-equiv":
-        from .treecore import BoundExceeded
-        try:
-            return _eq_equiv(n, k)
-        except BoundExceeded as exc:
-            return QIdentityResult(name, n, k, "bound-exceeded", {"reason": str(exc)})
-    if n < 2:
-        return QIdentityResult(name, n, k, "pass")   # rec2/rec3/diff start at n=2
-    per_k = {"rec2": _rec2, "rec3": _rec3, "diff": _diff, "mainconj": _mainconj}[name]
-    if k is not None:
-        return per_k(n, k)
-    return _first_failure(name, n, (per_k(n, kk) for kk in range(n)))
+        raise BoundExceeded(f"n > {MAX_SYMBOLIC_N}")
+    return check(n, k)

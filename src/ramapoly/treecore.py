@@ -27,16 +27,11 @@ from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .polyring import Poly
-
-QK_VARS = ("x", "t")
+from .qpolys import QK_VARS, BoundExceeded
 
 MEMO_LIMIT = 5             # label-set size up to which forest/tree lists are cached
 DEFAULT_MAX_LABELS = 8     # enumeration hard cap; |P_8| = 17,297,280
 ENV_MAX_LABELS = "RAMAPOLY_MAX_LABELS"
-
-
-class BoundExceeded(RuntimeError):
-    """An enumeration request exceeded the configured hard cap."""
 
 
 class PlaneTree:
@@ -75,6 +70,9 @@ class PlaneTree:
                 y1 = c.young_at_1
             if c.ryoung_at_1 is not None:
                 ry1 = c.ryoung_at_1
+        # right-to-left minima of the child beta and label words in one fused
+        # pass, as this is the enumeration hot path; the tests cross-check it
+        # against right_to_left_minima
         eld_here = reld_here = 0
         min_beta_right = min_label_right = None
         for c in reversed(children):
@@ -160,7 +158,7 @@ def tree_from_obj(obj: Mapping) -> PlaneTree:
     if not isinstance(obj, Mapping) or "label" not in obj:
         raise ValueError("tree object must be a mapping with a 'label' key")
     label = obj["label"]
-    if not isinstance(label, int) or label < 1:
+    if not isinstance(label, int) or isinstance(label, bool) or label < 1:
         raise ValueError(f"labels must be positive integers, got {label!r}")
     tree = PlaneTree(label, [tree_from_obj(c) for c in obj.get("children", [])])
     seen = [v.label for v in tree.walk()]
@@ -172,18 +170,24 @@ def tree_from_obj(obj: Mapping) -> PlaneTree:
 # -- statistics ---------------------------------------------------------------
 
 
+def right_to_left_minima(word: Sequence[int]) -> list[int]:
+    """Positions (0-based, ascending) of the entries smaller than every
+    entry to their right."""
+    positions = []
+    suffix_min = None
+    for idx in range(len(word) - 1, -1, -1):
+        if suffix_min is None or word[idx] < suffix_min:
+            positions.append(idx)
+            suffix_min = word[idx]
+    positions.reverse()
+    return positions
+
+
 def gdes(word: Sequence[int]) -> int:
     """Number of positions with a smaller entry somewhere to the right."""
     if len(set(word)) != len(word):
         raise ValueError("entries must be distinct")
-    count = 0
-    suffix_min = None
-    for a in reversed(word):
-        if suffix_min is not None and suffix_min < a:
-            count += 1
-        if suffix_min is None or a < suffix_min:
-            suffix_min = a
-    return count
+    return len(word) - len(right_to_left_minima(word))
 
 
 @dataclass(frozen=True)
@@ -227,22 +231,21 @@ def stats(tree: PlaneTree) -> TreeStats:
         ryoung[v.label] = v.ryoung_self
         if not v.children:
             leaves.add(v.label)
-        min_beta_right = min_label_right = None
-        for c in reversed(v.children):
+        # a child is younger exactly when its beta (label, for the really
+        # variant) is a right-to-left minimum of the children's word
+        younger = set(right_to_left_minima([c.beta for c in v.children]))
+        ryounger = set(right_to_left_minima([c.label for c in v.children]))
+        for idx, c in enumerate(v.children):
             if c.label < v.label:
                 increasing = False
-            if min_beta_right is not None and min_beta_right < c.beta:
+            if idx not in younger:
                 elders.add(c.label)
             elif v.label > c.beta:
                 improper.add((v.label, c.label))
-            if min_label_right is not None and min_label_right < c.label:
+            if idx not in ryounger:
                 relders.add(c.label)
             elif v.label > c.beta:
                 rimproper.add((v.label, c.label))
-            if min_beta_right is None or c.beta < min_beta_right:
-                min_beta_right = c.beta
-            if min_label_right is None or c.label < min_label_right:
-                min_label_right = c.label
     return TreeStats(beta=beta, deg=deg, eld_per_vertex=eld, young_per_vertex=young,
                      reld_per_vertex=reld, ryoung_per_vertex=ryoung,
                      elder_vertices=frozenset(elders),

@@ -8,12 +8,14 @@ Two sub-claims of criterion 6 are mathematically false and the tests for
 them are EXPECTED TO FAIL; they are kept faithful rather than weakened:
 
 * the child-reordering map does not preserve the improper-edge count
-  (counterexample on five labels: 2->3, 3->(4,5), 5->1 has three improper
-  edges, its image 2->3, 3->(5,4), 5->1 has two really improper edges);
+  (counterexample on four labels: 2 -> (3, 4 -> 1) has the improper edges
+  (2,4) and (4,1), its image 2 -> (4 -> 1, 3) has only (4,1) really
+  improper);
 * the really-elder variant sums refined by the improper count differ from
-  the table rows from n = 4 on (by y*t - y^2*t at n = 4), with either
-  exponent convention.  Only the sums pooled over all counts hold, and
-  those are verified in the passing part of criterion 6.
+  the table rows from n = 4 on (the root-1 sum exceeds the row by t at
+  n = 4, k = 1), with either exponent convention.  Only the sums pooled
+  over all counts hold, and those are verified in the passing part of
+  criterion 6.
 """
 
 import time
@@ -87,17 +89,17 @@ def test_c02_duality():
     with criterion(2, "duality, n <= 10"):
         start = time.perf_counter()
         for n in range(1, 11):
-            assert qp.verify_identity("duality", n).ok
+            assert qp.verify_identity("duality", n) is None
         assert time.perf_counter() - start < 30.0
 
 
 def test_c03_section6_lemmas():
     with criterion(3, "recurrence reformulations, n <= 8"):
         for n in range(2, 9):
-            assert qp.verify_identity("rec2", n).ok
-            assert qp.verify_identity("diff", n).ok
+            assert qp.verify_identity("rec2", n) is None
+            assert qp.verify_identity("diff", n) is None
         for n in range(1, 7):
-            assert qp.verify_identity("operator-remark", n).ok
+            assert qp.verify_identity("operator-remark", n) is None
 
 
 def test_c04_root1_interpretation(enum):
@@ -267,8 +269,7 @@ def test_c10_forest_corollaries():
 
 def test_c11_dual_enumeration_and_gs(enum):
     with criterion(11, "dual enumeration and the product with mixed weights"):
-        for n in range(1, 7):
-            assert qp.verify_identity("eq-equiv", n).ok
+        all_pass(harness.run_eq_equiv(max_n=6))
         uni = ("x", "z", "t")
         x, z, t = (Poly.var(uni, v) for v in uni)
         for n in range(1, 6):

@@ -15,6 +15,10 @@ def test_permutation_validation():
         Permutation([0, 1])
     with pytest.raises(ValueError):
         psi_inv([1, 3])
+    with pytest.raises(ValueError):
+        Permutation([True, 2])
+    with pytest.raises(ValueError):
+        psi_inv([2, True])
 
 
 def test_psi_worked_example():

@@ -93,5 +93,3 @@ def test_type_helpers(enum):
     t = fo.forest_type(forest, 3)
     assert sum(t) == 3
     assert fo.type_components(t) == len(forest)
-    seqs = set(fo.degree_sequences_of_type((1, 1), 2))
-    assert seqs == {(0, 1), (1, 0)}

@@ -1,4 +1,5 @@
 import json
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,33 @@ def test_run_suite_subset_and_jobs():
     assert [(r.identity, r.status, len(r.instances)) for r in serial] == \
            [(r.identity, r.status, len(r.instances)) for r in parallel]
     assert harness.suite_status(serial) == 0
+
+
+def test_run_suite_clamps_pool_to_selection(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    names = ["eq-general", "lemma-6-2"]
+    reports = harness.run_suite(names, {name: {"max_n": 3} for name in names}, jobs=64)
+    assert sizes == [2]
+    assert [r.identity for r in reports] == names
+    with pytest.raises(ValueError):
+        harness.run_suite(names, jobs=0)
 
 
 def test_suite_status_semantics():
@@ -190,6 +218,51 @@ def test_cli_verify_bound_exceeded_and_allow_skip(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "BOUND-EXCEEDED" in out
     assert cli.main(argv + ["--allow-skip"]) == 0
+
+
+def test_cli_verify_bound_exceeded_keeps_running(capsys, monkeypatch):
+    # an enumeration identity past the label cap ends with one skipped
+    # instance; the other identities still run and the summary is printed
+    monkeypatch.setenv("RAMAPOLY_MAX_LABELS", "4")
+    argv = ["verify", "--identity", "cor-catalan,thm-2-3"]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    summaries = [line.split()[:2] for line in out if "skipped" in line]
+    assert summaries == [["BOUND-EXCEEDED", "cor-catalan"], ["BOUND-EXCEEDED", "thm-2-3"]]
+    for name in ("cor-catalan", "thm-2-3"):
+        assert sum(line.startswith(f"BOUND-EXCEEDED {name} {{}}") for line in out) == 1
+    assert out[-1] == "overall: FAIL (2 identities)"
+    assert cli.main(argv + ["--allow-skip"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "overall: pass (2 identities)"
+
+
+TREE_TRUE_LABEL = '{"label": true, "children": []}'
+DEEP_TREE = '{"label": 1, "children": [' * 900 + '{"label": 2}' + ']}' * 900
+
+
+@pytest.mark.parametrize("argv,content", [
+    (["stats"], TREE_TRUE_LABEL),
+    (["stats"], DEEP_TREE),
+    (["bijection", "--map", "theta"], DEEP_TREE),
+    (["bijection", "--map", "theta-inv"],
+     '{"components": [{"kind": "white", "label": true, "children": []}]}'),
+    (["bijection", "--map", "psi-inv"], "[true, 2]"),
+    (["bijection", "--map", "psi"], "[2, true]"),
+    (["bijection", "--map", "psi"], "5"),
+    (["qnk", "--n", "3", "--k", "-1"], None),
+    (["qnk", "--n", "3", "--k", "3"], None),
+    (["verify", "--identity", "eq-general", "--jobs", "0"], None),
+], ids=["tree-bool-label", "tree-deep-stats", "tree-deep-theta", "hm-bool-label",
+        "word-bool", "perm-bool", "perm-not-array", "k-negative", "k-at-n", "jobs-zero"])
+def test_cli_rejects_bad_input(tmp_path, capsys, argv, content):
+    if content is not None:
+        path = tmp_path / "input.json"
+        path.write_text(content)
+        argv = argv + ["--input", str(path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_cli_verify_config_override(tmp_path, capsys):

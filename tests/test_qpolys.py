@@ -1,11 +1,10 @@
-import json
 from math import comb, factorial
 
 import pytest
 
 from ramapoly import qpolys as qp
 from ramapoly.polyring import Poly, parse, poly_prod
-from ramapoly.qpolys import QK_VARS, Q_VARS
+from ramapoly.qpolys import QK_VARS, Q_VARS, BoundExceeded
 
 # the displayed values, entered verbatim and reparsed for byte comparisons
 TABLE_PLAIN = {
@@ -123,15 +122,14 @@ def test_closed_form_examples():
 
 
 def test_verify_identity_examples():
-    assert qp.verify_identity("duality", 4).ok
-    assert qp.verify_identity("expansion", 5).ok
-    res = qp.verify_identity("diff", 4, k=1)
-    assert res.ok
-    assert qp.verify_identity("rec2", 5).ok
-    assert qp.verify_identity("rec3", 5).ok
-    assert qp.verify_identity("mainconj", 5).ok
-    assert qp.verify_identity("operator-remark", 3).ok
-    assert qp.verify_identity("chu", 6).ok
+    assert qp.verify_identity("duality", 4) is None
+    assert qp.verify_identity("expansion", 5) is None
+    assert qp.verify_identity("diff", 4, k=1) is None
+    assert qp.verify_identity("rec2", 5) is None
+    assert qp.verify_identity("rec3", 5) is None
+    assert qp.verify_identity("mainconj", 5) is None
+    assert qp.verify_identity("operator-remark", 3) is None
+    assert qp.verify_identity("chu", 6) is None
     with pytest.raises(ValueError):
         qp.verify_identity("unknown-tag", 3)
     with pytest.raises(ValueError):
@@ -139,8 +137,8 @@ def test_verify_identity_examples():
 
 
 def test_verify_identity_bound_exceeded():
-    res = qp.verify_identity("duality", qp.MAX_SYMBOLIC_N + 1)
-    assert res.status == "bound-exceeded"
+    with pytest.raises(BoundExceeded):
+        qp.verify_identity("duality", qp.MAX_SYMBOLIC_N + 1)
 
 
 def test_diff_instance_matches_spec_schema():
@@ -148,21 +146,6 @@ def test_diff_instance_matches_spec_schema():
     t = Poly.var(QK_VARS, "t")
     lhs = qp.q_nk(4, 1) - qp.q_nk(4, 1, shifted=True)
     assert lhs == (t + 1) * qp.q_nk(3, 1) * 4
-
-
-def test_qtable_cache_round_trip(tmp_path):
-    table = qp.QTable()
-    for n in range(1, 6):
-        for k in range(n):
-            table.get(n, k)
-    path = tmp_path / "qtable.json"
-    table.save(path)
-    data = json.loads(path.read_text())
-    assert data["3,1"] == "3*x + 5*t + 4"
-    loaded = qp.QTable.load(path)
-    for n in range(1, 6):
-        for k in range(n):
-            assert loaded.get(n, k) == table.get(n, k)
 
 
 def test_parse_render_identity_on_family_output():
@@ -174,14 +157,6 @@ def test_parse_render_identity_on_family_output():
             cell = qp.q_nk(n, k)
             assert reparse(cell.render(), QK_VARS) == cell
     assert reparse(qp.r_n(6).render(), ("y",)) == qp.r_n(6)
-
-
-def test_default_cache_round_trip(tmp_path):
-    qp.q_nk(5, 2)
-    path = tmp_path / "cache.json"
-    qp.save_default_cache(path)
-    qp.load_default_cache(path)
-    assert qp.q_nk(5, 2) == qp.QTable.load(path).get(5, 2)
 
 
 def test_catalan_and_narayana():
