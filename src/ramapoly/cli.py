@@ -42,12 +42,19 @@ def _load_json(path: str):
 # -- polynomial emission --------------------------------------------------------
 
 
+def _check_symbolic_n(flag: str, n: int) -> None:
+    if not 1 <= n <= qpolys.MAX_SYMBOLIC_N:
+        raise ValueError(f"{flag} must satisfy 1 <= n <= {qpolys.MAX_SYMBOLIC_N}, got {n}")
+
+
 def cmd_qn(args, parser) -> int:
+    _check_symbolic_n("--n", args.n)
     print(qpolys.q_n(args.n).render())
     return 0
 
 
 def cmd_qnk(args, parser) -> int:
+    _check_symbolic_n("--n", args.n)
     if args.k is not None and not 0 <= args.k < args.n:
         raise ValueError(f"--k must satisfy 0 <= k < n = {args.n}, got {args.k}")
     ks = [args.k] if args.k is not None else range(args.n)
@@ -58,6 +65,7 @@ def cmd_qnk(args, parser) -> int:
 
 
 def cmd_table(args, parser) -> int:
+    _check_symbolic_n("--max-n", args.max_n)
     shifted = args.which == "q2"
     for n in range(1, args.max_n + 1):
         total = None

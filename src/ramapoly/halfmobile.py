@@ -341,8 +341,13 @@ def hm_generating_poly(n: int, enumerator: TreeEnumerator | None = None) -> Poly
 
 
 def node_from_obj(obj: Mapping) -> HmNode:
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"half-mobile node must be a mapping, got {type(obj).__name__}")
     kind = obj.get("kind")
-    children = tuple(node_from_obj(c) for c in obj.get("children", []))
+    children = obj.get("children", [])
+    if not isinstance(children, list):
+        raise ValueError(f"'children' must be a list, got {type(children).__name__}")
+    children = tuple(node_from_obj(c) for c in children)
     if kind == "white":
         label = obj.get("label")
         if not isinstance(label, int) or isinstance(label, bool) or label < 1:
@@ -354,6 +359,6 @@ def node_from_obj(obj: Mapping) -> HmNode:
 
 
 def forest_from_obj(obj: Mapping) -> HalfMobileForest:
-    if "components" not in obj:
+    if not isinstance(obj, Mapping) or not isinstance(obj.get("components"), list):
         raise ValueError("forest object needs a 'components' list")
     return HalfMobileForest(tuple(node_from_obj(c) for c in obj["components"]))

@@ -15,11 +15,21 @@ e >= 2; variables joined by ``*``.
 The parser accepts the canonical form plus relaxed input: implicit
 multiplication (``3x``, ``(x+1)t``), parentheses with integer powers, and
 arbitrary whitespace.
+
+Invariant: every ``Poly`` has a universe of distinct names, and its term map
+holds only nonzero coefficients keyed by tuples of universe arity with
+nonnegative entries.  ``__eq__`` and ``__hash__`` compare term maps directly,
+so they rely on it.  The public constructor ``Poly(...)`` checks all of this;
+arithmetic, ``derivative``, ``shifted_derivative``, ``extend`` and
+``substitute`` build their results with the private ``Poly._trusted``, which
+only drops zero coefficients: exponent tuples made from valid operands by
+adding, copying or lowering a positive entry are valid already.
 """
 
 from __future__ import annotations
 
 import re
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Union
 
 
@@ -47,9 +57,7 @@ class Poly:
     __slots__ = ("universe", "terms")
 
     def __init__(self, universe: Iterable[str], terms: Mapping[Exponents, int] | None = None):
-        uni = tuple(universe)
-        if len(set(uni)) != len(uni):
-            raise PolyError(f"duplicate variable names in universe {uni}")
+        uni = _checked_universe(universe)
         object.__setattr__(self, "universe", uni)
         clean: dict[Exponents, int] = {}
         if terms:
@@ -62,6 +70,21 @@ class Poly:
                     raise PolyError(f"bad exponent vector {exps} for universe {uni}")
                 clean[exps] = clean.get(exps, 0) + coeff
         object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c != 0})
+
+    @classmethod
+    def _trusted(cls, universe: Universe, terms: dict[Exponents, int]) -> "Poly":
+        """Wrap a term map built from valid operands, without validation.
+
+        The caller guarantees a checked universe and arity-correct,
+        nonnegative exponent tuples; zero coefficients are dropped here.
+        The poly takes ownership of ``terms``.
+        """
+        for exps in [e for e, c in terms.items() if not c]:
+            del terms[exps]
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "universe", universe)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Poly is immutable")
@@ -128,7 +151,7 @@ class Poly:
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
             out[exps] = out.get(exps, 0) + coeff
-        return Poly(self.universe, out)
+        return Poly._trusted(self.universe, out)
 
     __radd__ = __add__
 
@@ -139,24 +162,21 @@ class Poly:
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
             out[exps] = out.get(exps, 0) - coeff
-        return Poly(self.universe, out)
+        return Poly._trusted(self.universe, out)
 
     def __rsub__(self, other: Union["Poly", int]) -> "Poly":
         return (-self) + other
 
     def __neg__(self) -> "Poly":
-        return Poly(self.universe, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.universe, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: Union["Poly", int]) -> "Poly":
+        if isinstance(other, int):
+            return Poly._trusted(self.universe, {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[Exponents, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return Poly(self.universe, out)
+        return Poly._trusted(self.universe, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -189,46 +209,70 @@ class Poly:
                 continue
             key = exps[:idx] + (e - 1,) + exps[idx + 1:]
             out[key] = out.get(key, 0) + coeff * e
-        return Poly(self.universe, out)
+        return Poly._trusted(self.universe, out)
 
     def shifted_derivative(self, name: str, shift: int) -> "Poly":
-        """Apply the operator (shift + v * d/dv) for v = name."""
+        """Apply the operator (shift + v * d/dv) for v = name, which maps
+        c * v^e to (shift + e) * c * v^e."""
         if shift < 0:
             raise PolyError("shift must be nonnegative")
-        return self * shift + Poly.var(self.universe, name) * self.derivative(name)
+        idx = self._var_index(name)
+        return Poly._trusted(self.universe,
+                             {e: (shift + e[idx]) * c for e, c in self.terms.items()})
 
     def substitute(self, assignment: Mapping[str, Union["Poly", int]]) -> "Poly":
-        """Simultaneous substitution; unassigned variables map to themselves."""
-        values: list[Poly] = []
+        """Simultaneous substitution; unassigned variables map to themselves.
+
+        One pass over the terms: an integer value folds into the coefficient,
+        an unassigned variable keeps its exponent, and the terms are grouped
+        by their exponents of the polynomial-valued variables, so each
+        group's product of powers is computed once.
+        """
+        uni = self.universe
         for name in assignment:
-            if name not in self.universe:
+            if name not in uni:
                 raise UniverseMismatch(
-                    f"cannot substitute unknown variable {name!r} in universe {self.universe}")
-        for name in self.universe:
+                    f"cannot substitute unknown variable {name!r} in universe {uni}")
+        ints: list[tuple[int, int]] = []
+        polys: list[tuple[int, Poly]] = []
+        kept = [1] * len(uni)  # 1 for each unassigned variable
+        for idx, name in enumerate(uni):
             value = assignment.get(name, None)
             if value is None:
-                values.append(Poly.var(self.universe, name))
-            elif isinstance(value, int):
-                values.append(Poly.const(self.universe, value))
+                continue
+            kept[idx] = 0
+            if isinstance(value, int):
+                ints.append((idx, value))
             else:
-                if value.universe != self.universe:
+                if value.universe != uni:
                     raise UniverseMismatch(
                         f"substituted value for {name!r} lives in {value.universe}, "
-                        f"expected {self.universe}")
-                values.append(value)
-        result = Poly.zero(self.universe)
-        power_cache: dict[tuple[int, int], Poly] = {}
+                        f"expected {uni}")
+                polys.append((idx, value))
+        # group key: exponents of the polynomial-valued variables;
+        # group value: {exponents of the unassigned variables: coefficient}
+        groups: dict[Exponents, dict[Exponents, int]] = {}
         for exps, coeff in self.terms.items():
-            term = Poly.const(self.universe, coeff)
-            for idx, e in enumerate(exps):
-                if e == 0:
-                    continue
-                key = (idx, e)
-                if key not in power_cache:
-                    power_cache[key] = values[idx] ** e
-                term = term * power_cache[key]
-            result = result + term
-        return result
+            for idx, value in ints:
+                if exps[idx]:
+                    coeff *= value ** exps[idx]
+            if not coeff:
+                continue
+            rest = tuple(map(mul, exps, kept))
+            group = groups.setdefault(tuple([exps[idx] for idx, _ in polys]), {})
+            group[rest] = group.get(rest, 0) + coeff
+        one = {(0,) * len(uni): 1}
+        powers = [[one] for _ in polys]  # powers[pos][e] = terms of value^e
+        out: dict[Exponents, int] = {}
+        for key, group in groups.items():
+            product = one
+            for (_, value), chain, e in zip(polys, powers, key):
+                while len(chain) <= e:
+                    chain.append(_mul_terms(chain[-1], value.terms))
+                if e:
+                    product = chain[e] if product is one else _mul_terms(product, chain[e])
+            _mul_terms(group, product, out)
+        return Poly._trusted(uni, out)
 
     def evaluate(self, point: Mapping[str, int]) -> int:
         """Exact integer evaluation; every variable appearing in p must be assigned."""
@@ -247,7 +291,7 @@ class Poly:
 
     def extend(self, universe: Iterable[str]) -> "Poly":
         """Embed into a larger universe (matching variables by name)."""
-        uni = tuple(universe)
+        uni = _checked_universe(universe)
         try:
             positions = [uni.index(name) for name in self.universe]
         except ValueError as exc:
@@ -259,7 +303,7 @@ class Poly:
             for pos, e in zip(positions, exps):
                 new[pos] = e
             out[tuple(new)] = coeff
-        return Poly(uni, out)
+        return Poly._trusted(uni, out)
 
     # -- rendering ---------------------------------------------------------
 
@@ -305,6 +349,26 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.render()!r})"
+
+
+def _checked_universe(universe: Iterable[str]) -> Universe:
+    uni = tuple(universe)
+    if len(set(uni)) != len(uni):
+        raise PolyError(f"duplicate variable names in universe {uni}")
+    return uni
+
+
+def _mul_terms(left: Mapping[Exponents, int], right: Mapping[Exponents, int],
+               out: dict[Exponents, int] | None = None) -> dict[Exponents, int]:
+    """Add the product of two term maps into ``out`` (a new map by default)
+    and return it; the result may hold zero coefficients."""
+    if out is None:
+        out = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            key = tuple(map(add, e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
 
 
 def poly_prod(factors: Iterable[Union[Poly, int]], universe: Iterable[str]) -> Poly:

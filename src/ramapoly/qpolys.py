@@ -153,9 +153,6 @@ def q_nk(n: int, k: int, shifted: bool = False) -> Poly:
 
 # -- closed-form products ----------------------------------------------------
 
-CLOSED_FORMS = ("special2", "factor", "qnxt", "gessel-seo")
-
-
 def closed_form(name: str, n: int) -> Poly:
     """Expanded product formulas, all in the four-variable universe."""
     if n < 1:
@@ -265,13 +262,16 @@ def _mainconj(n: int, k: int) -> Witness:
     x = Poly.var(QK_VARS, "x")
     t = Poly.var(QK_VARS, "t")
     base = x + n + t * n
+    base_powers = [Poly.const(QK_VARS, 1)]  # base_powers[a] = base ** a
+    for _ in range(d):
+        base_powers.append(base_powers[-1] * base)
     rhs = Poly.zero(QK_VARS)
     for (a, b), coeff in p.terms.items():
         residue = d - a - b
         if residue < 0:
             return {"reason": f"monomial x^{a}*t^{b} exceeds degree {d}"}
         sign = -1 if (a + d) % 2 else 1
-        rhs = rhs + base ** a * t ** residue * (sign * coeff)
+        rhs = rhs + base_powers[a] * Poly.var(QK_VARS, "t", residue) * (sign * coeff)
     return mismatch(p, rhs)
 
 

@@ -160,7 +160,10 @@ def tree_from_obj(obj: Mapping) -> PlaneTree:
     label = obj["label"]
     if not isinstance(label, int) or isinstance(label, bool) or label < 1:
         raise ValueError(f"labels must be positive integers, got {label!r}")
-    tree = PlaneTree(label, [tree_from_obj(c) for c in obj.get("children", [])])
+    children = obj.get("children", [])
+    if not isinstance(children, list):
+        raise ValueError(f"'children' must be a list, got {type(children).__name__}")
+    tree = PlaneTree(label, [tree_from_obj(c) for c in children])
     seen = [v.label for v in tree.walk()]
     if len(seen) != len(set(seen)):
         raise ValueError("labels are not pairwise distinct")

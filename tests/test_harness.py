@@ -252,8 +252,22 @@ DEEP_TREE = '{"label": 1, "children": [' * 900 + '{"label": 2}' + ']}' * 900
     (["qnk", "--n", "3", "--k", "-1"], None),
     (["qnk", "--n", "3", "--k", "3"], None),
     (["verify", "--identity", "eq-general", "--jobs", "0"], None),
+    (["stats"], '{"label": 1, "children": 5}'),
+    (["bijection", "--map", "theta-inv"], '{"components": [5]}'),
+    (["bijection", "--map", "theta-inv"], '{"components": {}}'),
+    (["bijection", "--map", "theta-inv"],
+     '{"components": [{"kind": "black", "children": 3}]}'),
+    (["qn", "--n", "0"], None),
+    (["qn", "--n", "65"], None),
+    (["qnk", "--n", "0"], None),
+    (["qnk", "--n", "65"], None),
+    (["table", "--which", "q1", "--max-n", "0"], None),
+    (["table", "--which", "q2", "--max-n", "65"], None),
 ], ids=["tree-bool-label", "tree-deep-stats", "tree-deep-theta", "hm-bool-label",
-        "word-bool", "perm-bool", "perm-not-array", "k-negative", "k-at-n", "jobs-zero"])
+        "word-bool", "perm-bool", "perm-not-array", "k-negative", "k-at-n", "jobs-zero",
+        "tree-children-not-list", "hm-component-not-mapping", "hm-components-not-list",
+        "hm-children-not-list", "qn-zero", "qn-above-cap", "qnk-zero", "qnk-above-cap",
+        "table-zero", "table-above-cap"])
 def test_cli_rejects_bad_input(tmp_path, capsys, argv, content):
     if content is not None:
         path = tmp_path / "input.json"

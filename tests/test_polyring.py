@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from ramapoly.polyring import (ParseError, Poly, PolyError, UniverseMismatch,
                                parse, poly_prod)
+from ramapoly.qpolys import q_n
 
 XYZT = ("x", "y", "z", "t")
 XT = ("x", "t")
@@ -117,6 +118,18 @@ def test_extend():
         parse("x+y", XYZT).extend(XT)
 
 
+def test_public_constructor_validates():
+    with pytest.raises(PolyError):
+        Poly(("x", "x"))
+    with pytest.raises(PolyError):
+        Poly(XT, {(1,): 1})
+    with pytest.raises(PolyError):
+        Poly(XT, {(1, -1): 1})
+    with pytest.raises(PolyError):
+        parse("x", XT).extend(("x", "t", "x"))
+    assert Poly(XT, {(1, 0): 2, (0, 1): 0}).terms == {(1, 0): 2}
+
+
 def test_pow_and_neg():
     x = Poly.var(XT, "x")
     assert x ** 0 == Poly.const(XT, 1)
@@ -126,8 +139,14 @@ def test_pow_and_neg():
 
 
 coeffs = st.integers(min_value=-9, max_value=9)
-exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
-polys = st.dictionaries(exponents, coeffs, max_size=6).map(lambda d: Poly(XT, d))
+
+
+def poly_over(universe, max_exp, max_size):
+    exps = st.tuples(*(st.integers(0, max_exp) for _ in universe))
+    return st.dictionaries(exps, coeffs, max_size=max_size).map(lambda d: Poly(universe, d))
+
+
+polys = poly_over(XT, 3, 6)
 
 
 @given(polys, polys, polys)
@@ -157,3 +176,77 @@ def test_substitute_identity_assignment(p):
 def test_shifted_derivative_decomposition(p, n):
     # the n-shift is the 0-shift plus n copies of the polynomial
     assert p.shifted_derivative("t", n) == p * n + p.shifted_derivative("t", 0)
+
+
+# -- the one-pass substitution against the term-by-term reference --------------
+
+
+def reference_substitute(p, assignment):
+    """Term-by-term substitution built only from public Poly operations:
+    each term becomes a product of powers of the values, summed in order."""
+    uni = p.universe
+    values = []
+    for name in uni:
+        value = assignment.get(name)
+        if value is None:
+            values.append(Poly.var(uni, name))
+        elif isinstance(value, int):
+            values.append(Poly.const(uni, value))
+        else:
+            values.append(value)
+    result = Poly.zero(uni)
+    for exps, coeff in p.terms.items():
+        term = Poly.const(uni, coeff)
+        for value, e in zip(values, exps):
+            term = term * value ** e
+        result = result + term
+    return result
+
+
+def assert_canonical(p):
+    """The stored form __eq__ relies on: no zero coefficient, int
+    coefficients, and nonnegative exponent tuples of universe arity."""
+    for exps, coeff in p.terms.items():
+        assert type(coeff) is int and coeff != 0
+        assert type(exps) is tuple and len(exps) == len(p.universe)
+        assert all(type(e) is int and e >= 0 for e in exps)
+
+
+polys4 = poly_over(XYZT, 3, 6)
+assignments = st.fixed_dictionaries({}, optional={
+    name: st.one_of(st.integers(-3, 3), poly_over(XYZT, 2, 3)) for name in XYZT})
+points = st.fixed_dictionaries({name: st.integers(-3, 3) for name in XYZT})
+
+
+@given(polys4, assignments, points)
+@settings(max_examples=200, deadline=None)
+def test_substitute_matches_reference_and_evaluation(p, assignment, point):
+    fast = p.substitute(assignment)
+    assert fast == reference_substitute(p, assignment)
+    assert_canonical(fast)
+    image = dict(point)
+    for name, value in assignment.items():
+        image[name] = value if isinstance(value, int) else value.evaluate(point)
+    assert fast.evaluate(point) == p.evaluate(image)
+
+
+def test_duality_substitution_matches_reference():
+    x, z, t = V("x"), V("z"), V("t")
+    for n in range(1, 11):
+        q = q_n(n)
+        dual = {"x": x + z * n + t * n, "z": -t, "t": -z}
+        fast = q.substitute(dual)
+        assert fast == reference_substitute(q, dual) == q
+
+
+@given(polys4, polys4, assignments, st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_results_store_canonical_terms(p, q, assignment, shift):
+    results = [p + q, p - q, p - p, p + (-p), p * q, p * 0, -p,
+               p.derivative("y"), p.shifted_derivative("y", shift),
+               p.shifted_derivative("z", 0), p.substitute(assignment),
+               p.substitute({"x": 0, "y": V("y") - V("y")}),
+               p.extend(XYZT + ("w",))]
+    for r in results:
+        assert_canonical(r)
+    assert (p - p).terms == {}
