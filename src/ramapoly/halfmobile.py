@@ -15,6 +15,14 @@ of the child beta word, each block of length > 1 becomes a black vertex
 carrying the block cyclically, then the root is deleted and labels shift
 down by one.  It transports young(1) -> tree count, eld -> black degree
 excess, and improper edge count -> improper edge count.
+
+``enumerate_hm`` shares theta's work across one enumeration.  The
+:class:`TreeEnumerator` reuses one object for every subtree of at most
+``MEMO_LIMIT`` labels, so ``enumerate_hm`` hands ``theta`` one dict that maps
+each such subtree to its image; a shared subtree is converted once, and the
+forests it yields share those images.  Equal subtrees have equal images, so
+the sharing changes no result.  Larger subtrees are new in every tree and
+are converted fresh.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .polyring import Poly
-from .treecore import PlaneTree, TreeEnumerator, right_to_left_minima
+from .treecore import MEMO_LIMIT, PlaneTree, TreeEnumerator, right_to_left_minima
 
 HM_VARS = ("x", "y", "t")
 
@@ -194,11 +202,19 @@ def hm_stats(forest: HalfMobileForest) -> HmStats:
 # -- theta ------------------------------------------------------------------------
 
 
-def _to_hm(v: PlaneTree, shift: int) -> HmNode:
-    return HmNode(v.label - shift, tuple(_hm_blocks(v, shift)))
+def _to_hm(v: PlaneTree, memo: dict[PlaneTree, HmNode] | None) -> HmNode:
+    """v's image with its label shifted down by one.  With a memo, the image
+    of a node of at most MEMO_LIMIT labels (the subtrees the enumerator
+    shares) is built once and reused; larger nodes are built fresh."""
+    if memo is not None and v.size <= MEMO_LIMIT:
+        image = memo.get(v)
+        if image is None:
+            image = memo[v] = HmNode(v.label - 1, tuple(_hm_blocks(v, memo)))
+        return image
+    return HmNode(v.label - 1, tuple(_hm_blocks(v, memo)))
 
 
-def _hm_blocks(v: PlaneTree, shift: int) -> list[HmNode]:
+def _hm_blocks(v: PlaneTree, memo: dict[PlaneTree, HmNode] | None) -> list[HmNode]:
     """v's children cut into blocks that end at the right-to-left minima of
     the child beta word; a block of one child stays white, a longer one
     becomes a black vertex."""
@@ -207,21 +223,24 @@ def _hm_blocks(v: PlaneTree, shift: int) -> list[HmNode]:
     prev = -1
     for pos in right_to_left_minima([c.beta for c in children]):
         if pos == prev + 1:
-            blocks.append(_to_hm(children[pos], shift))
+            blocks.append(_to_hm(children[pos], memo))
         else:
-            blocks.append(HmNode(None, tuple(_to_hm(c, shift)
+            blocks.append(HmNode(None, tuple(_to_hm(c, memo)
                                               for c in children[prev + 1:pos + 1])))
         prev = pos
     return blocks
 
 
-def theta(tree: PlaneTree) -> HalfMobileForest:
-    """Plane tree rooted at 1 on [n+1] -> half-mobile forest on [n]."""
+def theta(tree: PlaneTree, *, _memo: dict[PlaneTree, HmNode] | None = None) -> HalfMobileForest:
+    """Plane tree rooted at 1 on [n+1] -> half-mobile forest on [n].
+
+    ``_memo`` is private to :func:`enumerate_hm`: a dict shared across one
+    enumeration that maps each small subtree to its image."""
     if tree.label != 1:
         raise ValueError(f"theta needs root 1, got root {tree.label}")
     if tree.labels() != frozenset(range(1, tree.size + 1)):
         raise ValueError("theta needs the label set {1, ..., n+1}")
-    return HalfMobileForest(tuple(_hm_blocks(tree, shift=1)))
+    return HalfMobileForest(tuple(_hm_blocks(tree, _memo)))
 
 
 def theta_inv(forest: HalfMobileForest) -> PlaneTree:
@@ -258,8 +277,9 @@ def enumerate_hm(n: int, k: int | None = None,
     would mean theta is not injective and raises."""
     enum = enumerator or TreeEnumerator()
     seen: set[HalfMobileForest] = set()
+    memo: dict[PlaneTree, HmNode] = {}
     for tree in enum.trees(range(1, n + 2), root=1):
-        forest = theta(tree)
+        forest = theta(tree, _memo=memo)
         if forest in seen:
             raise RuntimeError(f"theta collision on {forest!r}")
         seen.add(forest)

@@ -16,6 +16,7 @@ hardware; they can be overridden per identity (``max_n`` and friends) through
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -177,10 +178,13 @@ def run_eq_gs(max_n: int = 10, enum_max_n: int = 5) -> Iterator[Outcome]:
     x, z, t = (Poly.var(uni, v) for v in uni)
     enum = treecore.TreeEnumerator()
     for n in range(1, enum_max_n + 1):
-        total = Poly.zero(uni)
+        counts: dict[tuple[int, int], int] = {}
         for tree in enum.trees(range(1, n + 2), root=1):
-            y1, e = tree.young_at_1, tree.eld_sub
-            total = total + x ** y1 * (t - z) ** e * z ** (n - y1 - e)
+            key = (tree.young_at_1, tree.eld_sub)
+            counts[key] = counts.get(key, 0) + 1
+        total = Poly.zero(uni)
+        for (y1, e), count in counts.items():
+            total = total + x ** y1 * (t - z) ** e * z ** (n - y1 - e) * count
         expect = x * poly_prod((x + z * (n - k) + t * k for k in range(1, n)), uni)
         yield _cmp({"n": n, "check": "enumeration"}, total, expect)
 
@@ -680,7 +684,7 @@ def run_suite(names: list[str] | None = None,
         resolve(name)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    jobs = min(jobs, len(targets))
+    jobs = min(jobs, len(targets), os.cpu_count() or 1)
     if jobs <= 1:
         return [run_identity(name, overrides.get(name)) for name in targets]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

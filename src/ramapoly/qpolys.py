@@ -112,35 +112,36 @@ class QTable:
     """Memoized triangle of the coefficient polynomials in {x, t}.
 
     Entry (1, 0) is 1; entries with k >= n or k < 0 are zero by definition.
+    The shifted triangle Q_{n,k}(x - t - 1, t) has its own recurrence: the
+    substitution is a ring homomorphism, so pushing it through the plain
+    recurrence turns the factor x + n - 1 + t(n + k - 1) into
+    x + n - 2 + t(n + k - 2) and leaves everything else alone.
     """
 
     def __init__(self):
         self._plain: dict[tuple[int, int], Poly] = {(1, 0): Poly.const(QK_VARS, 1)}
-        self._shifted: dict[tuple[int, int], Poly] = {}
+        self._shifted: dict[tuple[int, int], Poly] = {(1, 0): Poly.const(QK_VARS, 1)}
 
     def get(self, n: int, k: int) -> Poly:
+        return self._entry(self._plain, n, k, 1)
+
+    def get_shifted(self, n: int, k: int) -> Poly:
+        return self._entry(self._shifted, n, k, 2)
+
+    def _entry(self, memo: dict[tuple[int, int], Poly], n: int, k: int, lag: int) -> Poly:
+        """Q_{n,k} = (x + n - lag + t(n + k - lag)) Q_{n-1,k} + (n + k - 2) Q_{n-1,k-1}."""
         if n < 1:
             raise ValueError("n must be >= 1")
         if k < 0 or k >= n:
             return Poly.zero(QK_VARS)
         key = (n, k)
-        if key not in self._plain:
+        if key not in memo:
             x = Poly.var(QK_VARS, "x")
             t = Poly.var(QK_VARS, "t")
-            head = (x + (n - 1) + t * (n + k - 1)) * self.get(n - 1, k)
-            tail = self.get(n - 1, k - 1) * (n + k - 2)
-            self._plain[key] = head + tail
-        return self._plain[key]
-
-    def get_shifted(self, n: int, k: int) -> Poly:
-        if k < 0 or k >= n:
-            return Poly.zero(QK_VARS)
-        key = (n, k)
-        if key not in self._shifted:
-            x = Poly.var(QK_VARS, "x")
-            t = Poly.var(QK_VARS, "t")
-            self._shifted[key] = self.get(n, k).substitute({"x": x - t - 1})
-        return self._shifted[key]
+            head = (x + (n - lag) + t * (n + k - lag)) * self._entry(memo, n - 1, k, lag)
+            tail = self._entry(memo, n - 1, k - 1, lag) * (n + k - 2)
+            memo[key] = head + tail
+        return memo[key]
 
 
 _default_table = QTable()

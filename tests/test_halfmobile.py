@@ -3,7 +3,7 @@ import pytest
 from ramapoly import fixtures
 from ramapoly import halfmobile as hm
 from ramapoly import qpolys as qp
-from ramapoly.treecore import node, tree_from_obj
+from ramapoly.treecore import MEMO_LIMIT, node, tree_from_obj
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +85,32 @@ def test_theta_preconditions():
         hm.theta(node(1, node(5)))
     with pytest.raises(ValueError):
         hm.theta_inv(hm.HalfMobileForest((hm.white(3),)))
+
+
+def test_theta_memo_matches_fresh_images(enum, example_pair):
+    # one memo shared across the whole stream, as enumerate_hm shares it
+    memo = {}
+    for n in range(1, 6):
+        for tree in enum.trees(range(1, n + 2), root=1):
+            assert hm.theta(tree, _memo=memo) == hm.theta(tree)
+    # the fixture has a 7-label subtree, which must be built fresh
+    tree, forest = example_pair
+    assert hm.theta(tree, _memo=memo) == forest
+    assert memo
+    assert all(v.size <= MEMO_LIMIT for v in memo)
+
+
+def test_enumerate_hm_shares_small_images(enum):
+    forests = list(hm.enumerate_hm(5, enumerator=enum))
+    assert forests == [hm.theta(t) for t in enum.trees(range(1, 7), root=1)]
+    # a white component is the image of one shared subtree: equal ones of at
+    # most MEMO_LIMIT labels are one object
+    by_value = {}
+    for forest in forests:
+        for comp in forest.components:
+            if comp.is_white and len(comp.white_labels()) <= MEMO_LIMIT:
+                assert by_value.setdefault(comp, comp) is comp
+    assert len(by_value) < sum(len(f.components) for f in forests)
 
 
 def test_enumerate_counts(enum):

@@ -57,10 +57,22 @@ def test_run_suite_clamps_pool_to_selection(monkeypatch):
             return future
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
     names = ["eq-general", "lemma-6-2"]
-    reports = harness.run_suite(names, {name: {"max_n": 3} for name in names}, jobs=64)
+    small = {name: {"max_n": 3} for name in names + ["lemma-6-1", "eq-special2"]}
+    reports = harness.run_suite(names, small, jobs=64)
     assert sizes == [2]
     assert [r.identity for r in reports] == names
+    # the pool is also clamped to the CPU count; unknown counts as one CPU
+    four = list(small)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    reports = harness.run_suite(four, small, jobs=64)
+    assert sizes == [2, 3]
+    assert [r.identity for r in reports] == four
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    reports = harness.run_suite(four, small, jobs=64)
+    assert sizes == [2, 3]
+    assert [r.identity for r in reports] == four
     with pytest.raises(ValueError):
         harness.run_suite(names, jobs=0)
 

@@ -60,12 +60,26 @@ def test_table_sum_rows(shifted, sums):
         assert total == parse(text, QK_VARS)
 
 
+def test_shifted_recurrence_matches_substitution():
+    # reference: the shifted table as the substitution x -> x - t - 1 into
+    # the plain one; the table builds it by its own recurrence instead
+    table = qp.QTable()
+    x = Poly.var(QK_VARS, "x")
+    t = Poly.var(QK_VARS, "t")
+    for n in range(1, 13):
+        for k in range(-1, n + 1):
+            reference = table.get(n, k).substitute({"x": x - t - 1})
+            assert table.get_shifted(n, k) == reference, (n, k)
+
+
 def test_q_nk_out_of_range_is_zero():
     assert qp.q_nk(3, 3).is_zero()
     assert qp.q_nk(3, -1).is_zero()
     assert qp.q_nk(5, 99).is_zero()
     with pytest.raises(ValueError):
         qp.q_nk(0, 0)
+    with pytest.raises(ValueError):
+        qp.q_nk(0, 0, shifted=True)
 
 
 def test_q_nk_edge_rows():
