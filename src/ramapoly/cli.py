@@ -81,12 +81,12 @@ def cmd_table(args, parser) -> int:
 
 
 def cmd_enumerate(args, parser) -> int:
-    spec = treecore.EnumSpec(labels=frozenset(range(1, args.n + 1)),
-                             root=args.root,
-                             improper_count=args.improper,
-                             really_improper_count=args.really_improper)
-    enum = treecore.TreeEnumerator(max_labels=args.max_labels)
-    stream = treecore.enumerate_trees(spec, enum)
+    if args.improper is not None and args.really_improper is not None:
+        raise ValueError("give at most one of --improper and --really-improper")
+    enum = treecore.TreeEnumerator(treecore.label_cap(args.max_labels, "--max-labels"))
+    stream = (tree for tree in enum.trees(range(1, args.n + 1), args.root)
+              if args.improper in (None, tree.imp_sub)
+              and args.really_improper in (None, tree.rimp_sub))
     if args.count_only:
         print(sum(1 for _ in stream))
         return 0
@@ -196,16 +196,17 @@ def cmd_verify(args, parser) -> int:
             except KeyError:
                 parser.error(f"{args.config}: unknown identity {ident!r}")
             overrides.setdefault(canonical, {}).update(params)
-    if args.max_n is not None:
-        for name in names:
-            entry = harness.resolve(name)
-            for key in ("max_n", "max_vertices"):
-                if key in entry.defaults:
-                    overrides.setdefault(entry.name, {})[key] = args.max_n
-                    break
-    reports = harness.run_suite(names, overrides, jobs=args.jobs)
+    # bad bounds, caps and report paths stop the run before any identity starts
+    for name in names:
+        entry = harness.resolve(name)
+        main_bound = [key for key in ("max_n", "max_vertices") if key in entry.defaults]
+        if args.max_n is not None and main_bound:
+            overrides.setdefault(entry.name, {})[main_bound[0]] = args.max_n
+        harness.identity_params(name, overrides.get(entry.name))
+    treecore.label_cap()
     report_file = open(args.report, "a") if args.report else None
     try:
+        reports = harness.run_suite(names, overrides, jobs=args.jobs)
         for report in reports:
             for inst in report.instances:
                 if report_file:

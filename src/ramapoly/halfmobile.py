@@ -23,6 +23,9 @@ each such subtree to its image; a shared subtree is converted once, and the
 forests it yields share those images.  Equal subtrees have equal images, so
 the sharing changes no result.  Larger subtrees are new in every tree and
 are converted fresh.
+
+``hm_generating_poly`` is the one half-mobile census, x^(tree-1) y^imp t^bdeg
+summed over those forests; ``thm-3-4`` reads it once per n, its per-k rows too.
 """
 
 from __future__ import annotations

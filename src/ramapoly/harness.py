@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 import random
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
@@ -178,10 +179,9 @@ def run_eq_gs(max_n: int = 10, enum_max_n: int = 5) -> Iterator[Outcome]:
     x, z, t = (Poly.var(uni, v) for v in uni)
     enum = treecore.TreeEnumerator()
     for n in range(1, enum_max_n + 1):
-        counts: dict[tuple[int, int], int] = {}
-        for tree in enum.trees(range(1, n + 2), root=1):
-            key = (tree.young_at_1, tree.eld_sub)
-            counts[key] = counts.get(key, 0) + 1
+        counts: Counter[tuple[int, int]] = Counter()   # pooled over the improper count
+        for cells in treecore.weight_census(range(1, n + 2), root=1, enumerator=enum).values():
+            counts.update(cells)
         total = Poly.zero(uni)
         for (y1, e), count in counts.items():
             total = total + x ** y1 * (t - z) ** e * z ** (n - y1 - e) * count
@@ -332,20 +332,12 @@ def run_prop_2_5(enum_max_n: int = 6, count_max_n: int = 8) -> Iterator[Outcome]
 def run_thm_3_4(max_n: int = 6) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
     for n in range(1, max_n + 1):
-        per_k: dict[int, dict[tuple[int, int], int]] = {}
-        three_var: dict[tuple[int, int, int], int] = {}
-        for forest in halfmobile.enumerate_hm(n, enumerator=enum):
-            st = halfmobile.hm_stats(forest)
-            cells = per_k.setdefault(st.imp, {})
-            cells[(st.tree, st.bdeg)] = cells.get((st.tree, st.bdeg), 0) + 1
-            key = (st.tree - 1, st.imp, st.bdeg)
-            three_var[key] = three_var.get(key, 0) + 1
-        for k in sorted(set(per_k) | set(range(n))):
-            lhs = treecore.census_poly(per_k.get(k, {}), "o")
-            yield _cmp({"n": n, "k": k}, lhs, qpolys.q_nk(n, k))
-        lhs3 = Poly(halfmobile.HM_VARS, three_var).extend(Q_VARS)
+        family = halfmobile.hm_generating_poly(n, enum)
+        for k in sorted({e[1] for e in family.terms} | set(range(n))):
+            row = Poly(QK_VARS, {(e[0], e[2]): c for e, c in family.terms.items() if e[1] == k})
+            yield _cmp({"n": n, "k": k}, row, qpolys.q_nk(n, k))
         yield _cmp({"n": n, "check": "three-variable"},
-                   lhs3, qpolys.q_n(n).substitute({"z": 1}))
+                   family.extend(Q_VARS), qpolys.q_n(n).substitute({"z": 1}))
 
 
 # -- section 4: enumeration theorems -------------------------------------------------
@@ -363,8 +355,7 @@ def run_thm_4_3(max_n: int = 6) -> Iterator[Outcome]:
         uni = treecore.multivar_universe(labels)
         s = _symmetric_sum(uni, n)
         t = Poly.var(uni, "t")
-        lhs = treecore.generating_poly(
-            treecore.EnumSpec(labels, weight_mode="multivar"), enum)
+        lhs = treecore.generating_poly(labels, enumerator=enum)
         rhs = poly_prod((s + t * k for k in range(n - 1)), uni)
         yield _cmp({"n": n}, lhs, rhs)
 
@@ -378,8 +369,7 @@ def run_thm_4_gen_on(max_n: int = 6) -> Iterator[Outcome]:
         t = Poly.var(uni, "t")
         tail = poly_prod((s + t * k for k in range(1, n - 1)), uni)
         for r in range(1, n + 1):
-            lhs = treecore.generating_poly(
-                treecore.EnumSpec(labels, root=r, weight_mode="multivar"), enum)
+            lhs = treecore.generating_poly(labels, r, enum)
             yield _cmp({"n": n, "r": r}, lhs, Poly.var(uni, f"x{r}") * tail)
 
 
@@ -388,9 +378,7 @@ def run_cor_roots(max_n: int = 6) -> Iterator[Outcome]:
     for n in range(2, max_n + 1):
         labels = frozenset(range(1, n + 1))
         uni = treecore.multivar_universe(labels)
-        by_root = {r: treecore.generating_poly(
-            treecore.EnumSpec(labels, root=r, weight_mode="multivar"), enum)
-            for r in range(1, n + 1)}
+        by_root = {r: treecore.generating_poly(labels, r, enum) for r in range(1, n + 1)}
         for r in range(1, n + 1):
             for s in range(r + 1, n + 1):
                 lhs = by_root[r] * Poly.var(uni, f"x{s}")
@@ -411,11 +399,7 @@ def run_lemma_4_2(instances: int = 200, max_n: int = 6, seed: int = 20260811) ->
         t = Poly.var(uni, "t")
         lhs = Poly.zero(uni)
         for member in bijections.ij_class(tree, i, j):
-            exps = [0] * len(uni)
-            for v in member.walk():
-                exps[pos[v.label]] = v.young_self
-            exps[-1] = member.eld_sub
-            lhs = lhs + Poly(uni, {tuple(exps): 1})
+            lhs = lhs + Poly(uni, {treecore.multivar_exponents(member, pos): 1})
         xi = Poly.var(uni, f"x{i}")
         base = xi + Poly.var(uni, f"x{j}") + t
         local = Poly.zero(uni)
@@ -653,14 +637,25 @@ def _outcomes(runner: Callable[..., Iterator[Outcome]], params: dict) -> Iterato
         yield {}, SKIP, {"reason": str(exc)}
 
 
-def run_identity(name: str, overrides: dict | None = None) -> VerificationReport:
+def identity_params(name: str, overrides: dict | None = None) -> dict:
+    """The identity's defaults updated by the overrides, each of which must be
+    a known parameter and, except ``seed``, at least 1."""
     entry = resolve(name)
     params = dict(entry.defaults)
-    if overrides:
-        unknown = set(overrides) - set(params)
-        if unknown:
-            raise KeyError(f"{entry.name} has no parameters {sorted(unknown)}")
-        params.update(overrides)
+    for key, value in (overrides or {}).items():
+        if key not in params:
+            raise KeyError(f"unknown parameter {entry.name}.{key}")
+        # lemma-4-2 draws its random trees from pools that start at n = 4
+        low = 4 if (entry.name, key) == ("lemma-4-2", "max_n") else 1
+        if key != "seed" and value < low:
+            raise ValueError(f"{entry.name}.{key} must be >= {low}, got {value}")
+        params[key] = value
+    return params
+
+
+def run_identity(name: str, overrides: dict | None = None) -> VerificationReport:
+    entry = resolve(name)
+    params = identity_params(name, overrides)
     report = VerificationReport(entry.name, params)
     clock = time.perf_counter()
     for instance, status, payload in _outcomes(entry.runner, params):
@@ -682,6 +677,8 @@ def run_suite(names: list[str] | None = None,
     targets = [resolve(name).name for name in names]
     for name in overrides:
         resolve(name)
+    for name in targets:   # every bound is checked before any identity runs
+        identity_params(name, overrides.get(name))
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     jobs = min(jobs, len(targets), os.cpu_count() or 1)

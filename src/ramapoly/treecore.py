@@ -17,11 +17,16 @@ construction, so enumeration can share subtrees freely and read per-tree
 statistics in O(1).  ``TreeEnumerator`` produces every plane tree / ordered
 forest on a label set exactly once (first component's vertex subset in
 binary order, roots ascending) and memoizes small sub-forests.
+
+Two censuses read that stream: ``weight_census`` buckets (young(1), eld) by
+improper count (``census_poly`` turns a bucket into a polynomial in {x, t}),
+and ``generating_poly`` sums t^eld * prod_i x_i^young(i) (``multivar_exponents``).
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -262,34 +267,16 @@ def stats(tree: PlaneTree) -> TreeStats:
 # -- enumeration ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnumSpec:
-    """What to enumerate and how to weight it.
-
-    weight_mode: "o"  -> x^(young(1) - 1) * t^eld   (root-1 convention)
-                 "p"  -> x^young(1) * t^eld
-                 "multivar" -> t^eld * prod_i x_i^young(i)
-    really_stats switches the o/p weights (and the improper filter the census
-    buckets by) to the really-variants.
-    """
-
-    labels: frozenset[int]
-    root: int | None = None
-    improper_count: int | None = None
-    really_improper_count: int | None = None
-    weight_mode: str = "p"
-    really_stats: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", frozenset(self.labels))
-        if not self.labels:
-            raise ValueError("empty label set")
-        if self.improper_count is not None and self.really_improper_count is not None:
-            raise ValueError("at most one of improper_count / really_improper_count")
-        if self.root is not None and self.root not in self.labels:
-            raise ValueError(f"root {self.root} not in label set")
-        if self.weight_mode not in ("o", "p", "multivar"):
-            raise ValueError(f"unknown weight mode {self.weight_mode!r}")
+def label_cap(max_labels: int | None = None, name: str = "max_labels") -> int:
+    """max_labels if given, else $RAMAPOLY_MAX_LABELS, else DEFAULT_MAX_LABELS;
+    anything but a positive integer is a ValueError naming its source."""
+    if max_labels is None and ENV_MAX_LABELS in os.environ:
+        name, raw = ENV_MAX_LABELS, os.environ[ENV_MAX_LABELS]
+        max_labels = int(raw) if raw.strip().isdecimal() else raw
+    cap = DEFAULT_MAX_LABELS if max_labels is None else max_labels
+    if type(cap) is not int or cap < 1:
+        raise ValueError(f"{name} must be a positive integer, got {cap!r}")
+    return cap
 
 
 class TreeEnumerator:
@@ -304,9 +291,7 @@ class TreeEnumerator:
     """
 
     def __init__(self, max_labels: int | None = None):
-        if max_labels is None:
-            max_labels = int(os.environ.get(ENV_MAX_LABELS, DEFAULT_MAX_LABELS))
-        self.max_labels = max_labels
+        self.max_labels = label_cap(max_labels)
         self._forest_memo: dict[frozenset[int], tuple] = {}
         self._tree_memo: dict[tuple[frozenset[int], int], tuple] = {}
 
@@ -362,27 +347,14 @@ class TreeEnumerator:
                 yield PlaneTree(root, forest)
 
     def trees(self, labels: Iterable[int], root: int | None = None) -> Iterator[PlaneTree]:
-        labels = self.check_bound(labels)
+        labels = frozenset(labels)
         if not labels:
             raise ValueError("empty label set")
-        if root is not None:
-            if root not in labels:
-                raise ValueError(f"root {root} not in label set")
-            yield from self.trees_rooted(labels, root)
-        else:
-            for r in sorted(labels):
-                yield from self.trees_rooted(labels, r)
-
-
-def enumerate_trees(spec: EnumSpec, enumerator: TreeEnumerator | None = None) -> Iterator[PlaneTree]:
-    """Yield each qualifying plane tree exactly once."""
-    enum = enumerator or TreeEnumerator()
-    for tree in enum.trees(spec.labels, spec.root):
-        if spec.improper_count is not None and tree.imp_sub != spec.improper_count:
-            continue
-        if spec.really_improper_count is not None and tree.rimp_sub != spec.really_improper_count:
-            continue
-        yield tree
+        if root is not None and root not in labels:
+            raise ValueError(f"root {root} not in label set")
+        self.check_bound(labels)
+        for r in sorted(labels) if root is None else (root,):
+            yield from self.trees_rooted(labels, r)
 
 
 # -- generating polynomials -----------------------------------------------------
@@ -428,34 +400,25 @@ def multivar_universe(labels: Iterable[int]) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in sorted(labels)) + ("t",)
 
 
-def generating_poly(spec: EnumSpec, enumerator: TreeEnumerator | None = None) -> Poly:
-    """Exact sum of weight monomials over the enumerated set."""
+def multivar_exponents(tree: PlaneTree, position: Mapping[int, int]) -> tuple[int, ...]:
+    """Exponent tuple of t^eld * prod_i x_i^young(i) in the multivariate
+    universe whose variable for label i sits at position[i]."""
+    exps = [0] * (len(position) + 1)
+    for v in tree.walk():
+        exps[position[v.label]] = v.young_self
+    exps[-1] = tree.eld_sub
+    return tuple(exps)
+
+
+def generating_poly(labels: Iterable[int], root: int | None = None,
+                    enumerator: TreeEnumerator | None = None) -> Poly:
+    """Sum of t^eld * prod_i x_i^young(i) over the plane trees on the label
+    set (optionally root-constrained), in multivar_universe(labels)."""
     enum = enumerator or TreeEnumerator()
-    if spec.weight_mode in ("o", "p"):
-        cells: dict[tuple[int, int], int] = {}
-        for tree in enumerate_trees(spec, enum):
-            if spec.really_stats:
-                key = (tree.ryoung_at_1, tree.reld_sub)
-            else:
-                key = (tree.young_at_1, tree.eld_sub)
-            if key[0] is None:
-                raise ValueError("o/p weights need vertex 1 in the label set")
-            cells[key] = cells.get(key, 0) + 1
-        return census_poly(cells, spec.weight_mode)
-    if spec.really_stats:
-        raise ValueError("multivar weights are defined for the plain statistics only")
-    labels = sorted(spec.labels)
+    labels = sorted(labels)
     position = {lab: idx for idx, lab in enumerate(labels)}
-    uni = multivar_universe(labels)
-    terms: dict[tuple[int, ...], int] = {}
-    for tree in enumerate_trees(spec, enum):
-        exps = [0] * (len(labels) + 1)
-        for v in tree.walk():
-            exps[position[v.label]] = v.young_self
-        exps[-1] = tree.eld_sub
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0) + 1
-    return Poly(uni, terms)
+    terms = Counter(multivar_exponents(tree, position) for tree in enum.trees(labels, root))
+    return Poly(multivar_universe(labels), terms)
 
 
 def leaf_set_count(n: int, k: int) -> int:

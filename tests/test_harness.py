@@ -275,11 +275,16 @@ DEEP_TREE = '{"label": 1, "children": [' * 900 + '{"label": 2}' + ']}' * 900
     (["qnk", "--n", "65"], None),
     (["table", "--which", "q1", "--max-n", "0"], None),
     (["table", "--which", "q2", "--max-n", "65"], None),
+    (["enumerate", "--n", "0"], None),
+    (["enumerate", "--n", "3", "--root", "7"], None),
+    (["enumerate", "--n", "10", "--root", "11"], None),
+    (["enumerate", "--n", "3", "--improper", "1", "--really-improper", "0"], None),
 ], ids=["tree-bool-label", "tree-deep-stats", "tree-deep-theta", "hm-bool-label",
         "word-bool", "perm-bool", "perm-not-array", "k-negative", "k-at-n", "jobs-zero",
         "tree-children-not-list", "hm-component-not-mapping", "hm-components-not-list",
         "hm-children-not-list", "qn-zero", "qn-above-cap", "qnk-zero", "qnk-above-cap",
-        "table-zero", "table-above-cap"])
+        "table-zero", "table-above-cap", "enum-n-zero", "enum-root-outside",
+        "enum-root-outside-above-cap", "enum-both-improper-filters"])
 def test_cli_rejects_bad_input(tmp_path, capsys, argv, content):
     if content is not None:
         path = tmp_path / "input.json"
@@ -289,6 +294,55 @@ def test_cli_rejects_bad_input(tmp_path, capsys, argv, content):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,config,env,named", [
+    (["verify", "--max-n", "3"], None, None, "lemma-4-2.max_n"),
+    (["verify", "--max-n", "0"], None, None, "thm-1-1.max_n"),
+    (["verify", "--max-n", "-3"], None, None, "thm-1-1.max_n"),
+    (["verify"], "lemma-4-2.instances=-1", None, "lemma-4-2.instances"),
+    (["verify"], "thm-2-3.bogus=1", None, "thm-2-3.bogus"),
+    (["verify"], None, "0", "RAMAPOLY_MAX_LABELS"),
+    (["verify"], None, "abc", "RAMAPOLY_MAX_LABELS"),
+    (["verify", "--report", "{tmp}/missing/r.jsonl"], None, None, "r.jsonl"),
+    (["enumerate", "--n", "3"], None, "0", "RAMAPOLY_MAX_LABELS"),
+    (["enumerate", "--n", "3"], None, "abc", "RAMAPOLY_MAX_LABELS"),
+    (["enumerate", "--n", "3", "--max-labels", "0"], None, None, "--max-labels"),
+    (["enumerate", "--n", "3", "--max-labels", "-5"], None, None, "--max-labels"),
+], ids=["max-n-below-lemma-4-2-pools", "max-n-zero", "max-n-negative",
+        "config-negative", "config-unknown-param", "env-cap-zero", "env-cap-not-int",
+        "report-dir-missing", "enum-env-cap-zero", "enum-env-cap-not-int",
+        "enum-max-labels-zero", "enum-max-labels-negative"])
+def test_cli_rejects_bad_bounds_before_running(tmp_path, capsys, monkeypatch,
+                                               argv, config, env, named):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an identity ran before the bounds were checked")
+
+    monkeypatch.setattr(harness, "run_identity", refuse)
+    if env is not None:
+        monkeypatch.setenv("RAMAPOLY_MAX_LABELS", env)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    if config is not None:
+        cfg = tmp_path / "bounds.cfg"
+        cfg.write_text(config + "\n")
+        argv += ["--config", str(cfg)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+
+
+def test_run_suite_checks_every_bound_first(monkeypatch):
+    ran = []
+    monkeypatch.setattr(harness, "run_identity", lambda name, *args: ran.append(name))
+    with pytest.raises(ValueError, match="lemma-4-2.max_n"):
+        harness.run_suite(["eq-general", "lemma-4-2"], {"lemma-4-2": {"max_n": 3}})
+    with pytest.raises(KeyError, match="thm-2-3.bogus"):
+        harness.run_suite(["eq-general", "thm-2-3"], {"thm-2-3": {"bogus": 1}})
+    assert ran == []
+    # seed is the one parameter that may be below 1
+    assert harness.identity_params("lemma-4-2", {"seed": -1, "max_n": 4})["seed"] == -1
 
 
 def test_cli_verify_config_override(tmp_path, capsys):

@@ -250,3 +250,30 @@ def test_results_store_canonical_terms(p, q, assignment, shift):
     for r in results:
         assert_canonical(r)
     assert (p - p).terms == {}
+
+
+# -- evaluation is a ring homomorphism; the calculus operators obey their laws --
+
+
+@given(polys4, polys4, points, st.integers(0, 4))
+@settings(max_examples=150, deadline=None)
+def test_evaluation_commutes_with_arithmetic(p, q, point, e):
+    a, b = p.evaluate(point), q.evaluate(point)
+    assert (p + q).evaluate(point) == a + b
+    assert (p - q).evaluate(point) == a - b
+    assert (p * q).evaluate(point) == a * b
+    assert (p ** e).evaluate(point) == a ** e
+
+
+@given(polys4, polys4, st.sampled_from(XYZT))
+@settings(max_examples=150, deadline=None)
+def test_derivative_product_rule(p, q, name):
+    assert (p * q).derivative(name) == p.derivative(name) * q + p * q.derivative(name)
+
+
+@given(polys4, st.sampled_from(XYZT), st.integers(0, 5), points)
+@settings(max_examples=150, deadline=None)
+def test_shifted_derivative_evaluates_to_its_definition(p, name, shift, point):
+    # (s + v d/dv) p evaluates to s * p + v * p'
+    expected = shift * p.evaluate(point) + point[name] * p.derivative(name).evaluate(point)
+    assert p.shifted_derivative(name, shift).evaluate(point) == expected

@@ -4,9 +4,9 @@ import pytest
 
 from ramapoly import fixtures
 from ramapoly import treecore as tc
-from ramapoly.polyring import parse
-from ramapoly.treecore import (BoundExceeded, EnumSpec, TreeEnumerator,
-                               gdes, node, stats, tree_from_obj)
+from ramapoly.polyring import Poly, parse
+from ramapoly.treecore import (BoundExceeded, TreeEnumerator, gdes, node, stats,
+                               tree_from_obj)
 
 
 def labels(n):
@@ -32,8 +32,7 @@ def test_single_vertex():
 def test_enumerate_counts(enum):
     assert sum(1 for _ in enum.trees([3])) == 1
     assert sum(1 for _ in enum.trees(labels(4), root=1)) == 30
-    spec = EnumSpec(labels(4), root=1, improper_count=1)
-    assert sum(1 for _ in tc.enumerate_trees(spec, enum)) == 12
+    assert sum(1 for t in enum.trees(labels(4), root=1) if t.imp_sub == 1) == 12
     for n in range(1, 6):
         count = sum(1 for _ in enum.trees(labels(n)))
         assert count == factorial(2 * n - 2) // factorial(n - 1)
@@ -90,23 +89,36 @@ def test_eld_equals_gdes_of_beta_word(enum):
 
 
 def test_generating_poly_examples(enum):
-    o41 = tc.generating_poly(EnumSpec(labels(4), root=1, improper_count=1,
-                                      weight_mode="o"), enum)
+    o41 = tc.census_poly(tc.weight_census(labels(4), root=1, enumerator=enum)[1], "o")
     assert o41 == parse("3x+4+5t", tc.QK_VARS)
-    p31 = tc.generating_poly(EnumSpec(labels(3), improper_count=1,
-                                      weight_mode="p"), enum)
+    p31 = tc.census_poly(tc.weight_census(labels(3), enumerator=enum)[1], "p")
     assert p31 == parse("3x+1+2t", tc.QK_VARS)
     uni = tc.multivar_universe(labels(3))
-    p3 = tc.generating_poly(EnumSpec(labels(3), weight_mode="multivar"), enum)
+    p3 = tc.generating_poly(labels(3), enumerator=enum)
     assert p3 == parse("(x1+x2+x3)(x1+x2+x3+t)", uni)
 
 
 def test_census_matches_generating_poly(enum):
-    census = tc.weight_census(labels(4), root=1, enumerator=enum)
-    for k in range(4):
-        direct = tc.generating_poly(
-            EnumSpec(labels(4), root=1, improper_count=k, weight_mode="o"), enum)
-        assert tc.census_poly(census.get(k, {}), "o") == direct
+    for n, root in ((4, 1), (4, None), (5, 2)):
+        census = tc.weight_census(labels(n), root=root, enumerator=enum)
+        trees = list(enum.trees(labels(n), root))
+        # each improper-count bucket equals a recount of the filtered trees
+        assert set(census) <= set(range(n))
+        for k in range(n):
+            recount = {}
+            for t in trees:
+                if t.imp_sub == k:
+                    key = (t.young_at_1, t.eld_sub)
+                    recount[key] = recount.get(key, 0) + 1
+            assert census.get(k, {}) == recount, (n, root, k)
+        # pooled over k, the census is the multivariate sum at x1 = x and
+        # every other x_i = 1
+        pooled = sum((tc.census_poly(cells, "p") for cells in census.values()),
+                     Poly.zero(tc.QK_VARS))
+        uni = tc.multivar_universe(labels(n)) + ("x",)
+        image = {f"x{i}": 1 for i in range(2, n + 1)} | {"x1": Poly.var(uni, "x")}
+        specialized = tc.generating_poly(labels(n), root, enum).extend(uni).substitute(image)
+        assert specialized == pooled.extend(uni), (n, root)
 
 
 def test_leaf_profile(enum):
@@ -140,17 +152,6 @@ def test_increasing_generators():
         assert all(t.eld_sub == 0 and t.imp_sub == 0 for t in rooted)
 
 
-def test_enum_spec_validation():
-    with pytest.raises(ValueError):
-        EnumSpec(frozenset())
-    with pytest.raises(ValueError):
-        EnumSpec(labels(3), improper_count=1, really_improper_count=0)
-    with pytest.raises(ValueError):
-        EnumSpec(labels(3), root=7)
-    with pytest.raises(ValueError):
-        EnumSpec(labels(3), weight_mode="bogus")
-
-
 def test_bound_cap(monkeypatch):
     small = TreeEnumerator(max_labels=4)
     with pytest.raises(BoundExceeded):
@@ -176,12 +177,6 @@ def test_json_round_trip():
 def test_weight_census_requires_vertex_one(enum):
     with pytest.raises(ValueError):
         tc.weight_census([2, 3], enumerator=enum)
-
-
-def test_multivar_rejects_really_stats(enum):
-    spec = EnumSpec(labels(3), weight_mode="multivar", really_stats=True)
-    with pytest.raises(ValueError):
-        tc.generating_poly(spec, enum)
 
 
 def test_really_statistics_on_reference_tree():
