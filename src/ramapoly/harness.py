@@ -438,17 +438,17 @@ def run_cor_narayana(max_vertices: int = 7, leafset_max_vertices: int = 6) -> It
         for k in sorted(set(profile) | set(range(1, n + 1))):
             yield _cmp({"vertices": m, "k": k},
                        profile.get(k, 0), qpolys.narayana(n, k) * factorial(m))
+        if m <= leafset_max_vertices:
+            # one stream per m: the trees whose leaf set is {1, ..., k}, by k
+            exact = Counter(tree.leaf_count for tree in enum.trees(range(1, m + 1))
+                            if frozenset(v.label for v in tree.walk() if not v.children)
+                            == frozenset(range(1, tree.leaf_count + 1)))
         for k in range(1, n + 1):
             got = treecore.leaf_set_count(n, k)
             yield _cmp({"vertices": m, "k": k, "check": "inclusion-exclusion"},
                        got, factorial(n) * comb(n - 1, k - 1))
             if m <= leafset_max_vertices:
-                target = frozenset(range(1, k + 1))
-                by_enum = sum(1 for tree in enum.trees(range(1, m + 1))
-                              if tree.leaf_count == k and
-                              frozenset(v.label for v in tree.walk()
-                                        if not v.children) == target)
-                yield _cmp({"vertices": m, "k": k, "check": "exact-leaf-set"}, by_enum, got)
+                yield _cmp({"vertices": m, "k": k, "check": "exact-leaf-set"}, exact[k], got)
 
 
 # -- forests -----------------------------------------------------------------------

@@ -12,11 +12,13 @@ the children of every vertex are linearly ordered.  The statistics:
   comparison (the improper test keeps beta);
 * young(v) = deg(v) - eld(v), and likewise for the really-variant.
 
-``PlaneTree`` nodes are immutable and cache all subtree aggregates at
-construction, so enumeration can share subtrees freely and read per-tree
-statistics in O(1).  ``TreeEnumerator`` produces every plane tree / ordered
-forest on a label set exactly once (first component's vertex subset in
-binary order, roots ascending) and memoizes small sub-forests.
+``PlaneTree`` nodes are immutable.  A node computes at construction the
+subtree aggregates the census stream reads (beta, size, leaf count, young,
+eld, improper count, young(1)); its hash and really-statistics are computed
+on first read and cached.  Enumeration thus shares subtrees freely and reads
+per-tree statistics in O(1).  ``TreeEnumerator`` produces every plane tree /
+ordered forest on a label set exactly once (first component's vertex subset
+in binary order, roots ascending) and memoizes small sub-forests.
 
 Two censuses read that stream: ``weight_census`` buckets (young(1), eld) by
 improper count (``census_poly`` turns a bucket into a polynomial in {x, t}),
@@ -28,6 +30,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -46,79 +49,94 @@ class PlaneTree:
     subtree (the subtree root itself has no brothers here, so it is not
     counted); young_at_1 is young(vertex 1) if label 1 occurs in the
     subtree, else None.  r*-fields are the really-variants.
+
+    beta, size, leaf_count, young_self, eld_sub, imp_sub and young_at_1 are
+    set at construction, which enumeration pays for every tree.  The hash
+    and the r*-fields, which few trees of a stream are asked for, are
+    computed on first read and cached in a slot.
     """
 
     __slots__ = ("label", "children", "beta", "size", "leaf_count",
                  "young_self", "eld_sub", "imp_sub", "young_at_1",
-                 "ryoung_self", "reld_sub", "rimp_sub", "ryoung_at_1",
-                 "_hash")
+                 "_really_fields", "_hash")
 
     def __init__(self, label: int, children: Sequence["PlaneTree"] = ()):
         children = tuple(children)
         self.label = label
         self.children = children
-        beta = label
         size = 1
-        leaves = 0
-        eld_sub = imp_sub = reld_sub = rimp_sub = 0
-        y1 = ry1 = None
-        for c in children:
+        leaves = eld_sub = imp_sub = young = 0
+        y1 = min_right = None
+        # right-to-left minima of the child beta word, fused with the
+        # aggregates, as this is the enumeration hot path; betas of disjoint
+        # subtrees are distinct, and the tests cross-check this against
+        # right_to_left_minima
+        for c in reversed(children):
             size += c.size
             leaves += c.leaf_count
             eld_sub += c.eld_sub
             imp_sub += c.imp_sub
-            reld_sub += c.reld_sub
-            rimp_sub += c.rimp_sub
-            if c.beta < beta:
-                beta = c.beta
             if c.young_at_1 is not None:
                 y1 = c.young_at_1
-            if c.ryoung_at_1 is not None:
-                ry1 = c.ryoung_at_1
-        # right-to-left minima of the child beta and label words in one fused
-        # pass, as this is the enumeration hot path; the tests cross-check it
-        # against right_to_left_minima
-        eld_here = reld_here = 0
-        min_beta_right = min_label_right = None
-        for c in reversed(children):
-            if min_beta_right is not None and min_beta_right < c.beta:
-                eld_here += 1
-            elif label > c.beta:
-                imp_sub += 1
-            if min_label_right is not None and min_label_right < c.label:
-                reld_here += 1
-            elif label > c.beta:
-                rimp_sub += 1
-            if min_beta_right is None or c.beta < min_beta_right:
-                min_beta_right = c.beta
-            if min_label_right is None or c.label < min_label_right:
-                min_label_right = c.label
-        self.beta = beta
+            if min_right is not None and min_right < c.beta:
+                eld_sub += 1
+            else:
+                young += 1
+                if label > c.beta:
+                    imp_sub += 1
+                min_right = c.beta
+        self.beta = label if min_right is None or label < min_right else min_right
         self.size = size
         self.leaf_count = leaves if children else 1
-        self.young_self = len(children) - eld_here
-        self.eld_sub = eld_sub + eld_here
+        self.young_self = young
+        self.eld_sub = eld_sub
         self.imp_sub = imp_sub
-        self.ryoung_self = len(children) - reld_here
-        self.reld_sub = reld_sub + reld_here
-        self.rimp_sub = rimp_sub
-        if label == 1:
-            y1 = self.young_self
-            ry1 = self.ryoung_self
-        self.young_at_1 = y1
-        self.ryoung_at_1 = ry1
-        self._hash = hash((label, children))
+        self.young_at_1 = young if label == 1 else y1
+
+    def _really(self) -> tuple[int, int, int, int | None]:
+        """(ryoung_self, reld_sub, rimp_sub, ryoung_at_1), computed on first call."""
+        try:
+            return self._really_fields
+        except AttributeError:
+            pass
+        label = self.label
+        reld_sub = rimp_sub = young = 0
+        ry1 = min_right = None
+        for c in reversed(self.children):
+            _, c_reld, c_rimp, c_ry1 = c._really()
+            reld_sub += c_reld
+            rimp_sub += c_rimp
+            if c_ry1 is not None:
+                ry1 = c_ry1
+            if min_right is not None and min_right < c.label:
+                reld_sub += 1
+            else:
+                young += 1
+                if label > c.beta:
+                    rimp_sub += 1
+                min_right = c.label
+        self._really_fields = (young, reld_sub, rimp_sub, young if label == 1 else ry1)
+        return self._really_fields
+
+    ryoung_self = property(lambda self: self._really()[0])
+    reld_sub = property(lambda self: self._really()[1])
+    rimp_sub = property(lambda self: self._really()[2])
+    ryoung_at_1 = property(lambda self: self._really()[3])
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.label, self.children))
+            return self._hash
 
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
         if not isinstance(other, PlaneTree):
             return NotImplemented
-        return (self._hash == other._hash and self.label == other.label
+        return (self.label == other.label and hash(self) == hash(other)
                 and self.children == other.children)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         if not self.children:
@@ -137,7 +155,14 @@ class PlaneTree:
             stack.extend(reversed(v.children))
 
     def labels(self) -> frozenset[int]:
-        return frozenset(v.label for v in self.walk())
+        # a plain stack loop: theta checks this on every tree it maps
+        out = []
+        stack = [self]
+        while stack:
+            v = stack.pop()
+            out.append(v.label)
+            stack.extend(v.children)
+        return frozenset(out)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(v.label, c.label) for v in self.walk() for c in v.children]
@@ -305,11 +330,12 @@ class TreeEnumerator:
 
     # ordered forests ---------------------------------------------------------
 
-    def forests(self, labels: frozenset[int]) -> Iterator[tuple[PlaneTree, ...]]:
+    def forests(self, labels: frozenset[int]) -> Iterable[tuple[PlaneTree, ...]]:
+        """The memo tuple for a small label set, else a fresh stream; a plain
+        call, not a generator, so no frame sits between stream and reader."""
         if len(labels) <= MEMO_LIMIT:
-            yield from self._forest_list(labels)
-        else:
-            yield from self._forest_stream(labels)
+            return self._forest_list(labels)
+        return self._forest_stream(labels)
 
     def _forest_list(self, labels: frozenset[int]) -> tuple:
         cached = self._forest_memo.get(labels)
@@ -333,18 +359,16 @@ class TreeEnumerator:
 
     # trees --------------------------------------------------------------------
 
-    def trees_rooted(self, labels: frozenset[int], root: int) -> Iterator[PlaneTree]:
-        if len(labels) <= MEMO_LIMIT:
-            key = (labels, root)
-            cached = self._tree_memo.get(key)
-            if cached is None:
-                rest = labels - {root}
-                cached = tuple(PlaneTree(root, f) for f in self._forest_list(rest))
-                self._tree_memo[key] = cached
-            yield from cached
-        else:
-            for forest in self.forests(labels - {root}):
-                yield PlaneTree(root, forest)
+    def trees_rooted(self, labels: frozenset[int], root: int) -> Iterable[PlaneTree]:
+        """The memo tuple for a small label set, else a fresh stream."""
+        if len(labels) > MEMO_LIMIT:
+            return map(PlaneTree, repeat(root), self.forests(labels - {root}))
+        key = (labels, root)
+        cached = self._tree_memo.get(key)
+        if cached is None:
+            cached = tuple(PlaneTree(root, f) for f in self._forest_list(labels - {root}))
+            self._tree_memo[key] = cached
+        return cached
 
     def trees(self, labels: Iterable[int], root: int | None = None) -> Iterator[PlaneTree]:
         labels = frozenset(labels)
@@ -446,27 +470,39 @@ def leaf_profile(n: int, enumerator: TreeEnumerator | None = None) -> dict[int, 
 
 
 def _grow_increasing(n: int, plane: bool) -> Iterator[PlaneTree]:
-    children: dict[int, list[int]] = {1: []}
-
-    def build(v: int) -> PlaneTree:
-        return PlaneTree(v, [build(c) for c in children[v]])
+    """Insert k = 2..n under every vertex, at every child position if plane
+    (else last).  One node per vertex is kept; an insertion rebuilds only
+    the path from the new leaf to the root."""
+    if n < 1:
+        return
+    node_of = {1: PlaneTree(1)}
+    parent = {1: None}
 
     def rec(k: int) -> Iterator[PlaneTree]:
         if k > n:
-            yield build(1)
+            yield node_of[1]
             return
-        for v in list(children):
-            row = children[v]
-            positions = range(len(row) + 1) if plane else (len(row),)
-            for pos in positions:
-                row.insert(pos, k)
-                children[k] = []
+        leaf = node_of[k] = PlaneTree(k)
+        for v in range(1, k):
+            parent[k] = v
+            row = node_of[v].children
+            for pos in range(len(row) + 1) if plane else (len(row),):
+                saved = []
+                u, new = v, PlaneTree(v, row[:pos] + (leaf,) + row[pos:])
+                while u is not None:
+                    saved.append((u, node_of[u]))
+                    old, node_of[u] = node_of[u], new
+                    u = parent[u]
+                    if u is not None:
+                        kids = node_of[u].children
+                        i = kids.index(old)
+                        new = PlaneTree(u, kids[:i] + (new,) + kids[i + 1:])
                 yield from rec(k + 1)
-                del children[k]
-                row.pop(pos)
+                for u, old in saved:
+                    node_of[u] = old
+        del node_of[k], parent[k]
 
-    if n >= 1:
-        yield from rec(2)
+    yield from rec(2)
 
 
 def increasing_plane_trees(n: int) -> Iterator[PlaneTree]:

@@ -1,4 +1,4 @@
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -185,3 +185,120 @@ def test_really_statistics_on_reference_tree():
     assert st.really_elder_vertices == {4, 8, 13, 14, 11, 12}
     assert st.reld_total == 6
     assert len(st.really_improper_edges) == 5  # one fewer than the preimage
+
+
+# -- lazy fields -------------------------------------------------------------------
+
+
+def rebuild(t):
+    """A fresh copy of t: no node shared with t, nothing lazy filled in."""
+    return tc.PlaneTree(t.label, [rebuild(c) for c in t.children])
+
+
+def really_reference(t):
+    """(ryoung_self, reld_sub, rimp_sub, ryoung_at_1) of t from the
+    right-to-left minima of each vertex's child label word."""
+    ryoung = {}
+    reld = rimp = 0
+    for v in t.walk():
+        younger = tc.right_to_left_minima([c.label for c in v.children])
+        ryoung[v.label] = len(younger)
+        reld += len(v.children) - len(younger)
+        rimp += sum(1 for i in younger if v.label > min(v.children[i].labels()))
+    return ryoung[t.label], reld, rimp, ryoung.get(1)
+
+
+def really_fields(t):
+    return t.ryoung_self, t.reld_sub, t.rimp_sub, t.ryoung_at_1
+
+
+def test_really_fields_match_reference_whatever_is_read_first(enum):
+    trees = list(enum.trees(labels(5))) + list(enum.trees(labels(6), root=1))
+    assert len(trees) == 1680 + 5040
+    for t in trees:
+        expected = {v.label: really_reference(v) for v in t.walk()}
+        root_first = rebuild(t)
+        subtrees_first = rebuild(t)
+        for v in root_first.walk():
+            assert really_fields(v) == expected[v.label], (t, v.label)
+        for v in list(subtrees_first.walk())[::-1]:
+            assert really_fields(v) == expected[v.label], (t, v.label)
+        assert really_fields(t) == expected[t.label]
+
+
+def test_lazy_hash_and_equality(enum):
+    for t in enum.trees(labels(4)):
+        assert hash(t) == hash((t.label, t.children))
+        twin = rebuild(t)
+        assert twin is not t and twin == t and hash(twin) == hash(t)
+        assert len({t, twin}) == 1
+    t = node(3, node(1, node(4)), node(2))
+    table = {t: "tree"}
+    probe = rebuild(t)
+    assert table[probe] == "tree"
+    really_fields(t)
+    really_fields(probe)
+    assert table[t] == table[rebuild(t)] == "tree" and hash(t) == hash(probe)
+    assert node(1, node(2), node(3)) != node(1, node(3), node(2))
+
+
+# -- enumeration guards --------------------------------------------------------------
+
+
+def reference_grow_increasing(n, plane):
+    """Increasing trees by full rebuild: every yielded tree is built anew
+    from the children lists (the order the library must keep)."""
+    children = {1: []}
+
+    def build(v):
+        return tc.PlaneTree(v, [build(c) for c in children[v]])
+
+    def rec(k):
+        if k > n:
+            yield build(1)
+            return
+        for v in list(children):
+            row = children[v]
+            for pos in range(len(row) + 1) if plane else (len(row),):
+                row.insert(pos, k)
+                children[k] = []
+                yield from rec(k + 1)
+                del children[k]
+                row.pop(pos)
+
+    if n >= 1:
+        yield from rec(2)
+
+
+def test_increasing_trees_match_full_rebuild():
+    for n in range(0, 8):
+        assert list(tc.increasing_plane_trees(n)) == list(reference_grow_increasing(n, True))
+        assert list(tc.increasing_rooted_trees(n)) == list(reference_grow_increasing(n, False))
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts PlaneTree constructions while the test runs."""
+    count = [0]
+    init = tc.PlaneTree.__init__
+
+    def counting(self, *args):
+        count[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(tc.PlaneTree, "__init__", counting)
+    return count
+
+
+def test_increasing_trees_rebuild_only_the_path(constructions):
+    assert sum(1 for _ in tc.increasing_plane_trees(7)) == 10395
+    assert constructions[0] <= 36330  # a full rebuild per tree makes 72,765
+
+
+def test_stream_shares_memo_subtrees(constructions):
+    enum = TreeEnumerator()
+    assert sum(1 for _ in enum.trees(labels(7))) == 665280
+    assert constructions[0] == 916909
+    # every forest on at most MEMO_LIMIT labels, the 5-label rests included,
+    # is read from the memo, not streamed again
+    assert len(enum._forest_memo) == sum(comb(7, i) for i in range(tc.MEMO_LIMIT + 1))
