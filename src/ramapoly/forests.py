@@ -154,9 +154,11 @@ def degree_type(degrees: Sequence[int]) -> tuple[int, ...]:
 
 def ordered_degree_sequence(forest: Sequence[PlaneTree], n: int) -> tuple[int, ...]:
     degs = [0] * n
-    for tree in forest:
-        for v in tree.walk():
-            degs[v.label - 1] = len(v.children)
+    stack = list(forest)  # a plain stack loop: cor-planted reads every forest
+    while stack:
+        v = stack.pop()
+        degs[v.label - 1] = len(v.children)
+        stack.extend(v.children)
     return tuple(degs)
 
 

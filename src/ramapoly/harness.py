@@ -421,13 +421,25 @@ def run_lemma_4_2(instances: int = 200, max_n: int = 6, seed: int = 20260811) ->
 def run_cor_catalan(max_vertices: int = 7) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
     for m in range(1, max_vertices + 1):
-        count = sum(1 for _ in enum.trees(range(1, m + 1)))
+        count = enum.count_trees(range(1, m + 1))
         yield _cmp({"vertices": m, "check": "labeled"},
                    count, factorial(2 * m - 2) // factorial(m - 1))
         unlabeled = qpolys.catalan(m - 1)
         ok = count % factorial(m) == 0 and count // factorial(m) == unlabeled
         yield _check({"vertices": m, "check": "unlabeled"},
                      None if ok else {"lhs": str(count), "rhs": f"{unlabeled}*{m}!"})
+
+
+def _leaves_are_first_labels(tree: treecore.PlaneTree) -> bool:
+    """Whether the (distinct) leaf labels are 1..leaf_count: none exceeds it."""
+    stack = [tree]
+    while stack:
+        v = stack.pop()
+        if v.children:
+            stack.extend(v.children)
+        elif v.label > tree.leaf_count:
+            return False
+    return True
 
 
 def run_cor_narayana(max_vertices: int = 7, leafset_max_vertices: int = 6) -> Iterator[Outcome]:
@@ -441,8 +453,7 @@ def run_cor_narayana(max_vertices: int = 7, leafset_max_vertices: int = 6) -> It
         if m <= leafset_max_vertices:
             # one stream per m: the trees whose leaf set is {1, ..., k}, by k
             exact = Counter(tree.leaf_count for tree in enum.trees(range(1, m + 1))
-                            if frozenset(v.label for v in tree.walk() if not v.children)
-                            == frozenset(range(1, tree.leaf_count + 1)))
+                            if _leaves_are_first_labels(tree))
         for k in range(1, n + 1):
             got = treecore.leaf_set_count(n, k)
             yield _cmp({"vertices": m, "k": k, "check": "inclusion-exclusion"},

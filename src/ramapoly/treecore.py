@@ -23,6 +23,7 @@ in binary order, roots ascending) and memoizes small sub-forests.
 Two censuses read that stream: ``weight_census`` buckets (young(1), eld) by
 improper count (``census_poly`` turns a bucket into a polynomial in {x, t}),
 and ``generating_poly`` sums t^eld * prod_i x_i^young(i) (``multivar_exponents``).
+The really-census and ``count_trees`` read a root label and its forest, not a root node.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, product, repeat, starmap
 from math import comb
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .polyring import Poly
@@ -98,25 +100,8 @@ class PlaneTree:
         try:
             return self._really_fields
         except AttributeError:
-            pass
-        label = self.label
-        reld_sub = rimp_sub = young = 0
-        ry1 = min_right = None
-        for c in reversed(self.children):
-            _, c_reld, c_rimp, c_ry1 = c._really()
-            reld_sub += c_reld
-            rimp_sub += c_rimp
-            if c_ry1 is not None:
-                ry1 = c_ry1
-            if min_right is not None and min_right < c.label:
-                reld_sub += 1
-            else:
-                young += 1
-                if label > c.beta:
-                    rimp_sub += 1
-                min_right = c.label
-        self._really_fields = (young, reld_sub, rimp_sub, young if label == 1 else ry1)
-        return self._really_fields
+            self._really_fields = _really_fold(self.label, self.children)
+            return self._really_fields
 
     ryoung_self = property(lambda self: self._really()[0])
     reld_sub = property(lambda self: self._really()[1])
@@ -176,6 +161,27 @@ class PlaneTree:
     def to_obj(self) -> dict:
         return {"label": self.label,
                 "children": [c.to_obj() for c in self.children]}
+
+
+def _really_fold(label: int, children: Sequence[PlaneTree]) -> tuple[int, int, int, int | None]:
+    """(ryoung_self, reld_sub, rimp_sub, ryoung_at_1) of the tree label over
+    children, from the children's cached fields; that tree's node need not exist."""
+    reld_sub = rimp_sub = young = 0
+    ry1 = min_right = None
+    for c in reversed(children):
+        _, c_reld, c_rimp, c_ry1 = c._really()
+        reld_sub += c_reld
+        rimp_sub += c_rimp
+        if c_ry1 is not None:
+            ry1 = c_ry1
+        if min_right is not None and min_right < c.label:
+            reld_sub += 1
+        else:
+            young += 1
+            if label > c.beta:
+                rimp_sub += 1
+            min_right = c.label
+    return young, reld_sub, rimp_sub, young if label == 1 else ry1
 
 
 def node(label: int, *children: PlaneTree) -> PlaneTree:
@@ -313,11 +319,12 @@ class TreeEnumerator:
     labels, roots ascend, so streams are deterministic.  Forest and tree
     tuples for label sets of size <= MEMO_LIMIT are cached, which shares
     subtree objects (and their precomputed statistics) across the stream.
+    A stream chains one C iterator per (first label set, root); a forest is one tuple concatenation.
     """
 
     def __init__(self, max_labels: int | None = None):
         self.max_labels = label_cap(max_labels)
-        self._forest_memo: dict[frozenset[int], tuple] = {}
+        self._forest_memo: dict[frozenset[int], tuple] = {frozenset(): ((),)}
         self._tree_memo: dict[tuple[frozenset[int], int], tuple] = {}
 
     def check_bound(self, labels: Iterable[int]) -> frozenset[int]:
@@ -333,29 +340,31 @@ class TreeEnumerator:
     def forests(self, labels: frozenset[int]) -> Iterable[tuple[PlaneTree, ...]]:
         """The memo tuple for a small label set, else a fresh stream; a plain
         call, not a generator, so no frame sits between stream and reader."""
-        if len(labels) <= MEMO_LIMIT:
-            return self._forest_list(labels)
-        return self._forest_stream(labels)
-
-    def _forest_list(self, labels: frozenset[int]) -> tuple:
+        if len(labels) > MEMO_LIMIT:
+            return self._forest_stream(labels)
         cached = self._forest_memo.get(labels)
         if cached is None:
-            cached = tuple(self._forest_stream(labels))
-            self._forest_memo[labels] = cached
+            cached = self._forest_memo[labels] = tuple(self._forest_stream(labels))
         return cached
 
     def _forest_stream(self, labels: frozenset[int]) -> Iterator[tuple[PlaneTree, ...]]:
-        if not labels:
-            yield ()
-            return
+        return chain.from_iterable(self._forest_pieces(labels))
+
+    def _forest_pieces(self, labels: frozenset[int]) -> Iterator[Iterator[tuple[PlaneTree, ...]]]:
+        """One C iterator per (first component's label set, root): the first
+        trees, each followed by each forest on the rest if there is one."""
         elems = sorted(labels)
         for mask in range(1, 1 << len(elems)):
             first_set = frozenset(e for i, e in enumerate(elems) if mask >> i & 1)
             rest = labels - first_set
             for root in sorted(first_set):
-                for first in self.trees_rooted(first_set, root):
-                    for tail in self.forests(rest):
-                        yield (first,) + tail
+                firsts = zip(self.trees_rooted(first_set, root))
+                if not rest:
+                    yield firsts
+                elif max(len(first_set), len(rest)) <= MEMO_LIMIT:
+                    yield starmap(add, product(firsts, self.forests(rest)))
+                else:  # product holds its inputs whole, so a stream is read per first tree
+                    yield from (map(add, repeat(first), self.forests(rest)) for first in firsts)
 
     # trees --------------------------------------------------------------------
 
@@ -363,22 +372,30 @@ class TreeEnumerator:
         """The memo tuple for a small label set, else a fresh stream."""
         if len(labels) > MEMO_LIMIT:
             return map(PlaneTree, repeat(root), self.forests(labels - {root}))
-        key = (labels, root)
-        cached = self._tree_memo.get(key)
+        cached = self._tree_memo.get((labels, root))
         if cached is None:
-            cached = tuple(PlaneTree(root, f) for f in self._forest_list(labels - {root}))
-            self._tree_memo[key] = cached
+            cached = tuple(map(PlaneTree, repeat(root), self.forests(labels - {root})))
+            self._tree_memo[labels, root] = cached
         return cached
 
-    def trees(self, labels: Iterable[int], root: int | None = None) -> Iterator[PlaneTree]:
+    def _checked(self, labels: Iterable[int], root: int | None) -> tuple[frozenset[int], list[int]]:
+        """The label set and its trees' roots; it must be non-empty, hold root, fit the cap."""
         labels = frozenset(labels)
         if not labels:
             raise ValueError("empty label set")
         if root is not None and root not in labels:
             raise ValueError(f"root {root} not in label set")
         self.check_bound(labels)
-        for r in sorted(labels) if root is None else (root,):
-            yield from self.trees_rooted(labels, r)
+        return labels, sorted(labels) if root is None else [root]
+
+    def trees(self, labels: Iterable[int], root: int | None = None) -> Iterator[PlaneTree]:
+        labels, roots = self._checked(labels, root)
+        return chain.from_iterable(map(self.trees_rooted, repeat(labels), roots))
+
+    def count_trees(self, labels: Iterable[int], root: int | None = None) -> int:
+        """How many trees ``trees(labels, root)`` streams, without building their roots."""
+        labels, roots = self._checked(labels, root)
+        return sum(sum(1 for _ in self.forests(labels - {r})) for r in roots)
 
 
 # -- generating polynomials -----------------------------------------------------
@@ -398,13 +415,20 @@ def weight_census(labels: Iterable[int], root: int | None = None, *,
     if 1 not in labels:
         raise ValueError("weight census needs vertex 1 in the label set")
     census: dict[int, dict[tuple[int, int], int]] = {}
-    for tree in enum.trees(labels, root):
-        if really:
-            k, key = tree.rimp_sub, (tree.ryoung_at_1, tree.reld_sub)
-        else:
-            k, key = tree.imp_sub, (tree.young_at_1, tree.eld_sub)
-        cells = census.setdefault(k, {})
-        cells[key] = cells.get(key, 0) + 1
+    if really:
+        # each tree's really-fields folded from its root label and forest, no root node
+        labels, roots = enum._checked(labels, root)
+        folds = chain.from_iterable(map(_really_fold, repeat(r), enum.forests(labels - {r}))
+                                    for r in roots)
+        for _, reld, k, young1 in folds:
+            cells = census.setdefault(k, {})
+            key = (young1, reld)
+            cells[key] = cells.get(key, 0) + 1
+    else:
+        for tree in enum.trees(labels, root):
+            cells = census.setdefault(tree.imp_sub, {})
+            key = (tree.young_at_1, tree.eld_sub)
+            cells[key] = cells.get(key, 0) + 1
     return census
 
 
@@ -428,8 +452,11 @@ def multivar_exponents(tree: PlaneTree, position: Mapping[int, int]) -> tuple[in
     """Exponent tuple of t^eld * prod_i x_i^young(i) in the multivariate
     universe whose variable for label i sits at position[i]."""
     exps = [0] * (len(position) + 1)
-    for v in tree.walk():
+    stack = [tree]  # a plain stack loop: generating_poly reads every tree
+    while stack:
+        v = stack.pop()
         exps[position[v.label]] = v.young_self
+        stack.extend(v.children)
     exps[-1] = tree.eld_sub
     return tuple(exps)
 

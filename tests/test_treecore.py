@@ -1,8 +1,10 @@
+import hashlib
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
 
-from ramapoly import fixtures
+from ramapoly import cli, fixtures
 from ramapoly import treecore as tc
 from ramapoly.polyring import Poly, parse
 from ramapoly.treecore import (BoundExceeded, TreeEnumerator, gdes, node, stats,
@@ -302,3 +304,91 @@ def test_stream_shares_memo_subtrees(constructions):
     # every forest on at most MEMO_LIMIT labels, the 5-label rests included,
     # is read from the memo, not streamed again
     assert len(enum._forest_memo) == sum(comb(7, i) for i in range(tc.MEMO_LIMIT + 1))
+
+
+# -- the forest stream and the root-free readers ---------------------------------------
+
+
+def reference_forest_stream(enum, labels):
+    """The ordered forests on labels by a recursive generator, one resume
+    per forest (the order and sharing the library must keep)."""
+    if not labels:
+        yield ()
+        return
+    elems = sorted(labels)
+    for mask in range(1, 1 << len(elems)):
+        first_set = frozenset(e for i, e in enumerate(elems) if mask >> i & 1)
+        rest = labels - first_set
+        for root in sorted(first_set):
+            for first in enum.trees_rooted(first_set, root):
+                for tail in enum.forests(rest):
+                    yield (first,) + tail
+
+
+def test_forest_stream_matches_reference():
+    enum = TreeEnumerator()
+    for size in range(7):
+        for subset in combinations(range(1, 7), size):
+            subset = frozenset(subset)
+            got = list(enum.forests(subset))
+            want = list(reference_forest_stream(enum, subset))
+            assert len(got) == len(want), subset
+            for forest, ref in zip(got, want):
+                assert forest == ref, subset
+                # components on at most MEMO_LIMIT labels come from the memo;
+                # a larger one is a fresh root over memo subtrees
+                for a, b in zip(forest, ref):
+                    if a.size <= tc.MEMO_LIMIT:
+                        assert a is b, (subset, ref)
+                    assert all(x is y for x, y in zip(a.children, b.children)), (subset, ref)
+    assert len(got) == 95040  # the forests on [6]
+
+
+def test_forest_stream_with_streamed_rests(monkeypatch):
+    # with a small memo, the rest after a first component is a stream too
+    monkeypatch.setattr(tc, "MEMO_LIMIT", 2)
+    enum = TreeEnumerator()
+    for n in range(7):
+        assert list(enum.forests(labels(n))) == list(reference_forest_stream(enum, labels(n)))
+    assert enum.count_trees(labels(6)) == factorial(10) // factorial(5)
+
+
+def test_really_census_matches_per_tree_recount(enum):
+    for n in range(1, 7):
+        for lab, root in ((labels(n), None), (labels(n + 1), 1)):
+            recount = {}
+            for t in enum.trees(lab, root):
+                cells = recount.setdefault(t.rimp_sub, {})
+                key = (t.ryoung_at_1, t.reld_sub)
+                cells[key] = cells.get(key, 0) + 1
+            assert tc.weight_census(lab, root, really=True, enumerator=enum) == recount
+
+
+def test_count_trees_matches_stream(enum):
+    for m in range(1, 7):
+        assert enum.count_trees(labels(m)) == len(list(enum.trees(labels(m))))
+        for root in (1, m):
+            assert (enum.count_trees(labels(m), root)
+                    == len(list(enum.trees(labels(m), root))))
+
+
+def test_stream_readers_check_input_on_call():
+    small = TreeEnumerator(max_labels=4)
+    readers = (small.trees, small.count_trees,
+               lambda lab, root=None: tc.weight_census(lab, root, really=True,
+                                                       enumerator=small))
+    for read in readers:
+        with pytest.raises(ValueError):
+            read([])
+        with pytest.raises(ValueError):
+            read(labels(3), 5)
+        with pytest.raises(BoundExceeded):
+            read(labels(5))
+
+
+def test_enumerate_text_output_is_pinned(capsys):
+    assert cli.main(["enumerate", "--n", "6", "--format", "text"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 30240
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "dd709b161ad17c2960aa2940f6807e3eed9b4ea32b942baa6d45f4d6ce79478d")
