@@ -84,6 +84,9 @@ def cmd_enumerate(args, parser) -> int:
     if args.improper is not None and args.really_improper is not None:
         raise ValueError("give at most one of --improper and --really-improper")
     enum = treecore.TreeEnumerator(treecore.label_cap(args.max_labels, "--max-labels"))
+    if args.count_only and args.improper is None and args.really_improper is None:
+        print(enum.count_trees(range(1, args.n + 1), args.root))
+        return 0
     stream = (tree for tree in enum.trees(range(1, args.n + 1), args.root)
               if args.improper in (None, tree.imp_sub)
               and args.really_improper in (None, tree.rimp_sub))

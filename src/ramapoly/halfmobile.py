@@ -16,13 +16,18 @@ carrying the block cyclically, then the root is deleted and labels shift
 down by one.  It transports young(1) -> tree count, eld -> black degree
 excess, and improper edge count -> improper edge count.
 
+An :class:`HmNode` counts its subtree's improper edges and black-degree
+excess when it is built, so ``hm_stats`` sums a forest's components.
+
 ``enumerate_hm`` shares theta's work across one enumeration.  The
 :class:`TreeEnumerator` reuses one object for every subtree of at most
 ``MEMO_LIMIT`` labels, so ``enumerate_hm`` hands ``theta`` one dict that maps
-each such subtree to its image; a shared subtree is converted once, and the
-forests it yields share those images.  Equal subtrees have equal images, so
-the sharing changes no result.  Larger subtrees are new in every tree and
-are converted fresh.
+each such subtree to its image and the bitmask of its labels; a shared
+subtree is converted, counted and label-checked once, and the forests it
+yields share those images.  Equal subtrees have equal images, so the sharing
+changes no result.  Larger subtrees are new in every tree and are converted
+fresh.  ``theta`` checks its label set by OR-ing those masks, with no
+separate walk over the tree.
 
 ``hm_generating_poly`` is the one half-mobile census, x^(tree-1) y^imp t^bdeg
 summed over those forests; ``thm-3-4`` reads it once per n, its per-k rows too.
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .polyring import Poly
-from .treecore import MEMO_LIMIT, PlaneTree, TreeEnumerator, right_to_left_minima
+from .treecore import MEMO_LIMIT, PlaneTree, TreeEnumerator
 
 HM_VARS = ("x", "y", "t")
 
@@ -42,18 +47,40 @@ HM_VARS = ("x", "y", "t")
 class HmNode:
     """One half-mobile vertex; label None means black.  Children are stored
     as given: use :func:`white` / :func:`black` for canonical building and
-    :func:`validate` to check an arbitrary instance."""
+    :func:`validate` to check an arbitrary instance.
 
-    __slots__ = ("label", "children", "beta", "_hash")
+    imp_sub and bdeg_sub count the improper edges and the black-degree
+    excess inside the subtree, folded from the children at construction.
+    The edge from a white vertex u to a white child c is improper when
+    u > beta(c), and to a black child b when u > beta of b's last child; a
+    black vertex adds deg - 1 to the excess, and as a component root it has
+    no labeled father, so no improper edge.  A malformed node (a black vertex
+    with no children, or under a black vertex) still builds.
+    """
+
+    __slots__ = ("label", "children", "beta", "imp_sub", "bdeg_sub", "_hash")
 
     def __init__(self, label: int | None, children: Sequence["HmNode"] = ()):
+        children = tuple(children)
         self.label = label
-        self.children = tuple(children)
-        betas = [c.beta for c in self.children if c.beta is not None]
-        if label is not None:
-            betas.append(label)
-        self.beta = min(betas) if betas else None
-        self._hash = hash((label, self.children))
+        self.children = children
+        beta = label
+        imp = bdeg = 0
+        for c in children:
+            imp += c.imp_sub
+            bdeg += c.bdeg_sub
+            c_beta = c.beta
+            if c_beta is not None and (beta is None or c_beta < beta):
+                beta = c_beta
+            if label is not None:
+                if c.label is None:  # the edge to a black child ends at its last child
+                    c_beta = c.children[-1].beta if c.children else None
+                if c_beta is not None and label > c_beta:
+                    imp += 1
+        self.beta = beta
+        self.imp_sub = imp
+        self.bdeg_sub = bdeg if label is not None else bdeg + len(children) - 1
+        self._hash = hash((label, children))
 
     @property
     def is_white(self) -> bool:
@@ -173,77 +200,85 @@ def validate(forest: HalfMobileForest) -> str | None:
 
 
 def hm_stats(forest: HalfMobileForest) -> HmStats:
-    imp = 0
-    bdeg = 0
-
-    def walk_white(u: HmNode) -> None:
-        nonlocal imp, bdeg
-        for c in u.children:
-            if c.is_white:
-                if u.label > c.beta:
-                    imp += 1
-                walk_white(c)
-            else:
-                bdeg += len(c.children) - 1
-                if u.label > c.children[-1].beta:
-                    imp += 1
-                for w in c.children:
-                    walk_white(w)
-
+    """(imp, tree, bdeg) of the forest: its components' cached counts summed."""
+    imp = bdeg = 0
     for comp in forest.components:
-        if comp.is_white:
-            walk_white(comp)
-        else:
-            # a black component root has no labeled father: its rightmost
-            # edge is proper
-            bdeg += len(comp.children) - 1
-            for w in comp.children:
-                walk_white(w)
+        imp += comp.imp_sub
+        bdeg += comp.bdeg_sub
     return HmStats(imp=imp, tree=len(forest.components), bdeg=bdeg)
 
 
 # -- theta ------------------------------------------------------------------------
 
 
-def _to_hm(v: PlaneTree, memo: dict[PlaneTree, HmNode] | None) -> HmNode:
-    """v's image with its label shifted down by one.  With a memo, the image
-    of a node of at most MEMO_LIMIT labels (the subtrees the enumerator
-    shares) is built once and reused; larger nodes are built fresh."""
-    if memo is not None and v.size <= MEMO_LIMIT:
-        image = memo.get(v)
-        if image is None:
-            image = memo[v] = HmNode(v.label - 1, tuple(_hm_blocks(v, memo)))
-        return image
-    return HmNode(v.label - 1, tuple(_hm_blocks(v, memo)))
+_LABEL_SET_ERROR = "theta needs the label set {1, ..., n+1}"
+# enumerate_hm's memo: each shared subtree -> its image and its label bitmask
+_Memo = dict[PlaneTree, tuple[HmNode, int]]
 
 
-def _hm_blocks(v: PlaneTree, memo: dict[PlaneTree, HmNode] | None) -> list[HmNode]:
+def _to_hm(v: PlaneTree, memo: _Memo | None, top: int) -> tuple[HmNode, int]:
+    """v's image with its label shifted down by one, and the bitmask of v's
+    labels.  With a memo, a node of at most MEMO_LIMIT labels (the subtrees
+    the enumerator shares) is converted once and reused; larger nodes are
+    converted fresh."""
+    shared = memo is not None and v.size <= MEMO_LIMIT
+    if shared:
+        hit = memo.get(v)
+        if hit is not None:
+            return hit
+    # a label is range-checked before it is shifted into a mask, so no mask
+    # has a bit above the size of the tree it was first built for
+    label = v.label
+    if not 0 < label <= top:
+        raise ValueError(_LABEL_SET_ERROR)
+    blocks, mask = _hm_blocks(v, memo, top)
+    image = HmNode(label - 1, blocks), mask | 1 << label
+    if shared:
+        memo[v] = image
+    return image
+
+
+def _hm_blocks(v: PlaneTree, memo: _Memo | None, top: int) -> tuple[tuple[HmNode, ...], int]:
     """v's children cut into blocks that end at the right-to-left minima of
-    the child beta word; a block of one child stays white, a longer one
-    becomes a black vertex."""
-    children = v.children
+    the child beta word (a block of one child stays white, a longer one
+    becomes a black vertex), and the OR of the children's label masks."""
+    # read right to left: a child with a beta below every beta to its right
+    # ends a block, so it closes the block gathered since the previous one
     blocks = []
-    prev = -1
-    for pos in right_to_left_minima([c.beta for c in children]):
-        if pos == prev + 1:
-            blocks.append(_to_hm(children[pos], memo))
+    block: list[HmNode] = []
+    mask = 0
+    min_right = None
+    for c in reversed(v.children):
+        image, c_mask = _to_hm(c, memo, top)
+        mask |= c_mask
+        if min_right is None or c.beta < min_right:
+            if block:
+                blocks.append(block[0] if len(block) == 1 else HmNode(None, block[::-1]))
+            block = [image]
+            min_right = c.beta
         else:
-            blocks.append(HmNode(None, tuple(_to_hm(c, memo)
-                                              for c in children[prev + 1:pos + 1])))
-        prev = pos
-    return blocks
+            block.append(image)
+    if block:
+        blocks.append(block[0] if len(block) == 1 else HmNode(None, block[::-1]))
+    blocks.reverse()
+    return tuple(blocks), mask
 
 
-def theta(tree: PlaneTree, *, _memo: dict[PlaneTree, HmNode] | None = None) -> HalfMobileForest:
+def theta(tree: PlaneTree, *, _memo: _Memo | None = None) -> HalfMobileForest:
     """Plane tree rooted at 1 on [n+1] -> half-mobile forest on [n].
 
+    The n + 1 labels are exactly {1, ..., n+1} when each lies in that range
+    and their bitmask is full; both are checked during the conversion.
+
     ``_memo`` is private to :func:`enumerate_hm`: a dict shared across one
-    enumeration that maps each small subtree to its image."""
+    enumeration that maps each small subtree to its image and label mask."""
     if tree.label != 1:
         raise ValueError(f"theta needs root 1, got root {tree.label}")
-    if tree.labels() != frozenset(range(1, tree.size + 1)):
-        raise ValueError("theta needs the label set {1, ..., n+1}")
-    return HalfMobileForest(tuple(_hm_blocks(tree, _memo)))
+    size = tree.size
+    blocks, mask = _hm_blocks(tree, _memo, size)
+    if mask | 2 != (1 << size + 1) - 2:
+        raise ValueError(_LABEL_SET_ERROR)
+    return HalfMobileForest(blocks)
 
 
 def theta_inv(forest: HalfMobileForest) -> PlaneTree:
@@ -280,12 +315,13 @@ def enumerate_hm(n: int, k: int | None = None,
     would mean theta is not injective and raises."""
     enum = enumerator or TreeEnumerator()
     seen: set[HalfMobileForest] = set()
-    memo: dict[PlaneTree, HmNode] = {}
+    memo: _Memo = {}
     for tree in enum.trees(range(1, n + 2), root=1):
         forest = theta(tree, _memo=memo)
-        if forest in seen:
+        before = len(seen)
+        seen.add(forest)  # one hash per forest: a duplicate leaves the size unchanged
+        if len(seen) == before:
             raise RuntimeError(f"theta collision on {forest!r}")
-        seen.add(forest)
         if k is None or hm_stats(forest).imp == k:
             yield forest
 

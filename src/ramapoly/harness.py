@@ -430,14 +430,14 @@ def run_cor_catalan(max_vertices: int = 7) -> Iterator[Outcome]:
                      None if ok else {"lhs": str(count), "rhs": f"{unlabeled}*{m}!"})
 
 
-def _leaves_are_first_labels(tree: treecore.PlaneTree) -> bool:
-    """Whether the (distinct) leaf labels are 1..leaf_count: none exceeds it."""
-    stack = [tree]
+def _leaves_within(forest: tuple[treecore.PlaneTree, ...], k: int) -> bool:
+    """Whether no leaf of the forest's trees has a label above k."""
+    stack = list(forest)
     while stack:
         v = stack.pop()
         if v.children:
             stack.extend(v.children)
-        elif v.label > tree.leaf_count:
+        elif v.label > k:
             return False
     return True
 
@@ -451,9 +451,14 @@ def run_cor_narayana(max_vertices: int = 7, leafset_max_vertices: int = 6) -> It
             yield _cmp({"vertices": m, "k": k},
                        profile.get(k, 0), qpolys.narayana(n, k) * factorial(m))
         if m <= leafset_max_vertices:
-            # one stream per m: the trees whose leaf set is {1, ..., k}, by k
-            exact = Counter(tree.leaf_count for tree in enum.trees(range(1, m + 1))
-                            if _leaves_are_first_labels(tree))
+            # the trees whose leaf set is {1, ..., k}, by k: k distinct leaves,
+            # none above k.  With m >= 2 the forest under the root is never
+            # empty, so its leaves are the tree's
+            exact = Counter()
+            for forest in enum.root_forests(range(1, m + 1)):
+                leaves = sum([c.leaf_count for c in forest])
+                if _leaves_within(forest, leaves):
+                    exact[leaves] += 1
         for k in range(1, n + 1):
             got = treecore.leaf_set_count(n, k)
             yield _cmp({"vertices": m, "k": k, "check": "inclusion-exclusion"},

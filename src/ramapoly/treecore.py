@@ -23,7 +23,9 @@ in binary order, roots ascending) and memoizes small sub-forests.
 Two censuses read that stream: ``weight_census`` buckets (young(1), eld) by
 improper count (``census_poly`` turns a bucket into a polynomial in {x, t}),
 and ``generating_poly`` sums t^eld * prod_i x_i^young(i) (``multivar_exponents``).
-The really-census and ``count_trees`` read a root label and its forest, not a root node.
+``count_trees`` and ``leaf_profile`` read the forest under each root
+(``root_forests``) and the really-census folds each root label over it, so
+none of them builds a root node.
 """
 
 from __future__ import annotations
@@ -140,7 +142,6 @@ class PlaneTree:
             stack.extend(reversed(v.children))
 
     def labels(self) -> frozenset[int]:
-        # a plain stack loop: theta checks this on every tree it maps
         out = []
         stack = [self]
         while stack:
@@ -392,10 +393,16 @@ class TreeEnumerator:
         labels, roots = self._checked(labels, root)
         return chain.from_iterable(map(self.trees_rooted, repeat(labels), roots))
 
+    def root_forests(self, labels: Iterable[int],
+                     root: int | None = None) -> Iterator[tuple[PlaneTree, ...]]:
+        """The forest under the root of each tree ``trees(labels, root)``
+        streams, in the same order, without building the root nodes."""
+        labels, roots = self._checked(labels, root)
+        return chain.from_iterable(self.forests(labels - {r}) for r in roots)
+
     def count_trees(self, labels: Iterable[int], root: int | None = None) -> int:
         """How many trees ``trees(labels, root)`` streams, without building their roots."""
-        labels, roots = self._checked(labels, root)
-        return sum(sum(1 for _ in self.forests(labels - {r})) for r in roots)
+        return sum(1 for _ in self.root_forests(labels, root))
 
 
 # -- generating polynomials -----------------------------------------------------
@@ -485,11 +492,19 @@ def leaf_set_count(n: int, k: int) -> int:
 
 
 def leaf_profile(n: int, enumerator: TreeEnumerator | None = None) -> dict[int, int]:
-    """Map leaf count -> number of labeled plane trees on [n] with that many leaves."""
+    """Map leaf count -> number of labeled plane trees on [n] with that many leaves.
+
+    A tree's leaf count is read from the forest under its root, as
+    ``count_trees`` reads it, so no root node is built: the components' leaf
+    counts summed, or 1 for the single vertex (an empty forest)."""
     enum = enumerator or TreeEnumerator()
     profile: dict[int, int] = {}
-    for tree in enum.trees(range(1, n + 1)):
-        profile[tree.leaf_count] = profile.get(tree.leaf_count, 0) + 1
+    for forest in enum.root_forests(range(1, n + 1)):
+        leaves = 0
+        for c in forest:
+            leaves += c.leaf_count
+        leaves = leaves or 1
+        profile[leaves] = profile.get(leaves, 0) + 1
     return dict(sorted(profile.items()))
 
 

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import time
+
 import pytest
 
 from ramapoly import fixtures
@@ -158,3 +162,147 @@ def test_json_round_trip(example_pair):
         hm.node_from_obj({"kind": "white", "children": []})
     with pytest.raises(ValueError):
         hm.forest_from_obj({})
+
+
+def reference_hm_stats(forest):
+    """hm_stats as a recursive walk over the half-mobile definitions: the
+    reference the cached per-node counts are checked against."""
+    imp = 0
+    bdeg = 0
+
+    def walk_white(u):
+        nonlocal imp, bdeg
+        for c in u.children:
+            if c.is_white:
+                if u.label > c.beta:
+                    imp += 1
+                walk_white(c)
+            else:
+                bdeg += len(c.children) - 1
+                if u.label > c.children[-1].beta:
+                    imp += 1
+                for w in c.children:
+                    walk_white(w)
+
+    for comp in forest.components:
+        if comp.is_white:
+            walk_white(comp)
+        else:
+            # a black component root has no labeled father: its rightmost
+            # edge is proper
+            bdeg += len(comp.children) - 1
+            for w in comp.children:
+                walk_white(w)
+    return hm.HmStats(imp=imp, tree=len(forest.components), bdeg=bdeg)
+
+
+def test_cached_stats_match_reference_walk(enum):
+    for n in range(1, 6):
+        for forest in hm.enumerate_hm(n, enumerator=enum):
+            assert hm.hm_stats(forest) == reference_hm_stats(forest), forest
+    for n in range(1, 5):
+        for forest in hm.enumerate_hm_direct(n):
+            assert hm.hm_stats(forest) == reference_hm_stats(forest), forest
+
+
+def test_cached_stats_on_hand_built_forests(example_pair):
+    _, forest = example_pair
+    assert hm.hm_stats(forest) == reference_hm_stats(forest)
+    # improper edges to a black child are read at its last child
+    comp = hm.white(3, hm.black(hm.white(4), hm.white(1)), hm.white(2))
+    forest = hm.HalfMobileForest.build([comp])
+    assert hm.validate(forest) is None
+    assert hm.hm_stats(forest) == reference_hm_stats(forest) == hm.HmStats(2, 1, 1)
+    # forests that fail validate but that the walk still reads: a black child
+    # not rotated (its last child lacks the minimal beta), a repeated label
+    for comp in (hm.HmNode(3, (hm.HmNode(None, (hm.white(1), hm.white(4))),)),
+                 hm.HmNode(None, (hm.white(2), hm.white(3, hm.white(1)), hm.white(1))),
+                 hm.white(2, hm.white(2), hm.black(hm.white(2), hm.white(3)))):
+        forest = hm.HalfMobileForest((comp,))
+        assert hm.validate(forest) is not None
+        assert hm.hm_stats(forest) == reference_hm_stats(forest), comp
+
+
+def test_malformed_nodes_build():
+    empty_black = hm.HmNode(None, ())
+    assert (empty_black.beta, empty_black.imp_sub) == (None, 0)
+    nodes = [
+        empty_black,
+        hm.HmNode(3, (empty_black,)),                               # black child, no children
+        hm.HmNode(None, (hm.white(2), hm.HmNode(None, (hm.white(3), hm.white(1))))),
+        hm.HmNode(4, (hm.HmNode(None, (hm.white(2), empty_black)),)),  # black last child
+        hm.HmNode(5, (hm.HmNode(None, (empty_black, empty_black)),)),
+        hm.HmNode(None, (hm.HmNode(None, (empty_black,)),)),
+    ]
+    for comp in nodes:
+        assert isinstance(comp.imp_sub, int) and isinstance(comp.bdeg_sub, int)
+        forest = hm.HalfMobileForest((comp,))
+        assert hm.validate(forest) is not None
+        hm.hm_stats(forest)
+
+
+BAD_LABEL_TREES = {
+    "duplicate": node(1, node(2), node(2)),
+    "above-size": node(1, node(2, node(4))),
+    "huge": node(1, node(10 ** 9)),
+    "huge-deep": node(1, node(2, node(3, node(10 ** 9)))),
+    "zero": node(1, node(0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_LABEL_TREES))
+def test_theta_rejects_bad_label_sets(enum, name):
+    tree = BAD_LABEL_TREES[name]
+    memo = {}
+    for t in enum.trees(range(1, 7), root=1):  # a memo already holding small subtrees
+        hm.theta(t, _memo=memo)
+    for kwargs in ({}, {"_memo": {}}, {"_memo": memo}):
+        with pytest.raises(ValueError, match=r"^theta needs the label set \{1, \.\.\., n\+1\}$"):
+            hm.theta(tree, **kwargs)
+    with pytest.raises(ValueError, match="theta needs root 1, got root 2"):
+        hm.theta(node(2, node(1), node(10 ** 9)))
+
+
+def test_theta_huge_label_is_rejected_promptly():
+    start = time.perf_counter()
+    for _ in range(100):
+        with pytest.raises(ValueError):
+            hm.theta(node(1, node(10 ** 9), node(2)))
+        with pytest.raises(ValueError):
+            hm.theta(node(1, node(2), node(10 ** 18)), _memo={})
+    assert time.perf_counter() - start < 1.0
+
+
+def test_theta_memo_reused_across_n(enum):
+    memo = {}
+    for n in (5, 2, 4, 1, 3):
+        for tree in enum.trees(range(1, n + 2), root=1):
+            assert hm.theta(tree, _memo=memo) == hm.theta(tree)
+    # every leaf on up to 6 labels is in the memo now, with its label mask;
+    # a hit must not let a label above the size through
+    assert node(6) in memo
+    for tree in (node(1, node(6)), node(1, node(2), node(5)), node(1, node(3, node(2)), node(3))):
+        with pytest.raises(ValueError, match="label set"):
+            hm.theta(tree, _memo=memo)
+    assert hm.theta(node(1, node(2)), _memo=memo) == hm.HalfMobileForest((hm.white(1),))
+
+
+def test_enumerate_hm_output_is_pinned(enum):
+    digest = hashlib.sha256()
+    count = 0
+    for forest in hm.enumerate_hm(5, enumerator=enum):
+        digest.update((json.dumps(forest.to_obj(), sort_keys=True) + "\n").encode())
+        count += 1
+    assert count == 5040
+    assert digest.hexdigest() == (
+        "c2fc25d61e6e7ab350132d6f6343b01ceea6bfe2e799a826ff66173e8908224c")
+
+
+def test_enumerate_hm_reports_a_collision(monkeypatch, enum):
+    # a theta that maps two trees to one forest must stop the enumeration
+    real = hm.theta
+    monkeypatch.setattr(hm, "theta", lambda tree, **kw: real(node(1, node(2)), **kw))
+    stream = hm.enumerate_hm(2, enumerator=enum)
+    assert next(stream) == hm.HalfMobileForest((hm.white(1),))
+    with pytest.raises(RuntimeError, match="theta collision on"):
+        next(stream)

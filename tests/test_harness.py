@@ -279,12 +279,16 @@ DEEP_TREE = '{"label": 1, "children": [' * 900 + '{"label": 2}' + ']}' * 900
     (["enumerate", "--n", "3", "--root", "7"], None),
     (["enumerate", "--n", "10", "--root", "11"], None),
     (["enumerate", "--n", "3", "--improper", "1", "--really-improper", "0"], None),
+    (["bijection", "--map", "theta"],
+     '{"label": 1, "children": [{"label": 2, "children": [{"label": 4}]}]}'),
+    (["bijection", "--map", "theta"], '{"label": 1, "children": [{"label": 1000000000}]}'),
 ], ids=["tree-bool-label", "tree-deep-stats", "tree-deep-theta", "hm-bool-label",
         "word-bool", "perm-bool", "perm-not-array", "k-negative", "k-at-n", "jobs-zero",
         "tree-children-not-list", "hm-component-not-mapping", "hm-components-not-list",
         "hm-children-not-list", "qn-zero", "qn-above-cap", "qnk-zero", "qnk-above-cap",
         "table-zero", "table-above-cap", "enum-n-zero", "enum-root-outside",
-        "enum-root-outside-above-cap", "enum-both-improper-filters"])
+        "enum-root-outside-above-cap", "enum-both-improper-filters",
+        "theta-label-above-size", "theta-label-huge"])
 def test_cli_rejects_bad_input(tmp_path, capsys, argv, content):
     if content is not None:
         path = tmp_path / "input.json"

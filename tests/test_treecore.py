@@ -392,3 +392,38 @@ def test_enumerate_text_output_is_pinned(capsys):
     assert out.count("\n") == 30240
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "dd709b161ad17c2960aa2940f6807e3eed9b4ea32b942baa6d45f4d6ce79478d")
+
+
+def recount_leaf_profile(enum, m):
+    profile = {}
+    for t in enum.trees(labels(m)):
+        profile[t.leaf_count] = profile.get(t.leaf_count, 0) + 1
+    return dict(sorted(profile.items()))
+
+
+def test_leaf_profile_matches_per_tree_recount(enum):
+    for m in range(1, 7):
+        assert tc.leaf_profile(m, enum) == recount_leaf_profile(enum, m), m
+    assert tc.leaf_profile(1, enum) == {1: 1}
+
+
+def test_leaf_profile_with_streamed_forests(monkeypatch):
+    monkeypatch.setattr(tc, "MEMO_LIMIT", 2)
+    enum = TreeEnumerator()
+    for m in range(1, 7):
+        assert tc.leaf_profile(m, enum) == recount_leaf_profile(enum, m), m
+
+
+def test_root_forests_are_the_streamed_trees_children(enum):
+    for m in range(1, 6):
+        for root in (None, 1, m):
+            want = [t.children for t in enum.trees(labels(m), root)]
+            assert list(enum.root_forests(labels(m), root)) == want, (m, root)
+
+
+def test_enumerate_count_only_matches_stream(capsys):
+    for argv in (["--n", "5"], ["--n", "5", "--root", "3"], ["--n", "1"]):
+        assert cli.main(["enumerate", *argv, "--count-only"]) == 0
+        counted = capsys.readouterr().out
+        assert cli.main(["enumerate", *argv]) == 0
+        assert counted == f"{capsys.readouterr().out.count(chr(10))}\n"
