@@ -17,7 +17,7 @@
 from __future__ import annotations
 
 from itertools import permutations as iter_permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .treecore import PlaneTree, right_to_left_minima
 
@@ -130,43 +130,61 @@ def phi_inv(tree: PlaneTree) -> PlaneTree:
 
 
 # -- contraction and equivalences ----------------------------------------------
+# Each map below edits one vertex: ``_path`` finds it without recursion and
+# ``_graft`` rebuilds only its ancestors, sharing every other subtree.
+
+
+def _path(tree: PlaneTree, label: int) -> list[tuple[PlaneTree, int | None]] | None:
+    """The vertices from the root down to the one labelled ``label``, each with
+    the index of the child the path takes next (None at the last), or None when
+    no vertex carries ``label``."""
+    up: dict[int, tuple[PlaneTree, int]] = {}
+    stack = [tree]
+    while stack:
+        v = stack.pop()
+        if v.label == label:
+            path = [(v, None)]
+            while v.label in up:
+                v, idx = up[v.label]
+                path.append((v, idx))
+            path.reverse()
+            return path
+        for idx, c in enumerate(v.children):
+            up[c.label] = (v, idx)
+        stack.extend(v.children)
+    return None
+
+
+def _graft(path: list[tuple[PlaneTree, int | None]], new: PlaneTree) -> PlaneTree:
+    """The tree at the head of ``path`` with the path's last vertex replaced by
+    ``new``; only the vertices on the path are rebuilt."""
+    for v, idx in reversed(path[:-1]):
+        new = PlaneTree(v.label, v.children[:idx] + (new,) + v.children[idx + 1:])
+    return new
 
 
 def contract(tree: PlaneTree, i: int, j: int) -> PlaneTree:
     """(i, j)-contraction: remove child j of i, splicing j's children into
     its slot with all orders preserved."""
-
-    found = False
-
-    def rebuild(v: PlaneTree) -> PlaneTree:
-        nonlocal found
-        if v.label == i:
-            new_children: list[PlaneTree] = []
-            for c in v.children:
-                if c.label == j:
-                    found = True
-                    new_children.extend(c.children)
-                else:
-                    new_children.append(rebuild(c))
-            return PlaneTree(i, new_children)
-        return PlaneTree(v.label, [rebuild(c) for c in v.children])
-
-    result = rebuild(tree)
-    if not found:
+    path = _path(tree, j)
+    if path is None or len(path) < 2 or path[-2][0].label != i:
         raise ValueError(f"tree has no edge ({i}, {j})")
-    return result
+    (parent, idx), (child, _) = path[-2:]
+    spliced = parent.children[:idx] + child.children + parent.children[idx + 1:]
+    return _graft(path[:-1], PlaneTree(i, spliced))
 
 
 def has_edge(tree: PlaneTree, i: int, j: int) -> bool:
-    return (i, j) in set(tree.edges())
+    path = _path(tree, j)
+    return path is not None and len(path) > 1 and path[-2][0].label == i
 
 
 def _forget_order_at(tree: PlaneTree, i: int) -> PlaneTree:
-    if tree.label == i:
-        children = sorted(tree.children, key=lambda c: c.label)
-    else:
-        children = tree.children
-    return PlaneTree(tree.label, [_forget_order_at(c, i) for c in children])
+    path = _path(tree, i)
+    if path is None:
+        return tree
+    target = path[-1][0]
+    return _graft(path, PlaneTree(i, sorted(target.children, key=lambda c: c.label)))
 
 
 def equivalent(t1: PlaneTree, t2: PlaneTree, mode: int | tuple[int, int]) -> bool:
@@ -181,54 +199,30 @@ def equivalent(t1: PlaneTree, t2: PlaneTree, mode: int | tuple[int, int]) -> boo
 
 def i_class(tree: PlaneTree, i: int) -> list[PlaneTree]:
     """All trees obtained by reordering the children of vertex i."""
-
-    target = tree.find(i)
-    if target is None:
+    path = _path(tree, i)
+    if path is None:
         raise ValueError(f"no vertex {i}")
-
-    def rebuild(v: PlaneTree, new_target: PlaneTree) -> PlaneTree:
-        if v.label == i:
-            return new_target
-        return PlaneTree(v.label, [rebuild(c, new_target) for c in v.children])
-
-    out = []
-    for order in iter_permutations(target.children):
-        out.append(rebuild(tree, PlaneTree(i, order)))
-    return out
+    return [_graft(path, PlaneTree(i, order))
+            for order in iter_permutations(path[-1][0].children)]
 
 
 def ij_class(tree: PlaneTree, i: int, j: int) -> list[PlaneTree]:
     """The full (i, j)-equivalence class of a tree containing the edge (i, j).
 
     Members are the contraction preimages of the i-equivalence class of the
-    contracted tree: pick a consecutive run of i's children to hand to j and
-    put j in that slot.
+    contracted tree: for each order of i's children, pick a consecutive run
+    of them to hand to j and put j in that slot.  The order and the run can
+    be read back from a member, so no member is produced twice.
     """
     contracted = contract(tree, i, j)
-
-    def expansions(base: PlaneTree) -> Iterator[PlaneTree]:
-        spot = base.find(i)
-        assert spot is not None
-        m = len(spot.children)
-
-        def rebuild(v: PlaneTree, replacement: PlaneTree) -> PlaneTree:
-            if v.label == i:
-                return replacement
-            return PlaneTree(v.label, [rebuild(c, replacement) for c in v.children])
-
+    path = _path(contracted, i)
+    out = []
+    for order in iter_permutations(path[-1][0].children):
+        m = len(order)
         for lo in range(m + 1):
             for hi in range(lo, m + 1):
-                j_node = PlaneTree(j, spot.children[lo:hi])
-                new_i = PlaneTree(i, spot.children[:lo] + (j_node,) + spot.children[hi:])
-                yield rebuild(base, new_i)
-
-    seen = set()
-    out = []
-    for base in i_class(contracted, i):
-        for candidate in expansions(base):
-            if candidate not in seen:
-                seen.add(candidate)
-                out.append(candidate)
+                new_i = PlaneTree(i, order[:lo] + (PlaneTree(j, order[lo:hi]),) + order[hi:])
+                out.append(_graft(path, new_i))
     return out
 
 
@@ -249,21 +243,14 @@ def root_swap(tree: PlaneTree, old_root: int = 1, new_root: int = 2) -> PlaneTre
     """
     if tree.label != old_root:
         raise ValueError(f"tree is rooted at {tree.label}, expected {old_root}")
-    other = tree.find(new_root)
-    if other is None:
+    path = _path(tree, new_root)
+    if path is None:
         raise ValueError(f"no vertex {new_root}")
     if tree.label == new_root:
         raise ValueError("roots must differ")
 
-    pivot = next(idx for idx, c in enumerate(tree.children)
-                 if c.find(new_root) is not None)
+    pivot = path[0][1]
     moved = tree.children[pivot + 1:]
-
-    def rebuild(v: PlaneTree) -> PlaneTree:
-        if v.label == new_root:
-            return PlaneTree(new_root, moved)
-        return PlaneTree(v.label, [rebuild(c) for c in v.children])
-
-    kept = [rebuild(c) for c in tree.children[:pivot + 1]]
-    swapped = PlaneTree(old_root, kept + list(other.children))
+    kept = tree.children[:pivot] + (_graft(path[1:], PlaneTree(new_root, moved)),)
+    swapped = PlaneTree(old_root, kept + path[-1][0].children)
     return _swap_labels(swapped, old_root, new_root)

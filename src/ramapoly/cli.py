@@ -47,13 +47,13 @@ def _check_symbolic_n(flag: str, n: int) -> None:
         raise ValueError(f"{flag} must satisfy 1 <= n <= {qpolys.MAX_SYMBOLIC_N}, got {n}")
 
 
-def cmd_qn(args, parser) -> int:
+def cmd_qn(args) -> int:
     _check_symbolic_n("--n", args.n)
     print(qpolys.q_n(args.n).render())
     return 0
 
 
-def cmd_qnk(args, parser) -> int:
+def cmd_qnk(args) -> int:
     _check_symbolic_n("--n", args.n)
     if args.k is not None and not 0 <= args.k < args.n:
         raise ValueError(f"--k must satisfy 0 <= k < n = {args.n}, got {args.k}")
@@ -64,7 +64,7 @@ def cmd_qnk(args, parser) -> int:
     return 0
 
 
-def cmd_table(args, parser) -> int:
+def cmd_table(args) -> int:
     _check_symbolic_n("--max-n", args.max_n)
     shifted = args.which == "q2"
     for n in range(1, args.max_n + 1):
@@ -80,7 +80,7 @@ def cmd_table(args, parser) -> int:
 # -- enumeration ------------------------------------------------------------------
 
 
-def cmd_enumerate(args, parser) -> int:
+def cmd_enumerate(args) -> int:
     if args.improper is not None and args.really_improper is not None:
         raise ValueError("give at most one of --improper and --really-improper")
     enum = treecore.TreeEnumerator(treecore.label_cap(args.max_labels, "--max-labels"))
@@ -101,7 +101,7 @@ def cmd_enumerate(args, parser) -> int:
     return 0
 
 
-def cmd_stats(args, parser) -> int:
+def cmd_stats(args) -> int:
     tree = treecore.tree_from_obj(_load_json(args.input))
     st = treecore.stats(tree)
     _emit({
@@ -123,7 +123,7 @@ def cmd_stats(args, parser) -> int:
 # -- bijections --------------------------------------------------------------------
 
 
-def cmd_bijection(args, parser) -> int:
+def cmd_bijection(args) -> int:
     data = _load_json(args.input)
     name = args.map
     if name in ("psi", "psi-inv") and not isinstance(data, list):
@@ -141,14 +141,14 @@ def cmd_bijection(args, parser) -> int:
         _emit(bijections.phi(treecore.tree_from_obj(data)).to_obj())
     elif name == "contract":
         if args.i is None or args.j is None:
-            parser.error("contract needs --i and --j")
+            raise ValueError("contract needs --i and --j")
         _emit(bijections.contract(treecore.tree_from_obj(data), args.i, args.j).to_obj())
     elif name == "root-swap":
         old = 1 if args.i is None else args.i
         new = 2 if args.j is None else args.j
         _emit(bijections.root_swap(treecore.tree_from_obj(data), old, new).to_obj())
     else:  # pragma: no cover - argparse choices guard this
-        parser.error(f"unknown map {name!r}")
+        raise ValueError(f"unknown map {name!r}")
     return 0
 
 
@@ -175,7 +175,7 @@ def parse_config(path: str) -> dict[str, dict[str, int]]:
     return overrides
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args) -> int:
     if args.list:
         for name, entry in harness.REGISTRY.items():
             defaults = " ".join(f"{k}={v}" for k, v in entry.defaults.items())
@@ -189,15 +189,15 @@ def cmd_verify(args, parser) -> int:
             try:
                 harness.resolve(name)
             except KeyError:
-                parser.error(f"unknown identity {name!r} "
-                             f"(see `verify --list` for the registry)")
+                raise ValueError(f"unknown identity {name!r} "
+                                 f"(see `verify --list` for the registry)")
     overrides: dict[str, dict] = {}
     if args.config:
         for ident, params in parse_config(args.config).items():
             try:
                 canonical = harness.resolve(ident).name
             except KeyError:
-                parser.error(f"{args.config}: unknown identity {ident!r}")
+                raise ValueError(f"{args.config}: unknown identity {ident!r}")
             overrides.setdefault(canonical, {}).update(params)
     # bad bounds, caps and report paths stop the run before any identity starts
     for name in names:
@@ -207,6 +207,8 @@ def cmd_verify(args, parser) -> int:
             overrides.setdefault(entry.name, {})[main_bound[0]] = args.max_n
         harness.identity_params(name, overrides.get(entry.name))
     treecore.label_cap()
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
     report_file = open(args.report, "a") if args.report else None
     try:
         reports = harness.run_suite(names, overrides, jobs=args.jobs)
@@ -312,7 +314,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except BoundExceeded as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         return 1

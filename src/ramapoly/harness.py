@@ -23,7 +23,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import permutations as iter_permutations
+from itertools import islice, permutations as iter_permutations
 from math import comb, factorial
 from typing import Callable, Iterator
 
@@ -389,11 +389,24 @@ def run_cor_roots(max_n: int = 6) -> Iterator[Outcome]:
 def run_lemma_4_2(instances: int = 200, max_n: int = 6, seed: int = 20260811) -> Iterator[Outcome]:
     rng = random.Random(seed)
     enum = treecore.TreeEnumerator()
-    pools = {n: list(enum.trees(range(1, n + 1))) for n in range(4, max_n + 1)}
-    for trial in range(instances):
-        n = rng.choice(sorted(pools))
-        tree = rng.choice(pools[n])
-        i, j = rng.choice(tree.edges())
+    sizes = list(range(4, max_n + 1))
+    counts = {n: enum.count_trees(range(1, n + 1)) for n in sizes}
+    # Every tree on [n] has n - 1 edges, so no draw needs a tree: each makes
+    # the random calls that choosing from the list of every tree on [n], and
+    # then from the drawn tree's edges, made.  One stream pass per size then
+    # keeps only the drawn trees.
+    draws = []
+    for _ in range(instances):
+        n = rng.choice(sizes)
+        draws.append((n, rng.randrange(counts[n]), rng.randrange(n - 1)))
+    drawn = {}
+    for n in sizes:
+        wanted = {rank for m, rank, _ in draws if m == n}
+        stream = islice(enum.trees(range(1, n + 1)), max(wanted, default=-1) + 1)
+        drawn.update(((n, rank), tree) for rank, tree in enumerate(stream) if rank in wanted)
+    for trial, (n, rank, edge) in enumerate(draws):
+        tree = drawn[n, rank]
+        i, j = tree.edges()[edge]
         uni = treecore.multivar_universe(range(1, n + 1))
         pos = {lab: idx for idx, lab in enumerate(range(1, n + 1))}
         t = Poly.var(uni, "t")

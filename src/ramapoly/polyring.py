@@ -115,12 +115,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def coefficient(self, exps: Exponents) -> int:
         return self.terms.get(tuple(exps), 0)
 

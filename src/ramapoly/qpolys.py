@@ -5,7 +5,7 @@ Families, all with exact integer coefficients:
 * ``q_n(n)``: the four-variable sequence defined by Q_1 = 1 and
   Q_{n+1} = [x + n z + (y + t)(n + y d/dy)] Q_n.
 * ``q_nk(n, k)``: the coefficient triangle of Q_n(x, y, 1, t) in powers of y,
-  computed by its own two-term recurrence (memoized in a :class:`QTable`);
+  computed by its own two-term recurrence and memoized per (n, k);
   ``shifted=True`` gives Q_{n,k}(x - t - 1, t).
 * ``p_n(n)``: the classical two-variable specialization (z=1, t=0 recurrence).
 * ``r_n(n)``: the one-variable sequence with R_{n+1} = [n(1+y) + y^2 d/dy] R_n.
@@ -18,6 +18,7 @@ the operator identities, and the Chu-Vandermonde variant).
 
 from __future__ import annotations
 
+from functools import partial
 from math import comb
 from typing import Callable
 
@@ -29,6 +30,9 @@ P_VARS = ("x", "y")
 R_VARS = ("y",)
 
 MAX_SYMBOLIC_N = 64
+
+_X, _Y, _Z, _T = (Poly.var(Q_VARS, v) for v in Q_VARS)
+_KX, _KT = (Poly.var(QK_VARS, v) for v in QK_VARS)
 
 
 class BoundExceeded(RuntimeError):
@@ -57,99 +61,66 @@ def odd_double_factorial(m: int) -> int:
 
 # -- the polynomial families -------------------------------------------------
 
-_q_seq: list[Poly] = []
-_p_seq: list[Poly] = []
-_r_seq: list[Poly] = []
+_q_seq = [Poly.const(Q_VARS, 1)]
+_p_seq = [Poly.const(P_VARS, 1)]
+_r_seq = [Poly.const(R_VARS, 1)]
+
+
+def _extend(seq: list[Poly], n: int, step: Callable[[Poly, int], Poly]) -> Poly:
+    """seq[n - 1], appending step(seq[m - 1], m) for each missing seq[m]."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    while len(seq) < n:
+        seq.append(step(seq[-1], len(seq)))
+    return seq[n - 1]
 
 
 def q_n(n: int) -> Poly:
     """Q_n in the four variables x, y, z, t."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not _q_seq:
-        _q_seq.append(Poly.const(Q_VARS, 1))
-    x = Poly.var(Q_VARS, "x")
-    z = Poly.var(Q_VARS, "z")
-    y = Poly.var(Q_VARS, "y")
-    t = Poly.var(Q_VARS, "t")
-    while len(_q_seq) < n:
-        m = len(_q_seq)          # _q_seq[m-1] = Q_m; build Q_{m+1}
-        prev = _q_seq[m - 1]
-        _q_seq.append((x + z * m) * prev + (y + t) * prev.shifted_derivative("y", m))
-    return _q_seq[n - 1]
+    return _extend(_q_seq, n, lambda prev, m:
+                   (_X + _Z * m) * prev + (_Y + _T) * prev.shifted_derivative("y", m))
 
 
 def p_n(n: int) -> Poly:
     """The two-variable specialization: P_{n+1} = [x + n + y(n + y d/dy)] P_n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not _p_seq:
-        _p_seq.append(Poly.const(P_VARS, 1))
-    x = Poly.var(P_VARS, "x")
-    y = Poly.var(P_VARS, "y")
-    while len(_p_seq) < n:
-        m = len(_p_seq)
-        prev = _p_seq[m - 1]
-        _p_seq.append((x + m) * prev + y * prev.shifted_derivative("y", m))
-    return _p_seq[n - 1]
+    x, y = (Poly.var(P_VARS, v) for v in P_VARS)
+    return _extend(_p_seq, n, lambda prev, m:
+                   (x + m) * prev + y * prev.shifted_derivative("y", m))
 
 
 def r_n(n: int) -> Poly:
     """The one-variable sequence: R_{n+1} = [n(1 + y) + y^2 d/dy] R_n."""
+    y = Poly.var(R_VARS, "y")
+    return _extend(_r_seq, n, lambda prev, m:
+                   prev * m + y * prev * m + y * y * prev.derivative("y"))
+
+
+# Memoized triangles, plain and shifted; entry (1, 0) is 1.  The shifted
+# triangle Q_{n,k}(x - t - 1, t) has its own recurrence: the substitution is a
+# ring homomorphism, so pushing it through the plain recurrence turns the
+# factor x + n - 1 + t(n + k - 1) into x + n - 2 + t(n + k - 2) and leaves
+# everything else alone.
+_qk_plain = {(1, 0): Poly.const(QK_VARS, 1)}
+_qk_shifted = {(1, 0): Poly.const(QK_VARS, 1)}
+
+
+def _entry(memo: dict[tuple[int, int], Poly], n: int, k: int, lag: int) -> Poly:
+    """Q_{n,k} = (x + n - lag + t(n + k - lag)) Q_{n-1,k} + (n + k - 2) Q_{n-1,k-1}."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not _r_seq:
-        _r_seq.append(Poly.const(R_VARS, 1))
-    y = Poly.var(R_VARS, "y")
-    while len(_r_seq) < n:
-        m = len(_r_seq)
-        prev = _r_seq[m - 1]
-        _r_seq.append(prev * m + y * prev * m + y * y * prev.derivative("y"))
-    return _r_seq[n - 1]
-
-
-class QTable:
-    """Memoized triangle of the coefficient polynomials in {x, t}.
-
-    Entry (1, 0) is 1; entries with k >= n or k < 0 are zero by definition.
-    The shifted triangle Q_{n,k}(x - t - 1, t) has its own recurrence: the
-    substitution is a ring homomorphism, so pushing it through the plain
-    recurrence turns the factor x + n - 1 + t(n + k - 1) into
-    x + n - 2 + t(n + k - 2) and leaves everything else alone.
-    """
-
-    def __init__(self):
-        self._plain: dict[tuple[int, int], Poly] = {(1, 0): Poly.const(QK_VARS, 1)}
-        self._shifted: dict[tuple[int, int], Poly] = {(1, 0): Poly.const(QK_VARS, 1)}
-
-    def get(self, n: int, k: int) -> Poly:
-        return self._entry(self._plain, n, k, 1)
-
-    def get_shifted(self, n: int, k: int) -> Poly:
-        return self._entry(self._shifted, n, k, 2)
-
-    def _entry(self, memo: dict[tuple[int, int], Poly], n: int, k: int, lag: int) -> Poly:
-        """Q_{n,k} = (x + n - lag + t(n + k - lag)) Q_{n-1,k} + (n + k - 2) Q_{n-1,k-1}."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if k < 0 or k >= n:
-            return Poly.zero(QK_VARS)
-        key = (n, k)
-        if key not in memo:
-            x = Poly.var(QK_VARS, "x")
-            t = Poly.var(QK_VARS, "t")
-            head = (x + (n - lag) + t * (n + k - lag)) * self._entry(memo, n - 1, k, lag)
-            tail = self._entry(memo, n - 1, k - 1, lag) * (n + k - 2)
-            memo[key] = head + tail
-        return memo[key]
-
-
-_default_table = QTable()
+    if k < 0 or k >= n:
+        return Poly.zero(QK_VARS)
+    key = (n, k)
+    if key not in memo:
+        head = (_KX + (n - lag) + _KT * (n + k - lag)) * _entry(memo, n - 1, k, lag)
+        tail = _entry(memo, n - 1, k - 1, lag) * (n + k - 2)
+        memo[key] = head + tail
+    return memo[key]
 
 
 def q_nk(n: int, k: int, shifted: bool = False) -> Poly:
-    """Q_{n,k}(x, t), or Q_{n,k}(x - t - 1, t) when shifted."""
-    return _default_table.get_shifted(n, k) if shifted else _default_table.get(n, k)
+    """Q_{n,k}(x, t), or Q_{n,k}(x - t - 1, t) when shifted; zero unless 0 <= k < n."""
+    return _entry(_qk_shifted, n, k, 2) if shifted else _entry(_qk_plain, n, k, 1)
 
 
 # -- closed-form products ----------------------------------------------------
@@ -158,17 +129,14 @@ def closed_form(name: str, n: int) -> Poly:
     """Expanded product formulas, all in the four-variable universe."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    x = Poly.var(Q_VARS, "x")
-    z = Poly.var(Q_VARS, "z")
-    t = Poly.var(Q_VARS, "t")
     if name == "special2":
-        return poly_prod((x + z * k for k in range(1, n)), Q_VARS)
+        return poly_prod((_X + _Z * k for k in range(1, n)), Q_VARS)
     if name == "factor":
-        return poly_prod((x + z * k + t * k for k in range(1, n)), Q_VARS)
+        return poly_prod((_X + _Z * k + _T * k for k in range(1, n)), Q_VARS)
     if name == "qnxt":
-        return poly_prod((x + z * n + t * k for k in range(1, n)), Q_VARS)
+        return poly_prod((_X + _Z * n + _T * k for k in range(1, n)), Q_VARS)
     if name == "gessel-seo":
-        return x * poly_prod((x + z * (n - k) + t * k for k in range(1, n)), Q_VARS)
+        return _X * poly_prod((_X + _Z * (n - k) + _T * k for k in range(1, n)), Q_VARS)
     raise ValueError(f"unknown closed form {name!r}")
 
 
@@ -186,43 +154,37 @@ def mismatch(lhs: Poly | int, rhs: Poly | int) -> Witness:
 
 def _duality(n: int) -> Witness:
     q = q_n(n)
-    x = Poly.var(Q_VARS, "x")
-    z = Poly.var(Q_VARS, "z")
-    t = Poly.var(Q_VARS, "t")
-    return mismatch(q, q.substitute({"x": x + z * n + t * n, "z": -t, "t": -z}))
+    return mismatch(q, q.substitute({"x": _X + _Z * n + _T * n, "z": -_T, "t": -_Z}))
 
 
 def _expansion(n: int) -> Witness:
     lhs = q_n(n).substitute({"z": 1})
-    y = Poly.var(Q_VARS, "y")
     rhs = Poly.zero(Q_VARS)
     for k in range(n):
-        rhs = rhs + q_nk(n, k).extend(Q_VARS) * y ** k
+        rhs = rhs + q_nk(n, k).extend(Q_VARS) * _Y ** k
     return mismatch(lhs, rhs)
 
 
 def _specialization(name: str, n: int) -> Witness:
-    subs = {"special2": {"t": -Poly.var(Q_VARS, "y")},
+    subs = {"special2": {"t": -_Y},
             "factor": {"y": 0},
-            "qnxt": {"y": Poly.var(Q_VARS, "z")}}[name]
+            "qnxt": {"y": _Z}}[name]
     return mismatch(q_n(n).substitute(subs), closed_form(name, n))
 
 
 def _gessel_seo(n: int) -> Witness:
-    z = Poly.var(Q_VARS, "z")
-    t = Poly.var(Q_VARS, "t")
-    lhs = Poly.var(Q_VARS, "x") * q_n(n).substitute({"y": z, "t": t - z})
+    lhs = _X * q_n(n).substitute({"y": _Z, "t": _T - _Z})
     return mismatch(lhs, closed_form("gessel-seo", n))
 
 
-def _each_k(check: Callable[[int, int], Witness]) -> Callable[[int, int | None], Witness]:
-    """Lift a table identity at (n, k) to n: the given k, else the first
-    failing k < n.  The table identities start at n = 2."""
-    def run(n: int, k: int | None) -> Witness:
+def _each_k(check: Callable[[int, int], Witness]) -> Callable[[int], Witness]:
+    """Lift a table identity at (n, k) to n: the first failing k < n.  The
+    table identities start at n = 2."""
+    def run(n: int) -> Witness:
         if n < 2:
             return None
-        for kk in (range(n) if k is None else [k]):
-            witness = check(n, kk)
+        for k in range(n):
+            witness = check(n, k)
             if witness is not None:
                 return witness
         return None
@@ -231,26 +193,22 @@ def _each_k(check: Callable[[int, int], Witness]) -> Callable[[int, int | None],
 
 @_each_k
 def _rec2(n: int, k: int) -> Witness:
-    x = Poly.var(QK_VARS, "x")
-    t = Poly.var(QK_VARS, "t")
-    shift = {"x": x + t + 1}
-    rhs = (x - k + t + 1) * q_nk(n - 1, k).substitute(shift) \
+    shift = {"x": _KX + _KT + 1}
+    rhs = (_KX - k + _KT + 1) * q_nk(n - 1, k).substitute(shift) \
         + q_nk(n - 1, k - 1).substitute(shift) * (n + k - 2)
     return mismatch(q_nk(n, k), rhs)
 
 
 @_each_k
 def _rec3(n: int, k: int) -> Witness:
-    x = Poly.var(QK_VARS, "x")
-    rhs = (x - k) * q_nk(n - 1, k) + q_nk(n - 1, k - 1) * (n + k - 2)
+    rhs = (_KX - k) * q_nk(n - 1, k) + q_nk(n - 1, k - 1) * (n + k - 2)
     return mismatch(q_nk(n, k, shifted=True), rhs)
 
 
 @_each_k
 def _diff(n: int, k: int) -> Witness:
-    t = Poly.var(QK_VARS, "t")
     lhs = q_nk(n, k) - q_nk(n, k, shifted=True)
-    rhs = (t + 1) * q_nk(n - 1, k) * (n + k - 1)
+    rhs = (_KT + 1) * q_nk(n - 1, k) * (n + k - 1)
     return mismatch(lhs, rhs)
 
 
@@ -260,9 +218,7 @@ def _mainconj(n: int, k: int) -> Witness:
     # monomial by monomial; polynomial because deg Q_{n,k} <= n-k-1.
     p = q_nk(n, k)
     d = n - k - 1
-    x = Poly.var(QK_VARS, "x")
-    t = Poly.var(QK_VARS, "t")
-    base = x + n + t * n
+    base = _KX + n + _KT * n
     base_powers = [Poly.const(QK_VARS, 1)]  # base_powers[a] = base ** a
     for _ in range(d):
         base_powers.append(base_powers[-1] * base)
@@ -277,25 +233,21 @@ def _mainconj(n: int, k: int) -> Witness:
 
 
 def _operator_remark(n: int) -> Witness:
-    x = Poly.var(Q_VARS, "x")
-    z = Poly.var(Q_VARS, "z")
-    y = Poly.var(Q_VARS, "y")
-    t = Poly.var(Q_VARS, "t")
     f_n = q_n(n)
     f_next = q_n(n + 1)
-    shifted = f_next.substitute({"x": x - z - t})
+    shifted = f_next.substitute({"x": _X - _Z - _T})
     # F_{n+1}(x - z - t) == [x + nz + (y - z)(n + y d/dy)] F_n
-    rhs1 = (x + z * n) * f_n + (y - z) * f_n.shifted_derivative("y", n)
+    rhs1 = (_X + _Z * n) * f_n + (_Y - _Z) * f_n.shifted_derivative("y", n)
     # F_{n+1}(x) - F_{n+1}(x - z - t) == (z + t)(n + y d/dy) F_n
     witness = (mismatch(shifted, rhs1)
-               or mismatch(f_next - shifted, (z + t) * f_n.shifted_derivative("y", n)))
+               or mismatch(f_next - shifted, (_Z + _T) * f_n.shifted_derivative("y", n)))
     if witness is not None or n < 2:
         return witness
     # (y+t)(n + y d/dy)(n-1 + y d/dy) == (n-1 + y d/dy)[(y+t)(n + y d/dy) - y]
     # applied to F_{n-1}, the instance the inductive argument uses.
     f_prev = q_n(n - 1)
-    lhs = (y + t) * f_prev.shifted_derivative("y", n - 1).shifted_derivative("y", n)
-    inner = (y + t) * f_prev.shifted_derivative("y", n) - y * f_prev
+    lhs = (_Y + _T) * f_prev.shifted_derivative("y", n - 1).shifted_derivative("y", n)
+    inner = (_Y + _T) * f_prev.shifted_derivative("y", n) - _Y * f_prev
     return mismatch(lhs, inner.shifted_derivative("y", n - 1))
 
 
@@ -313,16 +265,15 @@ def _chu(n: int) -> Witness:
     return mismatch(lhs, rhs)
 
 
-# name -> check(n, k); only the table identities read k
-_CHECKS: dict[str, Callable[[int, int | None], Witness]] = {
-    "duality": lambda n, k: _duality(n),
-    "expansion": lambda n, k: _expansion(n),
-    "special2": lambda n, k: _specialization("special2", n),
-    "factor": lambda n, k: _specialization("factor", n),
-    "qnxt": lambda n, k: _specialization("qnxt", n),
-    "gessel-seo": lambda n, k: _gessel_seo(n),
-    "chu": lambda n, k: _chu(n),
-    "operator-remark": lambda n, k: _operator_remark(n),
+_CHECKS: dict[str, Callable[[int], Witness]] = {
+    "duality": _duality,
+    "expansion": _expansion,
+    "special2": partial(_specialization, "special2"),
+    "factor": partial(_specialization, "factor"),
+    "qnxt": partial(_specialization, "qnxt"),
+    "gessel-seo": _gessel_seo,
+    "chu": _chu,
+    "operator-remark": _operator_remark,
     "rec2": _rec2,
     "rec3": _rec3,
     "diff": _diff,
@@ -330,9 +281,9 @@ _CHECKS: dict[str, Callable[[int, int | None], Witness]] = {
 }
 
 
-def verify_identity(name: str, n: int, k: int | None = None) -> Witness:
-    """Check one named identity exactly at the given n (and k, for the table
-    identities rec2, rec3, diff and mainconj).
+def verify_identity(name: str, n: int) -> Witness:
+    """Check one named identity exactly at the given n (the table identities
+    rec2, rec3, diff and mainconj at every k < n).
 
     Returns None when it holds, else the failure witness; raises
     BoundExceeded above MAX_SYMBOLIC_N.
@@ -344,4 +295,4 @@ def verify_identity(name: str, n: int, k: int | None = None) -> Witness:
         raise ValueError("n must be >= 1")
     if n > MAX_SYMBOLIC_N:
         raise BoundExceeded(f"n > {MAX_SYMBOLIC_N}")
-    return check(n, k)
+    return check(n)

@@ -236,7 +236,6 @@ class TreeStats:
     deg: dict[int, int]
     eld_per_vertex: dict[int, int]
     young_per_vertex: dict[int, int]
-    reld_per_vertex: dict[int, int]
     ryoung_per_vertex: dict[int, int]
     elder_vertices: frozenset[int]
     really_elder_vertices: frozenset[int]
@@ -254,7 +253,6 @@ def stats(tree: PlaneTree) -> TreeStats:
     deg = {}
     eld = {}
     young = {}
-    reld = {}
     ryoung = {}
     elders = set()
     relders = set()
@@ -267,7 +265,6 @@ def stats(tree: PlaneTree) -> TreeStats:
         deg[v.label] = len(v.children)
         eld[v.label] = len(v.children) - v.young_self
         young[v.label] = v.young_self
-        reld[v.label] = len(v.children) - v.ryoung_self
         ryoung[v.label] = v.ryoung_self
         if not v.children:
             leaves.add(v.label)
@@ -287,7 +284,7 @@ def stats(tree: PlaneTree) -> TreeStats:
             elif v.label > c.beta:
                 rimproper.add((v.label, c.label))
     return TreeStats(beta=beta, deg=deg, eld_per_vertex=eld, young_per_vertex=young,
-                     reld_per_vertex=reld, ryoung_per_vertex=ryoung,
+                     ryoung_per_vertex=ryoung,
                      elder_vertices=frozenset(elders),
                      really_elder_vertices=frozenset(relders),
                      improper_edges=frozenset(improper),

@@ -5,7 +5,7 @@ import pytest
 from ramapoly import bijections as bij
 from ramapoly import fixtures
 from ramapoly.bijections import Permutation, psi, psi_inv, right_to_left_minima
-from ramapoly.treecore import node, stats, tree_from_obj
+from ramapoly.treecore import PlaneTree, node, stats, tree_from_obj
 
 
 def test_permutation_validation():
@@ -142,3 +142,168 @@ def test_root_swap_transport_and_involution(enum):
             if v not in (1, 2):
                 assert st_u.young_per_vertex[v] == st_t.young_per_vertex[v]
         assert bij.root_swap(u, 2, 1) == t
+
+
+# -- reference: the whole-tree recursive rebuilds that path copying replaced --
+
+
+def reference_contract(tree, i, j):
+    found = False
+
+    def rebuild(v):
+        nonlocal found
+        if v.label == i:
+            new_children = []
+            for c in v.children:
+                if c.label == j:
+                    found = True
+                    new_children.extend(c.children)
+                else:
+                    new_children.append(rebuild(c))
+            return PlaneTree(i, new_children)
+        return PlaneTree(v.label, [rebuild(c) for c in v.children])
+
+    result = rebuild(tree)
+    if not found:
+        raise ValueError(f"tree has no edge ({i}, {j})")
+    return result
+
+
+def reference_forget_order_at(tree, i):
+    if tree.label == i:
+        children = sorted(tree.children, key=lambda c: c.label)
+    else:
+        children = tree.children
+    return PlaneTree(tree.label, [reference_forget_order_at(c, i) for c in children])
+
+
+def reference_equivalent(t1, t2, mode):
+    if isinstance(mode, tuple):
+        i, j = mode
+        edges1, edges2 = set(t1.edges()), set(t2.edges())
+        if not ((i, j) in edges1 and (i, j) in edges2):
+            return False
+        return reference_equivalent(reference_contract(t1, i, j),
+                                    reference_contract(t2, i, j), i)
+    return reference_forget_order_at(t1, mode) == reference_forget_order_at(t2, mode)
+
+
+def reference_i_class(tree, i):
+    target = tree.find(i)
+    if target is None:
+        raise ValueError(f"no vertex {i}")
+
+    def rebuild(v, new_target):
+        if v.label == i:
+            return new_target
+        return PlaneTree(v.label, [rebuild(c, new_target) for c in v.children])
+
+    return [rebuild(tree, PlaneTree(i, order))
+            for order in iter_permutations(target.children)]
+
+
+def reference_ij_class(tree, i, j):
+    contracted = reference_contract(tree, i, j)
+
+    def expansions(base):
+        spot = base.find(i)
+        m = len(spot.children)
+
+        def rebuild(v, replacement):
+            if v.label == i:
+                return replacement
+            return PlaneTree(v.label, [rebuild(c, replacement) for c in v.children])
+
+        for lo in range(m + 1):
+            for hi in range(lo, m + 1):
+                j_node = PlaneTree(j, spot.children[lo:hi])
+                new_i = PlaneTree(i, spot.children[:lo] + (j_node,) + spot.children[hi:])
+                yield rebuild(base, new_i)
+
+    seen = set()
+    out = []
+    for base in reference_i_class(contracted, i):
+        for candidate in expansions(base):
+            if candidate not in seen:
+                seen.add(candidate)
+                out.append(candidate)
+    return out
+
+
+def reference_root_swap(tree, old_root=1, new_root=2):
+    if tree.label != old_root:
+        raise ValueError(f"tree is rooted at {tree.label}, expected {old_root}")
+    other = tree.find(new_root)
+    if other is None:
+        raise ValueError(f"no vertex {new_root}")
+    if tree.label == new_root:
+        raise ValueError("roots must differ")
+    pivot = next(idx for idx, c in enumerate(tree.children)
+                 if c.find(new_root) is not None)
+    moved = tree.children[pivot + 1:]
+
+    def rebuild(v):
+        if v.label == new_root:
+            return PlaneTree(new_root, moved)
+        return PlaneTree(v.label, [rebuild(c) for c in v.children])
+
+    kept = [rebuild(c) for c in tree.children[:pivot + 1]]
+    swapped = PlaneTree(old_root, kept + list(other.children))
+    return bij._swap_labels(swapped, old_root, new_root)
+
+
+def _outcome(f, *args):
+    """f's result, or the message of the ValueError it raised."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_path_copying_maps_match_reference(enum):
+    for n in range(1, 6):
+        labels = range(1, n + 1)
+        for t in enum.trees(labels):
+            for i in range(1, n + 2):   # label n + 1 is absent
+                assert bij._forget_order_at(t, i) == reference_forget_order_at(t, i)
+                assert _outcome(bij.i_class, t, i) == _outcome(reference_i_class, t, i)
+                assert (_outcome(bij.root_swap, t, t.label, i)
+                        == _outcome(reference_root_swap, t, t.label, i))
+                for j in range(1, n + 2):
+                    assert bij.has_edge(t, i, j) == ((i, j) in t.edges())
+                    assert _outcome(bij.contract, t, i, j) == _outcome(reference_contract, t, i, j)
+            for i, j in t.edges():
+                assert bij.ij_class(t, i, j) == reference_ij_class(t, i, j)
+            assert _outcome(bij.root_swap, t, t.label % n + 1, 1) == \
+                _outcome(reference_root_swap, t, t.label % n + 1, 1)
+
+
+def test_equivalent_matches_reference(enum):
+    # equivalent trees share their root, so pairs across roots only check
+    # the cheap False branch; pair within each root instead
+    for n in range(1, 5):
+        for root in range(1, n + 1):
+            trees = list(enum.trees(range(1, n + 1), root=root))
+            modes = list(range(1, n + 1)) + [(i, j) for i in range(1, n + 1)
+                                             for j in range(1, n + 1) if i != j]
+            for t1 in trees:
+                for t2 in trees:
+                    for mode in modes:
+                        assert (bij.equivalent(t1, t2, mode)
+                                == reference_equivalent(t1, t2, mode)), (t1, t2, mode)
+
+
+def test_contract_and_i_class_on_a_deep_path():
+    # 2,000 vertices is past the default recursion limit; build the path
+    # bottom-up and read results through the iterative edges() and size
+    # because == and hash recurse
+    n = 2000
+    path = PlaneTree(n)
+    for label in range(n - 1, 0, -1):
+        path = PlaneTree(label, [path])
+    chain = [(k, k + 1) for k in range(1, n)]
+    contracted = bij.contract(path, 1000, 1001)
+    assert contracted.size == n - 1
+    assert contracted.edges() == chain[:999] + [(1000, 1002)] + chain[1001:]
+    (member,) = bij.i_class(path, 1000)
+    assert member.size == n and member.edges() == chain

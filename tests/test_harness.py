@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -198,10 +200,42 @@ def test_cli_input_errors(tmp_path, capsys):
     assert cli.main(["stats", "--input", str(missing)]) == 2
 
 
-def test_cli_verify_unknown_identity_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--identity", "nonexistent"])
-    assert exc.value.code == 2
+def test_cli_verify_unknown_identity_exits_2(capsys):
+    assert cli.main(["verify", "--identity", "nonexistent"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown identity 'nonexistent'") and err.count("\n") == 1
+
+
+def test_cli_bad_jobs_creates_no_report(tmp_path, capsys):
+    report = tmp_path / "r.jsonl"
+    argv = ["verify", "--identity", "eq-general", "--jobs", "0", "--report", str(report)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("seed,digest", [
+    (20260811, "512d91788bbfb1d11fb15847e64b695b7e757dfe966cda34fb375af17c2c5b32"),
+    (7, "e591a3f9d9dd8de825603b50cdd94acf95334c05bbe3c90ec1820b6a40c70f10"),
+])
+def test_lemma_4_2_draws_are_pinned(seed, digest):
+    # digests of the (instance, status) records drawn from a list of every
+    # tree on [n]; streaming the trees must draw the same instances
+    records = [[instance, status] for instance, status, _ in harness.run_lemma_4_2(seed=seed)]
+    assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_lemma_4_2_holds_only_drawn_trees():
+    # holding every tree on [7] peaked at 168 MB under tracemalloc; the
+    # streamed draw peaks at 14 MB
+    tracemalloc.start()
+    try:
+        for _, status, _ in harness.run_lemma_4_2(max_n=7):
+            assert status == harness.PASS
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_cli_verify_report_reproducible(tmp_path, capsys):
@@ -282,13 +316,17 @@ DEEP_TREE = '{"label": 1, "children": [' * 900 + '{"label": 2}' + ']}' * 900
     (["bijection", "--map", "theta"],
      '{"label": 1, "children": [{"label": 2, "children": [{"label": 4}]}]}'),
     (["bijection", "--map", "theta"], '{"label": 1, "children": [{"label": 1000000000}]}'),
+    (["verify", "--identity", "eq-general,nonexistent"], None),
+    (["bijection", "--map", "contract"], '{"label": 1, "children": [{"label": 2}]}'),
+    (["bijection", "--map", "contract", "--i", "1"], '{"label": 1, "children": [{"label": 2}]}'),
 ], ids=["tree-bool-label", "tree-deep-stats", "tree-deep-theta", "hm-bool-label",
         "word-bool", "perm-bool", "perm-not-array", "k-negative", "k-at-n", "jobs-zero",
         "tree-children-not-list", "hm-component-not-mapping", "hm-components-not-list",
         "hm-children-not-list", "qn-zero", "qn-above-cap", "qnk-zero", "qnk-above-cap",
         "table-zero", "table-above-cap", "enum-n-zero", "enum-root-outside",
         "enum-root-outside-above-cap", "enum-both-improper-filters",
-        "theta-label-above-size", "theta-label-huge"])
+        "theta-label-above-size", "theta-label-huge", "verify-unknown-identity-in-list",
+        "contract-without-i-j", "contract-without-j"])
 def test_cli_rejects_bad_input(tmp_path, capsys, argv, content):
     if content is not None:
         path = tmp_path / "input.json"
@@ -306,6 +344,7 @@ def test_cli_rejects_bad_input(tmp_path, capsys, argv, content):
     (["verify", "--max-n", "-3"], None, None, "thm-1-1.max_n"),
     (["verify"], "lemma-4-2.instances=-1", None, "lemma-4-2.instances"),
     (["verify"], "thm-2-3.bogus=1", None, "thm-2-3.bogus"),
+    (["verify"], "nonexistent.max_n=3", None, "unknown identity 'nonexistent'"),
     (["verify"], None, "0", "RAMAPOLY_MAX_LABELS"),
     (["verify"], None, "abc", "RAMAPOLY_MAX_LABELS"),
     (["verify", "--report", "{tmp}/missing/r.jsonl"], None, None, "r.jsonl"),
@@ -314,7 +353,7 @@ def test_cli_rejects_bad_input(tmp_path, capsys, argv, content):
     (["enumerate", "--n", "3", "--max-labels", "0"], None, None, "--max-labels"),
     (["enumerate", "--n", "3", "--max-labels", "-5"], None, None, "--max-labels"),
 ], ids=["max-n-below-lemma-4-2-pools", "max-n-zero", "max-n-negative",
-        "config-negative", "config-unknown-param", "env-cap-zero", "env-cap-not-int",
+        "config-negative", "config-unknown-param", "config-unknown-identity", "env-cap-zero", "env-cap-not-int",
         "report-dir-missing", "enum-env-cap-zero", "enum-env-cap-not-int",
         "enum-max-labels-zero", "enum-max-labels-negative"])
 def test_cli_rejects_bad_bounds_before_running(tmp_path, capsys, monkeypatch,

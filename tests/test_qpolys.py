@@ -62,14 +62,13 @@ def test_table_sum_rows(shifted, sums):
 
 def test_shifted_recurrence_matches_substitution():
     # reference: the shifted table as the substitution x -> x - t - 1 into
-    # the plain one; the table builds it by its own recurrence instead
-    table = qp.QTable()
+    # the plain one; q_nk builds it by its own recurrence instead
     x = Poly.var(QK_VARS, "x")
     t = Poly.var(QK_VARS, "t")
     for n in range(1, 13):
         for k in range(-1, n + 1):
-            reference = table.get(n, k).substitute({"x": x - t - 1})
-            assert table.get_shifted(n, k) == reference, (n, k)
+            reference = qp.q_nk(n, k).substitute({"x": x - t - 1})
+            assert qp.q_nk(n, k, shifted=True) == reference, (n, k)
 
 
 def test_q_nk_out_of_range_is_zero():
@@ -138,7 +137,7 @@ def test_closed_form_examples():
 def test_verify_identity_examples():
     assert qp.verify_identity("duality", 4) is None
     assert qp.verify_identity("expansion", 5) is None
-    assert qp.verify_identity("diff", 4, k=1) is None
+    assert qp.verify_identity("diff", 4) is None
     assert qp.verify_identity("rec2", 5) is None
     assert qp.verify_identity("rec3", 5) is None
     assert qp.verify_identity("mainconj", 5) is None
@@ -148,6 +147,21 @@ def test_verify_identity_examples():
         qp.verify_identity("unknown-tag", 3)
     with pytest.raises(ValueError):
         qp.verify_identity("duality", 0)
+
+
+def test_table_identities_check_every_k():
+    # a table identity holds at n only when it holds at every k < n; n = 1
+    # has no table identity to check
+    for bad in range(5):
+        seen = []
+
+        def check(n, k):
+            seen.append(k)
+            return {"k": k} if k == bad else None
+
+        assert qp._each_k(check)(5) == {"k": bad}
+        assert seen == list(range(bad + 1))
+    assert qp._each_k(check)(1) is None
 
 
 def test_verify_identity_bound_exceeded():
