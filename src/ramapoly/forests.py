@@ -14,13 +14,18 @@ Counting formulas:
 * planted forests of type r = (r_0, ..., r_m): C(n-1, k-1) *
   (n-k)!/prod(i!^r_i) * n!/prod(r_i!)
 * unlabeled plane forests of type r: (k/n) * n!/prod(r_i!)
+
+``fixed_root_forests`` builds its forests at C level, with ``itertools.product``
+over the components' memoized tree tuples; a component too large for the
+enumerator's memo is streamed, once per prefix of the components before it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product, repeat
 from math import comb, factorial
+from operator import add
 from typing import Iterator, Sequence
 
 from .polyring import Poly
@@ -53,26 +58,44 @@ def fixed_root_forests(n: int, r: int,
 
     Free labels r+1..n are assigned to components in all ways; within a
     component the plane trees on its label set are enumerated with the
-    fixed root.
+    fixed root.  Per assignment the forests are the Cartesian product of
+    the components' trees, component 1 outermost (see :func:`_choices`).
     """
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     enum = enumerator or TreeEnumerator()
     free = list(range(r + 1, n + 1))
     enum.check_bound(range(1, n + 1))
-
-    def components(bins: Sequence[frozenset[int]], idx: int,
-                   acc: tuple[PlaneTree, ...]) -> Iterator[RootedPlaneForest]:
-        if idx == r:
-            yield RootedPlaneForest(acc)
-            return
-        for tree in enum.trees_rooted(bins[idx] | {idx + 1}, idx + 1):
-            yield from components(bins, idx + 1, acc + (tree,))
-
     for assignment in product(range(r), repeat=len(free)):
-        bins = [frozenset(lab for lab, slot in zip(free, assignment) if slot == b)
-                for b in range(r)]
-        yield from components(bins, 0, ())
+        bins = [(frozenset([b + 1, *(lab for lab, slot in zip(free, assignment) if slot == b)]),
+                 b + 1) for b in range(r)]
+        yield from map(RootedPlaneForest, _choices(enum, bins))
+
+
+def _choices(enum: TreeEnumerator,
+             bins: Sequence[tuple[frozenset[int], int]]) -> Iterator[tuple[PlaneTree, ...]]:
+    """One tree per (label set, root) bin, every way: the first bin
+    outermost, each bin in ``trees_rooted`` order.  ``product`` holds its
+    inputs whole, so a bin that ``trees_rooted`` streams (more than
+    MEMO_LIMIT labels) is asked for anew per prefix of the bins before it,
+    and the bins after it are chosen per tree of that stream."""
+    factors = []
+    for labels, root in bins:
+        trees = enum.trees_rooted(labels, root)
+        if isinstance(trees, tuple):
+            factors.append(trees)
+            continue
+        rest = bins[len(factors) + 1:]
+
+        def heads(prefix: tuple[PlaneTree, ...]) -> Iterator[tuple[PlaneTree, ...]]:
+            return map(add, repeat(prefix), zip(enum.trees_rooted(labels, root)))
+
+        streamed = chain.from_iterable(map(heads, product(*factors)))
+        if not rest:
+            return streamed
+        return chain.from_iterable(map(add, repeat(head), _choices(enum, rest))
+                                   for head in streamed)
+    return product(*factors)
 
 
 def forest_generating_poly(n: int, r: int,
@@ -82,8 +105,12 @@ def forest_generating_poly(n: int, r: int,
         raise ValueError("forest generating polynomial needs r < n")
     census: dict[int, dict[tuple[int], int]] = {}
     for forest in fixed_root_forests(n, r, enumerator):
-        cells = census.setdefault(forest.improper, {})
-        key = (forest.eld,)
+        imp = eld = 0
+        for c in forest.components:
+            imp += c.imp_sub
+            eld += c.eld_sub
+        cells = census.setdefault(imp, {})
+        key = (eld,)
         cells[key] = cells.get(key, 0) + 1
     return {k: Poly(T_VARS, cells) for k, cells in sorted(census.items())}
 
@@ -146,10 +173,12 @@ def type_count(type_vector: Sequence[int], flavor: str) -> int:
 
 
 def degree_type(degrees: Sequence[int]) -> tuple[int, ...]:
-    """The type vector of a degree sequence: entry i counts the vertices of
-    degree i, up to the largest degree."""
-    top = max(degrees, default=0)
-    return tuple(sum(1 for d in degrees if d == i) for i in range(top + 1))
+    """The type vector of a (nonnegative) degree sequence: entry i counts
+    the vertices of degree i, up to the largest degree."""
+    counts = [0] * (max(degrees, default=0) + 1)
+    for d in degrees:
+        counts[d] += 1
+    return tuple(counts)
 
 
 def ordered_degree_sequence(forest: Sequence[PlaneTree], n: int) -> tuple[int, ...]:

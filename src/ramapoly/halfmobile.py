@@ -17,7 +17,8 @@ down by one.  It transports young(1) -> tree count, eld -> black degree
 excess, and improper edge count -> improper edge count.
 
 An :class:`HmNode` counts its subtree's improper edges and black-degree
-excess when it is built, so ``hm_stats`` sums a forest's components.
+excess when it is built, so ``hm_stats`` sums a forest's components into an
+:class:`HmStats` named tuple, the cheapest record to build once per forest.
 
 ``enumerate_hm`` shares theta's work across one enumeration.  The
 :class:`TreeEnumerator` reuses one object for every subtree of at most
@@ -36,7 +37,7 @@ summed over those forests; ``thm-3-4`` reads it once per n, its per-k rows too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .polyring import Poly
 from .treecore import MEMO_LIMIT, PlaneTree, TreeEnumerator
@@ -149,8 +150,7 @@ class HalfMobileForest:
         return {"components": [c.to_obj() for c in self.components]}
 
 
-@dataclass(frozen=True)
-class HmStats:
+class HmStats(NamedTuple):
     imp: int
     tree: int
     bdeg: int

@@ -16,6 +16,7 @@ hardware; they can be overridden per identity (``max_n`` and friends) through
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import time
@@ -23,7 +24,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import islice, permutations as iter_permutations
+from itertools import islice, permutations as iter_permutations, repeat
 from math import comb, factorial
 from typing import Callable, Iterator
 
@@ -103,7 +104,7 @@ def _xt_in_t(poly: Poly) -> Poly:
 # -- section 1 / 6 / 7 symbolic identities -------------------------------------
 
 
-def run_thm_1_1(max_n: int = 10) -> Iterator[Outcome]:
+def run_thm_1_1(max_n: int = 20) -> Iterator[Outcome]:
     for n in range(1, max_n + 1):
         yield _check({"n": n, "check": "substitution"},
                      qpolys.verify_identity("duality", n))
@@ -116,26 +117,26 @@ def _run_symbolic(name: str, max_n: int) -> Iterator[Outcome]:
         yield _check({"n": n}, qpolys.verify_identity(name, n))
 
 
-def run_eq_expansion(max_n: int = 8) -> Iterator[Outcome]:
+def run_eq_expansion(max_n: int = 16) -> Iterator[Outcome]:
     yield from _run_symbolic("expansion", max_n)
 
 
-def run_eq_special2(max_n: int = 10) -> Iterator[Outcome]:
+def run_eq_special2(max_n: int = 20) -> Iterator[Outcome]:
     yield from _run_symbolic("special2", max_n)
 
 
-def run_eq_factor(max_n: int = 10) -> Iterator[Outcome]:
+def run_eq_factor(max_n: int = 20) -> Iterator[Outcome]:
     yield from _run_symbolic("factor", max_n)
 
 
-def run_eq_qnxt(max_n: int = 10, ones_max_n: int = 9) -> Iterator[Outcome]:
+def run_eq_qnxt(max_n: int = 20, ones_max_n: int = 20) -> Iterator[Outcome]:
     yield from _run_symbolic("qnxt", max_n)
     for n in range(1, ones_max_n + 1):
         value = qpolys.q_n(n).evaluate({"x": 1, "y": 1, "z": 1, "t": 1})
         yield _cmp({"n": n, "check": "all-ones"}, value, factorial(n) * qpolys.catalan(n))
 
 
-def run_eq_lambert(max_n: int = 10) -> Iterator[Outcome]:
+def run_eq_lambert(max_n: int = 20) -> Iterator[Outcome]:
     for n in range(1, max_n + 1):
         r = qpolys.r_n(n)
         checks = {
@@ -153,26 +154,26 @@ def run_eq_lambert(max_n: int = 10) -> Iterator[Outcome]:
                    spec_p, qpolys.p_n(n).extend(Q_VARS))
 
 
-def run_lemma_6_1(max_n: int = 8) -> Iterator[Outcome]:
+def run_lemma_6_1(max_n: int = 20) -> Iterator[Outcome]:
     for n in range(2, max_n + 1):
         yield _check({"n": n, "check": "rec2"}, qpolys.verify_identity("rec2", n))
         yield _check({"n": n, "check": "rec3"}, qpolys.verify_identity("rec3", n))
 
 
-def run_lemma_6_2(max_n: int = 8) -> Iterator[Outcome]:
+def run_lemma_6_2(max_n: int = 20) -> Iterator[Outcome]:
     for n in range(2, max_n + 1):
         yield _check({"n": n}, qpolys.verify_identity("diff", n))
 
 
-def run_remark_6(max_n: int = 6) -> Iterator[Outcome]:
+def run_remark_6(max_n: int = 16) -> Iterator[Outcome]:
     yield from _run_symbolic("operator-remark", max_n)
 
 
-def run_lemma_4_1(max_n: int = 10) -> Iterator[Outcome]:
+def run_lemma_4_1(max_n: int = 20) -> Iterator[Outcome]:
     yield from _run_symbolic("chu", max_n)
 
 
-def run_eq_gs(max_n: int = 10, enum_max_n: int = 5) -> Iterator[Outcome]:
+def run_eq_gs(max_n: int = 20, enum_max_n: int = 5) -> Iterator[Outcome]:
     for n in range(1, max_n + 1):
         yield _check({"n": n, "check": "product"}, qpolys.verify_identity("gessel-seo", n))
     uni = ("x", "z", "t")
@@ -545,10 +546,14 @@ def run_cor_type_planted(max_n: int = 6) -> Iterator[Outcome]:
 def run_cor_plane(max_n: int = 6) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
     for n in range(2, max_n + 1):
+        # the 95,040 forests on [6] have 462 degree sequences: count each
+        # sequence, then type each one once
+        by_degseq = Counter(map(forests.ordered_degree_sequence,
+                                forests.plane_forests(range(1, n + 1), enum), repeat(n)))
         by_type: dict[tuple[int, ...], int] = {}
-        for forest in forests.plane_forests(range(1, n + 1), enum):
-            r = forests.forest_type(forest, n)
-            by_type[r] = by_type.get(r, 0) + 1
+        for d, count in by_degseq.items():
+            r = forests.degree_type(d)
+            by_type[r] = by_type.get(r, 0) + count
         witness = None
         for r, k in _types(n):
             witness = qpolys.mismatch(by_type.get(r, 0),
@@ -594,17 +599,17 @@ def _register(name: str, description: str, runner: Callable[..., Iterator[Outcom
 
 
 _register("thm-1-1", "duality substitution and its coefficient-level reformulation",
-          run_thm_1_1, max_n=10)
+          run_thm_1_1, max_n=20)
 _register("eq-expansion", "Q_n(x,y,1,t) equals the y-expansion over the table",
-          run_eq_expansion, max_n=8)
+          run_eq_expansion, max_n=16)
 _register("eq-special2", "t = -y collapses Q_n to prod (x + kz)",
-          run_eq_special2, max_n=10)
+          run_eq_special2, max_n=20)
 _register("eq-factor", "y = 0 collapses Q_n to prod (x + kz + kt)",
-          run_eq_factor, max_n=10)
+          run_eq_factor, max_n=20)
 _register("eq-qnxt", "y = z collapses Q_n to prod (x + nz + kt); all-ones value",
-          run_eq_qnxt, max_n=10, ones_max_n=9)
+          run_eq_qnxt, max_n=20, ones_max_n=20)
 _register("eq-lambert", "one-variable family: special values and Q/P specializations",
-          run_eq_lambert, max_n=10)
+          run_eq_lambert, max_n=20)
 _register("eq-general", "general-descent distribution over all permutations",
           run_eq_general, max_n=7)
 _register("thm-2-2", "root-1 plane trees weighted x^(young(1)-1) t^eld per improper count",
@@ -618,7 +623,7 @@ _register("prop-2-5", "no-improper-edge product and increasing-tree counts",
 _register("thm-3-4", "half-mobile forest sums per improper count and in three variables",
           run_thm_3_4, max_n=6)
 _register("lemma-4-1", "Chu-Vandermonde product variant, fully symbolic",
-          run_lemma_4_1, max_n=10)
+          run_lemma_4_1, max_n=20)
 _register("lemma-4-2", "equivalence-class factorization on random instances",
           run_lemma_4_2, instances=200, max_n=6, seed=20260811)
 _register("thm-4-3", "multivariate young/eld product over all plane trees",
@@ -640,15 +645,15 @@ _register("cor-plane", "plane forests by type vector",
 _register("thm-5-1", "fixed-root forest sums against the rescaled table",
           run_thm_5_1, max_n=7, max_r=3)
 _register("lemma-6-1", "duality-equivalent recurrences for the table",
-          run_lemma_6_1, max_n=8)
+          run_lemma_6_1, max_n=20)
 _register("lemma-6-2", "difference identity for the shifted table",
-          run_lemma_6_2, max_n=8)
+          run_lemma_6_2, max_n=20)
 _register("remark-6", "operator identities behind the direct duality proof",
-          run_remark_6, max_n=6)
+          run_remark_6, max_n=16)
 _register("eq-equiv", "the two enumeration sums agree under x -> x+t+1",
           run_eq_equiv, max_n=6)
 _register("eq-gs", "product with improper-style weights, symbolic and enumerated",
-          run_eq_gs, max_n=10, enum_max_n=5)
+          run_eq_gs, max_n=20, enum_max_n=5)
 
 
 def resolve(name: str) -> IdentityEntry:
@@ -683,17 +688,33 @@ def identity_params(name: str, overrides: dict | None = None) -> dict:
 
 
 def run_identity(name: str, overrides: dict | None = None) -> VerificationReport:
+    """Run one identity at its defaults updated by the overrides, timing each
+    instance.
+
+    The cyclic garbage collector is paused while the runner runs and resumed
+    afterwards if it was on.  What the runners keep (tree and half-mobile
+    nodes, tuples, ``Poly`` dicts) is immutable and acyclic, so reference
+    counting frees it; the collector would only rescan it as it grows.  A
+    stray cycle, such as a caught exception's traceback, is collected once
+    the collector resumes.
+    """
     entry = resolve(name)
     params = identity_params(name, overrides)
     report = VerificationReport(entry.name, params)
-    clock = time.perf_counter()
-    for instance, status, payload in _outcomes(entry.runner, params):
-        now = time.perf_counter()
-        witness = payload if status == FAIL else None
-        info = payload if status != FAIL else None
-        report.instances.append(InstanceResult(entry.name, instance, status,
-                                               witness, info, now - clock))
-        clock = now
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        clock = time.perf_counter()
+        for instance, status, payload in _outcomes(entry.runner, params):
+            now = time.perf_counter()
+            witness = payload if status == FAIL else None
+            info = payload if status != FAIL else None
+            report.instances.append(InstanceResult(entry.name, instance, status,
+                                                   witness, info, now - clock))
+            clock = now
+    finally:
+        if collecting:
+            gc.enable()
     return report
 
 

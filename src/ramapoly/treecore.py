@@ -111,10 +111,19 @@ class PlaneTree:
     ryoung_at_1 = property(lambda self: self._really()[3])
 
     def __hash__(self) -> int:
+        """hash((label, children)), cached; the uncached nodes below are
+        hashed first, deepest last on the stack, so no call recurses."""
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash((self.label, self.children))
+            pending = []
+            stack = [self]
+            while stack:
+                v = stack.pop()
+                pending.append(v)
+                stack.extend(c for c in v.children if not hasattr(c, "_hash"))
+            for v in reversed(pending):
+                v._hash = hash((v.label, v.children))
             return self._hash
 
     def __eq__(self, other: object) -> bool:
@@ -122,8 +131,17 @@ class PlaneTree:
             return True
         if not isinstance(other, PlaneTree):
             return NotImplemented
-        return (self.label == other.label and hash(self) == hash(other)
-                and self.children == other.children)
+        # node pairs on an explicit stack, so deep trees do not recurse
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (a.label != b.label or hash(a) != hash(b)
+                    or len(a.children) != len(b.children)):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
 
     def __repr__(self) -> str:
         if not self.children:

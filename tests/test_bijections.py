@@ -307,3 +307,25 @@ def test_contract_and_i_class_on_a_deep_path():
     assert contracted.edges() == chain[:999] + [(1000, 1002)] + chain[1001:]
     (member,) = bij.i_class(path, 1000)
     assert member.size == n and member.edges() == chain
+
+
+def deep_path(n, bottom=None):
+    """The path 1 - 2 - ... - n, built bottom-up; label n is replaced by
+    ``bottom`` if given."""
+    path = PlaneTree(n if bottom is None else bottom)
+    for label in range(n - 1, 0, -1):
+        path = PlaneTree(label, [path])
+    return path
+
+
+def test_hash_eq_and_equivalent_on_a_deep_path():
+    # hash and == walk the tree on an explicit stack: a 2,000-vertex path is
+    # past the default recursion limit
+    n = 2000
+    path, twin, other = deep_path(n), deep_path(n), deep_path(n, bottom=n + 1)
+    assert hash(path) == hash(twin) == hash((path.label, path.children))
+    assert path == twin and twin == path and len({path, twin}) == 1
+    assert path != other and other != path
+    assert bij.equivalent(path, path, 1000)
+    assert bij.equivalent(path, twin, (1000, 1001))
+    assert not bij.equivalent(path, other, 1000)

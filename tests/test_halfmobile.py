@@ -306,3 +306,12 @@ def test_enumerate_hm_reports_a_collision(monkeypatch, enum):
     assert next(stream) == hm.HalfMobileForest((hm.white(1),))
     with pytest.raises(RuntimeError, match="theta collision on"):
         next(stream)
+
+
+def test_hm_stats_by_position_and_keyword():
+    by_position = hm.HmStats(2, 1, 3)
+    by_keyword = hm.HmStats(bdeg=3, imp=2, tree=1)
+    assert by_position == by_keyword
+    assert (by_keyword.imp, by_keyword.tree, by_keyword.bdeg) == (2, 1, 3)
+    assert repr(by_keyword) == "HmStats(imp=2, tree=1, bdeg=3)"
+    assert by_position != hm.HmStats(imp=1, tree=2, bdeg=3)

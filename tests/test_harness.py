@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import tracemalloc
@@ -402,3 +403,38 @@ def test_cli_verify_list(capsys):
     out = capsys.readouterr().out
     for name in harness.REGISTRY:
         assert name in out
+
+
+@pytest.fixture
+def gc_probe(monkeypatch):
+    """A stub identity whose runner records whether the cyclic collector is
+    on while it runs, and raises when asked to."""
+    seen = []
+
+    def runner(fail: int = 0):
+        seen.append(gc.isenabled())
+        yield {"n": 1}, harness.PASS, None
+        if fail:
+            raise RuntimeError("runner failed")
+
+    entry = harness.IdentityEntry("gc-probe", "stub", {"fail": 0}, runner)
+    monkeypatch.setitem(harness.REGISTRY, "gc-probe", entry)
+    was_enabled = gc.isenabled()
+    yield seen
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_run_identity_pauses_and_restores_collector(gc_probe):
+    gc.enable()
+    report = harness.run_identity("gc-probe")
+    assert report.status == "pass" and gc.isenabled()
+    with pytest.raises(RuntimeError):
+        harness.run_identity("gc-probe", {"fail": 1})
+    assert gc.isenabled()
+    gc.disable()
+    harness.run_identity("gc-probe")
+    assert not gc.isenabled()
+    assert gc_probe == [False, False, False]

@@ -427,3 +427,12 @@ def test_enumerate_count_only_matches_stream(capsys):
         counted = capsys.readouterr().out
         assert cli.main(["enumerate", *argv]) == 0
         assert counted == f"{capsys.readouterr().out.count(chr(10))}\n"
+
+
+def test_equality_needs_every_child():
+    # == walks node pairs: a tree with one more child, at the root or deep
+    # down, is a different tree
+    short, long = node(1, node(2)), node(1, node(2), node(3))
+    assert short != long and long != short
+    assert node(4, short) != node(4, long) and node(4, long) != node(4, short)
+    assert node(4, rebuild(long)) == node(4, long)
