@@ -189,7 +189,3 @@ def ordered_degree_sequence(forest: Sequence[PlaneTree], n: int) -> tuple[int, .
         degs[v.label - 1] = len(v.children)
         stack.extend(v.children)
     return tuple(degs)
-
-
-def forest_type(forest: Sequence[PlaneTree], n: int) -> tuple[int, ...]:
-    return degree_type(ordered_degree_sequence(forest, n))

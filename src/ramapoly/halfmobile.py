@@ -30,6 +30,13 @@ changes no result.  Larger subtrees are new in every tree and are converted
 fresh.  ``theta`` checks its label set by OR-ing those masks, with no
 separate walk over the tree.
 
+``enumerate_hm`` proves theta injective on its stream with a left inverse,
+not with a set of every forest, so its memory grows with the memo and the
+depth, not with the object count.  Each image entering the memo is checked
+once to expand, as ``theta_inv`` expands it, back to its subtree; each forest
+is then expanded one level, its images mapped to their checked subtrees by
+``id``, and compared with the tree's children.
+
 ``hm_generating_poly`` is the one half-mobile census, x^(tree-1) y^imp t^bdeg
 summed over those forests; ``thm-3-4`` reads it once per n, its per-k rows too.
 """
@@ -37,6 +44,7 @@ summed over those forests; ``thm-3-4`` reads it once per n, its per-k rows too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .polyring import Poly
@@ -281,6 +289,18 @@ def theta(tree: PlaneTree, *, _memo: _Memo | None = None) -> HalfMobileForest:
     return HalfMobileForest(blocks)
 
 
+def _expand(images: Sequence[HmNode]) -> list[HmNode]:
+    """theta_inv's expansion of one level: a white node is itself, a black
+    node is its children in stored order."""
+    out: list[HmNode] = []
+    for w in images:
+        if w.label is None:
+            out.extend(w.children)
+        else:
+            out.append(w)
+    return out
+
+
 def theta_inv(forest: HalfMobileForest) -> PlaneTree:
     """Inverse of theta; the forest must validate."""
     problem = validate(forest)
@@ -290,38 +310,75 @@ def theta_inv(forest: HalfMobileForest) -> PlaneTree:
     if set(labels) != set(range(1, len(labels) + 1)):
         raise ValueError("theta_inv needs white labels {1, ..., n}")
 
-    def expand(children: Sequence[HmNode]) -> list[PlaneTree]:
-        plane: list[PlaneTree] = []
-        for child in children:
-            if child.is_white:
-                plane.append(to_plane(child))
-            else:
-                plane.extend(to_plane(w) for w in child.children)
-        return plane
-
     def to_plane(w: HmNode) -> PlaneTree:
-        return PlaneTree(w.label + 1, expand(w.children))
+        return PlaneTree(w.label + 1, map(to_plane, _expand(w.children)))
 
-    return PlaneTree(1, expand(forest.components))
+    return PlaneTree(1, map(to_plane, _expand(forest.components)))
 
 
 # -- enumeration -------------------------------------------------------------------
 
 
+def _rebuilds(images: Sequence[HmNode], children: tuple[PlaneTree, ...],
+              sources: dict[int, PlaneTree]) -> bool:
+    """True when theta_inv's expansion of images gives back children.  An
+    image in ``sources`` (id of a checked memo image -> its subtree) stands
+    for that subtree; any other is expanded recursively."""
+    expanded = _expand(images)
+    got = tuple(map(sources.get, map(id, expanded)))
+    if got == children:  # the common case: one C-level compare that hits `is`
+        return True
+    if len(got) != len(children):
+        return False
+    for w, source, c in zip(expanded, got, children):
+        if source is None:
+            if w.label is None or w.label + 1 != c.label \
+                    or not _rebuilds(w.children, c.children, sources):
+                return False
+        elif source != c:
+            return False
+    return True
+
+
+def _check_new_images(memo: _Memo, checked: int, sources: dict[int, PlaneTree]) -> int:
+    """Check the memo entries past the first ``checked``, oldest first: each
+    image must expand back to its subtree.  A child entered the memo before
+    its parent, so its checked subtree is read from ``sources``, which gains
+    each entry.  Returns the memo's size; the entries are read from its end,
+    with no rescan."""
+    growth = len(memo) - checked
+    for v, (image, _) in reversed(tuple(islice(reversed(memo.items()), growth))):
+        if not _rebuilds((image,), (v,), sources):
+            raise RuntimeError(f"theta collision on {image!r}, the image of subtree "
+                               f"{v!r}: theta_inv does not give the subtree back")
+        sources[id(image)] = v
+    return len(memo)
+
+
 def enumerate_hm(n: int, k: int | None = None,
                  enumerator: TreeEnumerator | None = None) -> Iterator[HalfMobileForest]:
     """All half-mobile forests on [n] (k improper edges if given), produced
-    as theta images of the root-1 plane trees on [n+1]; a duplicate image
-    would mean theta is not injective and raises."""
+    as theta images of the root-1 plane trees on [n+1].
+
+    theta is proved injective on the stream by a left inverse: each forest
+    must expand back, as theta_inv expands it, to the tree it came from, and
+    a forest that does not raises.  The check holds no forest: a subtree's
+    image is checked once, when it enters theta's memo, and a forest's
+    components are then mapped to those subtrees and compared with the
+    tree's children; only images of larger subtrees are expanded recursively."""
     enum = enumerator or TreeEnumerator()
-    seen: set[HalfMobileForest] = set()
     memo: _Memo = {}
+    # id of a checked memo image -> its subtree; the memo keeps every image
+    # alive, so no id is reused while the stream runs
+    sources: dict[int, PlaneTree] = {}
+    checked = 0
     for tree in enum.trees(range(1, n + 2), root=1):
         forest = theta(tree, _memo=memo)
-        before = len(seen)
-        seen.add(forest)  # one hash per forest: a duplicate leaves the size unchanged
-        if len(seen) == before:
-            raise RuntimeError(f"theta collision on {forest!r}")
+        if len(memo) != checked:
+            checked = _check_new_images(memo, checked, sources)
+        if not _rebuilds(forest.components, tree.children, sources):
+            raise RuntimeError(f"theta collision on {forest!r}, the image of "
+                               f"{tree!r}: theta_inv does not give the tree back")
         if k is None or hm_stats(forest).imp == k:
             yield forest
 

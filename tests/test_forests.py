@@ -94,7 +94,7 @@ def test_type_count_examples():
 def test_type_helpers(enum):
     forest = next(fo.plane_forests([1, 2, 3], enum))
     assert sum(fo.ordered_degree_sequence(forest, 3)) == 3 - len(forest)
-    t = fo.forest_type(forest, 3)
+    t = fo.degree_type(fo.ordered_degree_sequence(forest, 3))
     assert sum(t) == 3
     assert fo.type_components(t) == len(forest)
 

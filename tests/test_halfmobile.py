@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -299,13 +300,115 @@ def test_enumerate_hm_output_is_pinned(enum):
 
 
 def test_enumerate_hm_reports_a_collision(monkeypatch, enum):
-    # a theta that maps two trees to one forest must stop the enumeration
     real = hm.theta
+    # a theta that maps every tree to one forest: that forest does not invert
+    # to the first tree, so the stream raises before it yields a repeated image
     monkeypatch.setattr(hm, "theta", lambda tree, **kw: real(node(1, node(2)), **kw))
-    stream = hm.enumerate_hm(2, enumerator=enum)
-    assert next(stream) == hm.HalfMobileForest((hm.white(1),))
+    yielded = []
     with pytest.raises(RuntimeError, match="theta collision on"):
-        next(stream)
+        for forest in hm.enumerate_hm(2, enumerator=enum):
+            assert forest not in yielded
+            yielded.append(forest)
+    assert yielded == []
+
+    # a true collision: one tree is given the previous tree's well-formed image
+    trees = list(enum.trees(range(1, 5), root=1))
+    victim, before = trees[7], trees[6]
+    assert hm.validate(real(before)) is None
+    monkeypatch.setattr(hm, "theta", lambda tree, **kw: real(before if tree == victim else tree, **kw))
+    yielded = []
+    with pytest.raises(RuntimeError, match="theta collision on"):
+        for forest in hm.enumerate_hm(3, enumerator=enum):
+            yielded.append(forest)
+    assert yielded == [real(t) for t in trees[:7]]
+
+
+@pytest.mark.parametrize("memo_limit", [MEMO_LIMIT, 2])
+def test_left_inverse_check_agrees_with_theta_inv(monkeypatch, enum, memo_limit):
+    # with a memo limit of 2 most children are not shared, so their images
+    # are expanded recursively instead of read from the checked memo
+    monkeypatch.setattr(hm, "MEMO_LIMIT", memo_limit)
+    for n in range(1, 6):
+        memo, sources, checked = {}, {}, 0
+        trees = list(enum.trees(range(1, n + 2), root=1))
+        forests = []
+        for tree in trees:
+            forests.append(hm.theta(tree, _memo=memo))
+            checked = hm._check_new_images(memo, checked, sources)
+        assert all(v.size <= memo_limit for v in memo)
+        # each tree against its own image and against its predecessor's
+        for idx, tree in enumerate(trees):
+            for forest in (forests[idx], forests[idx - 1]):
+                assert hm._rebuilds(forest.components, tree.children, sources) == (
+                    hm.theta_inv(forest) == tree), (tree, forest)
+        assert list(hm.enumerate_hm(n, enumerator=enum)) == forests
+
+
+def test_left_inverse_check_rejects_near_misses():
+    # with no checked images every child is expanded recursively: a child of
+    # six labels, its image relabeled or its children reordered
+    tree = node(1, node(7, node(2), node(3), node(4), node(5), node(6)))
+    image = hm.theta(tree).components[0]
+    assert hm._rebuilds((image,), tree.children, {})
+    for wrong in (hm.HmNode(image.label + 1, image.children),
+                  hm.HmNode(image.label, image.children[::-1]),
+                  hm.HmNode(image.label, image.children[:-1]),
+                  hm.HmNode(None, (image, hm.white(7)))):
+        assert not hm._rebuilds((wrong,), tree.children, {}), wrong
+
+
+def test_memo_check_rejects_wrong_images():
+    # a parent's image holds its children's memo images, as theta builds it
+    leaf2, leaf3 = node(2), node(3)
+    parent = node(4, leaf2, leaf3)
+    w1, w2 = hm.white(1), hm.white(2)
+    good = {leaf2: (w1, 0), leaf3: (w2, 0), parent: (hm.white(3, w1, w2), 0)}
+    sources = {}
+    assert hm._check_new_images(good, 0, sources) == 3
+    assert sorted(sources.values(), key=lambda v: v.label) == [leaf2, leaf3, parent]
+    # children that are not checked images are expanded recursively
+    assert hm._check_new_images({parent: (hm.white(3, hm.white(1), hm.white(2)), 0)}, 0, {}) == 1
+    for memo in ({leaf2: (hm.white(2), 0)},                          # label not less one
+                 {leaf2: (w1, 0), leaf3: (w2, 0),                    # children reordered
+                  parent: (hm.HmNode(3, (w2, w1)), 0)},
+                 {parent: (hm.white(3, hm.black(w1, w2)), 0)},       # a block where none is
+                 {leaf2: (hm.black(w1, w2), 0)}):                    # a black image
+        with pytest.raises(RuntimeError, match="^theta collision on .*, the image of subtree "):
+            hm._check_new_images(memo, 0, {})
+
+
+def test_a_wrong_shared_image_is_caught_when_it_enters_the_memo(monkeypatch, enum):
+    # blocks reversed for memoized subtrees only (every node but the root):
+    # the per-tree check trusts checked memo images, so the memo check must
+    # catch it
+    real = hm._hm_blocks
+
+    def reversed_blocks(v, memo, top):
+        blocks, mask = real(v, memo, top)
+        if memo is not None and v.label != 1 and v.size <= hm.MEMO_LIMIT:
+            blocks = blocks[::-1]
+        return blocks, mask
+
+    monkeypatch.setattr(hm, "_hm_blocks", reversed_blocks)
+    yielded = []
+    with pytest.raises(RuntimeError, match=r"^theta collision on .*, the image of subtree "):
+        for forest in hm.enumerate_hm(4, enumerator=enum):
+            yielded.append(forest)
+    monkeypatch.undo()
+    trees = list(enum.trees(range(1, 6), root=1))
+    assert yielded == [hm.theta(t) for t in trees[:len(yielded)]]
+
+
+def test_enumerate_hm_holds_no_forest_set():
+    # a set of every forest peaked at about 40 MB under tracemalloc; the
+    # left inverse check peaks at about 10 MB
+    tracemalloc.start()
+    try:
+        hm.hm_generating_poly(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_hm_stats_by_position_and_keyword():
