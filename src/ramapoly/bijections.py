@@ -229,17 +229,13 @@ def ij_class(tree: PlaneTree, i: int, j: int) -> list[PlaneTree]:
 # -- root swap -------------------------------------------------------------------
 
 
-def _swap_labels(tree: PlaneTree, a: int, b: int) -> PlaneTree:
-    label = {a: b, b: a}.get(tree.label, tree.label)
-    return PlaneTree(label, [_swap_labels(c, a, b) for c in tree.children])
-
-
 def root_swap(tree: PlaneTree, old_root: int = 1, new_root: int = 2) -> PlaneTree:
     """Bijection from trees rooted at old_root to trees rooted at new_root.
 
     With children a_1..a_m of the root and new_root inside the subtree of
-    a_t: the blocks a_{t+1}..a_m and new_root's children trade places, then
-    the two labels are exchanged.
+    a_t: the blocks a_{t+1}..a_m and new_root's children trade places, and
+    the two labels are exchanged, so the vertex that held new_root takes
+    old_root with the blocks, and the root takes new_root.
     """
     if tree.label != old_root:
         raise ValueError(f"tree is rooted at {tree.label}, expected {old_root}")
@@ -250,7 +246,6 @@ def root_swap(tree: PlaneTree, old_root: int = 1, new_root: int = 2) -> PlaneTre
         raise ValueError("roots must differ")
 
     pivot = path[0][1]
-    moved = tree.children[pivot + 1:]
-    kept = tree.children[:pivot] + (_graft(path[1:], PlaneTree(new_root, moved)),)
-    swapped = PlaneTree(old_root, kept + path[-1][0].children)
-    return _swap_labels(swapped, old_root, new_root)
+    inner = PlaneTree(old_root, tree.children[pivot + 1:])
+    kept = tree.children[:pivot] + (_graft(path[1:], inner),)
+    return PlaneTree(new_root, kept + path[-1][0].children)

@@ -9,23 +9,27 @@ identity there.  ``run_suite`` executes a selection, optionally across
 processes, and aggregates exit status: pass only when every instance of every
 selected identity passes.
 
-Default bounds keep the whole suite within a few minutes on commodity
-hardware; they can be overridden per identity (``max_n`` and friends) through
+An identity's default bounds are its runner's keyword defaults, read by
+``_register``; they keep the whole suite within a few minutes on commodity
+hardware, and can be overridden per identity (``max_n`` and friends) through
 ``run_suite`` or the CLI's key=value config file.
 """
 
 from __future__ import annotations
 
 import gc
+import inspect
 import os
 import random
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import islice, permutations as iter_permutations, repeat
+from functools import partial, reduce
+from itertools import (combinations_with_replacement, islice, permutations as iter_permutations,
+                       repeat)
 from math import comb, factorial
+from operator import sub
 from typing import Callable, Iterator
 
 from . import bijections, forests, halfmobile, qpolys, treecore
@@ -117,16 +121,9 @@ def _run_symbolic(name: str, max_n: int) -> Iterator[Outcome]:
         yield _check({"n": n}, qpolys.verify_identity(name, n))
 
 
-def run_eq_expansion(max_n: int = 16) -> Iterator[Outcome]:
-    yield from _run_symbolic("expansion", max_n)
-
-
-def run_eq_special2(max_n: int = 20) -> Iterator[Outcome]:
-    yield from _run_symbolic("special2", max_n)
-
-
-def run_eq_factor(max_n: int = 20) -> Iterator[Outcome]:
-    yield from _run_symbolic("factor", max_n)
+run_eq_expansion = partial(_run_symbolic, "expansion", max_n=16)
+run_eq_special2 = partial(_run_symbolic, "special2", max_n=20)
+run_eq_factor = partial(_run_symbolic, "factor", max_n=20)
 
 
 def run_eq_qnxt(max_n: int = 20, ones_max_n: int = 20) -> Iterator[Outcome]:
@@ -165,12 +162,8 @@ def run_lemma_6_2(max_n: int = 20) -> Iterator[Outcome]:
         yield _check({"n": n}, qpolys.verify_identity("diff", n))
 
 
-def run_remark_6(max_n: int = 16) -> Iterator[Outcome]:
-    yield from _run_symbolic("operator-remark", max_n)
-
-
-def run_lemma_4_1(max_n: int = 20) -> Iterator[Outcome]:
-    yield from _run_symbolic("chu", max_n)
+run_remark_6 = partial(_run_symbolic, "operator-remark", max_n=16)
+run_lemma_4_1 = partial(_run_symbolic, "chu", max_n=20)
 
 
 def run_eq_gs(max_n: int = 20, enum_max_n: int = 5) -> Iterator[Outcome]:
@@ -485,26 +478,33 @@ def run_cor_narayana(max_vertices: int = 7, leafset_max_vertices: int = 6) -> It
 
 
 def _degree_sequences(n: int, total: int) -> Iterator[tuple[int, ...]]:
-    def rec(i: int, left: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            if left == 0:
-                yield tuple(acc)
-            return
-        for d in range(left + 1):
-            acc.append(d)
-            yield from rec(i + 1, left - d, acc)
-            acc.pop()
-    yield from rec(0, total, [])
+    """The sequences of n nonnegative parts summing to total, in lexicographic
+    order: the parts are the gaps between n - 1 cut points in 0..total."""
+    return (tuple(map(sub, cuts + (total,), (0,) + cuts))
+            for cuts in combinations_with_replacement(range(total + 1), n - 1))
+
+
+def _degseq_census(n: int, enum: treecore.TreeEnumerator) -> Counter[tuple[int, ...]]:
+    """The plane forests on [n] counted by ordered degree sequence."""
+    return Counter(map(forests.ordered_degree_sequence,
+                       forests.plane_forests(range(1, n + 1), enum), repeat(n)))
+
+
+def _type_table(n: int) -> Counter[tuple[int, ...]]:
+    """The planted forests on [n] counted by type vector, the types in order of
+    their component count and then of their first degree sequence."""
+    table: Counter[tuple[int, ...]] = Counter()
+    for k in range(1, n + 1):
+        for d in _degree_sequences(n, n - k):
+            table[forests.degree_type(d)] += forests.planted_count(d)
+    return table
 
 
 def run_cor_planted(enum_max_n: int = 6, cayley_max_n: int = 7) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
     for n in range(2, enum_max_n + 1):
-        by_degseq: dict[tuple[int, ...], int] = {}
-        for forest in forests.plane_forests(range(1, n + 1), enum):
-            d = forests.ordered_degree_sequence(forest, n)
-            by_degseq[d] = by_degseq.get(d, 0) + 1
-        yield _check({"n": n, "check": "plane-enumeration"}, _first_planted_mismatch(n, by_degseq))
+        witness = _first_planted_mismatch(n, _degseq_census(n, enum))
+        yield _check({"n": n, "check": "plane-enumeration"}, witness)
     for n in range(1, cayley_max_n + 1):
         total = sum(forests.planted_count(d) for d in _degree_sequences(n, n - 1))
         yield _cmp({"n": n, "check": "cayley-sum"}, total, n ** (n - 1))
@@ -524,22 +524,9 @@ def _first_planted_mismatch(n: int, by_degseq: dict[tuple[int, ...], int]) -> Pa
     return None
 
 
-def _types(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """All feasible type vectors on n vertices with their component count k."""
-    for k in range(1, n + 1):
-        seen: set[tuple[int, ...]] = set()
-        for d in _degree_sequences(n, n - k):
-            r = forests.degree_type(d)
-            if r not in seen:
-                seen.add(r)
-                yield r, k
-
-
 def run_cor_type_planted(max_n: int = 6) -> Iterator[Outcome]:
     for n in range(1, max_n + 1):
-        for r, k in _types(n):
-            total = sum(forests.planted_count(d) for d in _degree_sequences(n, n - k)
-                        if forests.degree_type(d) == r)
+        for r, total in _type_table(n).items():
             yield _cmp({"n": n, "type": list(r)}, forests.type_count(r, "planted"), total)
 
 
@@ -548,22 +535,20 @@ def run_cor_plane(max_n: int = 6) -> Iterator[Outcome]:
     for n in range(2, max_n + 1):
         # the 95,040 forests on [6] have 462 degree sequences: count each
         # sequence, then type each one once
-        by_degseq = Counter(map(forests.ordered_degree_sequence,
-                                forests.plane_forests(range(1, n + 1), enum), repeat(n)))
-        by_type: dict[tuple[int, ...], int] = {}
-        for d, count in by_degseq.items():
-            r = forests.degree_type(d)
-            by_type[r] = by_type.get(r, 0) + count
+        by_type: Counter[tuple[int, ...]] = Counter()
+        for d, count in _degseq_census(n, enum).items():
+            by_type[forests.degree_type(d)] += count
+        types = list(_type_table(n))
         witness = None
-        for r, k in _types(n):
-            witness = qpolys.mismatch(by_type.get(r, 0),
+        for r in types:
+            witness = qpolys.mismatch(by_type[r],
                                       forests.type_count(r, "plane-unlabeled") * factorial(n))
             if witness is not None:
                 witness = {"type": list(r), **witness}
                 break
         yield _check({"n": n, "check": "type-census"}, witness)
         single = sum(forests.type_count(r, "plane-unlabeled")
-                     for r, k in _types(n) if k == 1)
+                     for r in types if forests.type_components(r) == 1)
         yield _cmp({"n": n, "check": "catalan-telescope"}, single, qpolys.catalan(n - 1))
 
 
@@ -593,67 +578,44 @@ ALIASES = {
 }
 
 
-def _register(name: str, description: str, runner: Callable[..., Iterator[Outcome]],
-              **defaults) -> None:
+def _register(name: str, description: str, runner: Callable[..., Iterator[Outcome]]) -> None:
+    """Register a runner; its keyword defaults are the identity's default bounds."""
+    defaults = {p.name: p.default for p in inspect.signature(runner).parameters.values()}
     REGISTRY[name] = IdentityEntry(name, description, defaults, runner)
 
 
-_register("thm-1-1", "duality substitution and its coefficient-level reformulation",
-          run_thm_1_1, max_n=20)
-_register("eq-expansion", "Q_n(x,y,1,t) equals the y-expansion over the table",
-          run_eq_expansion, max_n=16)
-_register("eq-special2", "t = -y collapses Q_n to prod (x + kz)",
-          run_eq_special2, max_n=20)
-_register("eq-factor", "y = 0 collapses Q_n to prod (x + kz + kt)",
-          run_eq_factor, max_n=20)
-_register("eq-qnxt", "y = z collapses Q_n to prod (x + nz + kt); all-ones value",
-          run_eq_qnxt, max_n=20, ones_max_n=20)
+_register("thm-1-1", "duality substitution and its coefficient-level reformulation", run_thm_1_1)
+_register("eq-expansion", "Q_n(x,y,1,t) equals the y-expansion over the table", run_eq_expansion)
+_register("eq-special2", "t = -y collapses Q_n to prod (x + kz)", run_eq_special2)
+_register("eq-factor", "y = 0 collapses Q_n to prod (x + kz + kt)", run_eq_factor)
+_register("eq-qnxt", "y = z collapses Q_n to prod (x + nz + kt); all-ones value", run_eq_qnxt)
 _register("eq-lambert", "one-variable family: special values and Q/P specializations",
-          run_eq_lambert, max_n=20)
-_register("eq-general", "general-descent distribution over all permutations",
-          run_eq_general, max_n=7)
+          run_eq_lambert)
+_register("eq-general", "general-descent distribution over all permutations", run_eq_general)
 _register("thm-2-2", "root-1 plane trees weighted x^(young(1)-1) t^eld per improper count",
-          run_thm_2_2, max_n=6)
-_register("thm-2-3", "plane trees weighted x^young(1) t^eld match the shifted table",
-          run_thm_2_3, max_n=7)
-_register("cor-2-4", "really-elder variant sums (printed exponent reported)",
-          run_cor_2_4, max_n=6)
-_register("prop-2-5", "no-improper-edge product and increasing-tree counts",
-          run_prop_2_5, enum_max_n=6, count_max_n=8)
+          run_thm_2_2)
+_register("thm-2-3", "plane trees weighted x^young(1) t^eld match the shifted table", run_thm_2_3)
+_register("cor-2-4", "really-elder variant sums (printed exponent reported)", run_cor_2_4)
+_register("prop-2-5", "no-improper-edge product and increasing-tree counts", run_prop_2_5)
 _register("thm-3-4", "half-mobile forest sums per improper count and in three variables",
-          run_thm_3_4, max_n=6)
-_register("lemma-4-1", "Chu-Vandermonde product variant, fully symbolic",
-          run_lemma_4_1, max_n=20)
-_register("lemma-4-2", "equivalence-class factorization on random instances",
-          run_lemma_4_2, instances=200, max_n=6, seed=20260811)
-_register("thm-4-3", "multivariate young/eld product over all plane trees",
-          run_thm_4_3, max_n=6)
-_register("cor-catalan", "labeled and unlabeled plane-tree counts",
-          run_cor_catalan, max_vertices=7)
+          run_thm_3_4)
+_register("lemma-4-1", "Chu-Vandermonde product variant, fully symbolic", run_lemma_4_1)
+_register("lemma-4-2", "equivalence-class factorization on random instances", run_lemma_4_2)
+_register("thm-4-3", "multivariate young/eld product over all plane trees", run_thm_4_3)
+_register("cor-catalan", "labeled and unlabeled plane-tree counts", run_cor_catalan)
 _register("cor-narayana", "leaf-refined counts and the inclusion-exclusion formula",
-          run_cor_narayana, max_vertices=7, leafset_max_vertices=6)
-_register("thm-4-gen-on", "rooted refinement of the multivariate product",
-          run_thm_4_gen_on, max_n=6)
-_register("cor-roots", "root-exchange symmetry of the rooted sums",
-          run_cor_roots, max_n=6)
-_register("cor-planted", "planted forests by ordered degree sequence",
-          run_cor_planted, enum_max_n=6, cayley_max_n=7)
-_register("cor-type-planted", "planted forests by type vector",
-          run_cor_type_planted, max_n=6)
-_register("cor-plane", "plane forests by type vector",
-          run_cor_plane, max_n=6)
-_register("thm-5-1", "fixed-root forest sums against the rescaled table",
-          run_thm_5_1, max_n=7, max_r=3)
-_register("lemma-6-1", "duality-equivalent recurrences for the table",
-          run_lemma_6_1, max_n=20)
-_register("lemma-6-2", "difference identity for the shifted table",
-          run_lemma_6_2, max_n=20)
-_register("remark-6", "operator identities behind the direct duality proof",
-          run_remark_6, max_n=16)
-_register("eq-equiv", "the two enumeration sums agree under x -> x+t+1",
-          run_eq_equiv, max_n=6)
-_register("eq-gs", "product with improper-style weights, symbolic and enumerated",
-          run_eq_gs, max_n=20, enum_max_n=5)
+          run_cor_narayana)
+_register("thm-4-gen-on", "rooted refinement of the multivariate product", run_thm_4_gen_on)
+_register("cor-roots", "root-exchange symmetry of the rooted sums", run_cor_roots)
+_register("cor-planted", "planted forests by ordered degree sequence", run_cor_planted)
+_register("cor-type-planted", "planted forests by type vector", run_cor_type_planted)
+_register("cor-plane", "plane forests by type vector", run_cor_plane)
+_register("thm-5-1", "fixed-root forest sums against the rescaled table", run_thm_5_1)
+_register("lemma-6-1", "duality-equivalent recurrences for the table", run_lemma_6_1)
+_register("lemma-6-2", "difference identity for the shifted table", run_lemma_6_2)
+_register("remark-6", "operator identities behind the direct duality proof", run_remark_6)
+_register("eq-equiv", "the two enumeration sums agree under x -> x+t+1", run_eq_equiv)
+_register("eq-gs", "product with improper-style weights, symbolic and enumerated", run_eq_gs)
 
 
 def resolve(name: str) -> IdentityEntry:

@@ -247,9 +247,13 @@ def reference_root_swap(tree, old_root=1, new_root=2):
             return PlaneTree(new_root, moved)
         return PlaneTree(v.label, [rebuild(c) for c in v.children])
 
+    def swap_labels(v):
+        label = {old_root: new_root, new_root: old_root}.get(v.label, v.label)
+        return PlaneTree(label, [swap_labels(c) for c in v.children])
+
     kept = [rebuild(c) for c in tree.children[:pivot + 1]]
     swapped = PlaneTree(old_root, kept + list(other.children))
-    return bij._swap_labels(swapped, old_root, new_root)
+    return swap_labels(swapped)
 
 
 def _outcome(f, *args):
@@ -296,7 +300,6 @@ def test_equivalent_matches_reference(enum):
 def test_contract_and_i_class_on_a_deep_path():
     # 2,000 vertices is past the default recursion limit; build the path
     # bottom-up and read results through the iterative edges() and size
-    # because == and hash recurse
     n = 2000
     path = PlaneTree(n)
     for label in range(n - 1, 0, -1):
@@ -307,6 +310,15 @@ def test_contract_and_i_class_on_a_deep_path():
     assert contracted.edges() == chain[:999] + [(1000, 1002)] + chain[1001:]
     (member,) = bij.i_class(path, 1000)
     assert member.size == n and member.edges() == chain
+    # 1000 takes the root, over the paths 2 - ... - 999 - 1 and 1001 - ... - n
+    below, above = PlaneTree(1), PlaneTree(n)
+    for label in range(999, 1, -1):
+        below = PlaneTree(label, [below])
+    for label in range(n - 1, 1000, -1):
+        above = PlaneTree(label, [above])
+    swapped = bij.root_swap(path, 1, 1000)
+    assert swapped == PlaneTree(1000, [below, above])
+    assert bij.root_swap(swapped, 1000, 1) == path
 
 
 def deep_path(n, bottom=None):

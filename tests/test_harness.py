@@ -226,6 +226,20 @@ def test_lemma_4_2_draws_are_pinned(seed, digest):
     assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name,count,digest", [
+    ("cor-planted", 12, "a493598665c91488ad7b22e130591a726121ba548721ba5b5e6fac8ecd4d589e"),
+    ("cor-type-planted", 45, "bb90cbbd702f41ac742b78b6fb0a3a73cf12afbc66317d1054432f712cad24e0"),
+    ("cor-plane", 10, "5ff7a07a9e6aee8185398ee3e95229340d01ee0566bd40f896f30ae273e4cbc7"),
+])
+def test_forest_records_are_pinned(name, count, digest):
+    # digests of the (instance, status) records at the registry defaults; the
+    # type records follow the order in which the types first occur
+    entry = harness.REGISTRY[name]
+    records = [[instance, status] for instance, status, _ in entry.runner(**entry.defaults)]
+    assert len(records) == count
+    assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest() == digest
+
+
 def test_lemma_4_2_holds_only_drawn_trees():
     # holding every tree on [7] peaked at 168 MB under tracemalloc; the
     # streamed draw peaks at 14 MB
@@ -403,6 +417,10 @@ def test_cli_verify_list(capsys):
     out = capsys.readouterr().out
     for name in harness.REGISTRY:
         assert name in out
+    # the names, descriptions and default bounds in registry order, byte for
+    # byte: the registry reads each identity's bounds from its runner
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "d5d248730f658c8cb9e1d1d7919ecfe7eaace22eca4e9239a10e75597b540a41")
 
 
 @pytest.fixture
