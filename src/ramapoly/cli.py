@@ -84,15 +84,20 @@ def cmd_enumerate(args) -> int:
     if args.improper is not None and args.really_improper is not None:
         raise ValueError("give at most one of --improper and --really-improper")
     enum = treecore.TreeEnumerator(treecore.label_cap(args.max_labels, "--max-labels"))
-    if args.count_only and args.improper is None and args.really_improper is None:
-        print(enum.count_trees(range(1, args.n + 1), args.root))
+    labels = range(1, args.n + 1)
+    if args.count_only:
+        # counted from the forests under the roots, so no root node is built
+        if args.improper is None and args.really_improper is None:
+            print(enum.count_trees(labels, args.root))
+        else:
+            really = args.really_improper is not None
+            census = treecore.weight_census(labels, args.root, really=really, enumerator=enum)
+            k = args.really_improper if really else args.improper
+            print(sum(census.get(k, {}).values()))
         return 0
-    stream = (tree for tree in enum.trees(range(1, args.n + 1), args.root)
+    stream = (tree for tree in enum.trees(labels, args.root)
               if args.improper in (None, tree.imp_sub)
               and args.really_improper in (None, tree.rimp_sub))
-    if args.count_only:
-        print(sum(1 for _ in stream))
-        return 0
     for tree in stream:
         if args.format == "json":
             _emit(tree.to_obj())

@@ -547,9 +547,14 @@ def run_cor_plane(max_n: int = 6) -> Iterator[Outcome]:
                 witness = {"type": list(r), **witness}
                 break
         yield _check({"n": n, "check": "type-census"}, witness)
-        single = sum(forests.type_count(r, "plane-unlabeled")
-                     for r in types if forests.type_components(r) == 1)
-        yield _cmp({"n": n, "check": "catalan-telescope"}, single, qpolys.catalan(n - 1))
+        # the plane forests of k trees on n vertices number the ballot number
+        # k/(2n-k) C(2n-k, n), Catalan(n - 1) at k = 1; every k is checked, as
+        # k = 2 gives Catalan(n - 1) too
+        by_k = [sum(forests.type_count(r, "plane-unlabeled")
+                    for r in types if forests.type_components(r) == k)
+                for k in range(1, n + 1)]
+        ballot = [k * comb(2 * n - k, n) // (2 * n - k) for k in range(1, n + 1)]
+        yield _cmp({"n": n, "check": "catalan-telescope"}, by_k, ballot)
 
 
 def run_thm_5_1(max_n: int = 7, max_r: int = 3) -> Iterator[Outcome]:

@@ -24,8 +24,9 @@ Two censuses read that stream: ``weight_census`` buckets (young(1), eld) by
 improper count (``census_poly`` turns a bucket into a polynomial in {x, t}),
 and ``generating_poly`` sums t^eld * prod_i x_i^young(i) (``multivar_exponents``).
 ``count_trees`` and ``leaf_profile`` read the forest under each root
-(``root_forests``) and the really-census folds each root label over it, so
-none of them builds a root node.
+(``root_forests``), and ``weight_census`` folds each root label over it
+(``_census_fold``, or ``_really_fold`` for the really-variant), so none of
+them builds a root node.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, product, repeat, starmap
 from math import comb
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .polyring import Poly
@@ -201,6 +202,26 @@ def _really_fold(label: int, children: Sequence[PlaneTree]) -> tuple[int, int, i
                 rimp_sub += 1
             min_right = c.label
     return young, reld_sub, rimp_sub, young if label == 1 else ry1
+
+
+def _census_fold(label: int, children: Sequence[PlaneTree]) -> tuple[int, int | None, int]:
+    """(imp_sub, young_at_1, eld_sub) of the tree label over children: the
+    loop of ``PlaneTree.__init__`` without building the node."""
+    eld_sub = imp_sub = young = 0
+    y1 = min_right = None
+    for c in reversed(children):
+        eld_sub += c.eld_sub
+        imp_sub += c.imp_sub
+        if c.young_at_1 is not None:
+            y1 = c.young_at_1
+        if min_right is not None and min_right < c.beta:
+            eld_sub += 1
+        else:
+            young += 1
+            if label > c.beta:
+                imp_sub += 1
+            min_right = c.beta
+    return imp_sub, young if label == 1 else y1, eld_sub
 
 
 def node(label: int, *children: PlaneTree) -> PlaneTree:
@@ -430,27 +451,25 @@ def weight_census(labels: Iterable[int], root: int | None = None, *,
 
     Returns {k: {(young(1), eld): multiplicity}} over all trees on the label
     set (optionally root-constrained); the really-variant buckets by really
-    improper count and uses (ryoung(1), reld).
+    improper count and uses (ryoung(1), reld).  Each tree is folded from its
+    root label and the forest under it, without a root node, and the
+    (k, young(1), eld) triples are counted by one ``Counter``; keys keep the
+    order in which the stream first meets them.
     """
     enum = enumerator or TreeEnumerator()
-    labels = frozenset(labels)
+    # checked as ``trees`` checks before the vertex-1 test, so that a bad label
+    # set gets the same message from every reader (``enumerate`` prints it)
+    labels, roots = enum._checked(labels, root)
     if 1 not in labels:
         raise ValueError("weight census needs vertex 1 in the label set")
+    # each tree's fields folded from its root label and forest, no root node;
+    # the really fold is projected to the plain fold's (improper, young(1), eld)
+    fold = _really_fold if really else _census_fold
+    folds = chain.from_iterable(map(fold, repeat(r), enum.forests(labels - {r})) for r in roots)
+    counts = Counter(map(itemgetter(2, 3, 1), folds) if really else folds)
     census: dict[int, dict[tuple[int, int], int]] = {}
-    if really:
-        # each tree's really-fields folded from its root label and forest, no root node
-        labels, roots = enum._checked(labels, root)
-        folds = chain.from_iterable(map(_really_fold, repeat(r), enum.forests(labels - {r}))
-                                    for r in roots)
-        for _, reld, k, young1 in folds:
-            cells = census.setdefault(k, {})
-            key = (young1, reld)
-            cells[key] = cells.get(key, 0) + 1
-    else:
-        for tree in enum.trees(labels, root):
-            cells = census.setdefault(tree.imp_sub, {})
-            key = (tree.young_at_1, tree.eld_sub)
-            cells[key] = cells.get(key, 0) + 1
+    for (k, young1, eld), count in counts.items():
+        census.setdefault(k, {})[young1, eld] = count
     return census
 
 

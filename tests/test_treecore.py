@@ -353,15 +353,48 @@ def test_forest_stream_with_streamed_rests(monkeypatch):
     assert enum.count_trees(labels(6)) == factorial(10) // factorial(5)
 
 
-def test_really_census_matches_per_tree_recount(enum):
+def per_tree_census(enum, lab, root, really):
+    """weight_census as a loop over the streamed root nodes, bucket by bucket."""
+    recount = {}
+    for t in enum.trees(lab, root):
+        if really:
+            k, key = t.rimp_sub, (t.ryoung_at_1, t.reld_sub)
+        else:
+            k, key = t.imp_sub, (t.young_at_1, t.eld_sub)
+        cells = recount.setdefault(k, {})
+        cells[key] = cells.get(key, 0) + 1
+    return recount
+
+
+def ordered(census):
+    return [(k, list(cells.items())) for k, cells in census.items()]
+
+
+def assert_census_matches_per_tree_loop(enum, really):
+    # the free trees on [n] and the root-1 trees on [n+1]; keys in the same order
     for n in range(1, 7):
         for lab, root in ((labels(n), None), (labels(n + 1), 1)):
-            recount = {}
-            for t in enum.trees(lab, root):
-                cells = recount.setdefault(t.rimp_sub, {})
-                key = (t.ryoung_at_1, t.reld_sub)
-                cells[key] = cells.get(key, 0) + 1
-            assert tc.weight_census(lab, root, really=True, enumerator=enum) == recount
+            got = tc.weight_census(lab, root, really=really, enumerator=enum)
+            assert ordered(got) == ordered(per_tree_census(enum, lab, root, really)), (n, root)
+
+
+def test_really_census_matches_per_tree_recount(enum):
+    assert_census_matches_per_tree_loop(enum, really=True)
+
+
+def test_plain_census_matches_per_tree_recount(enum):
+    assert_census_matches_per_tree_loop(enum, really=False)
+
+
+@pytest.mark.parametrize("memo_limit", [tc.MEMO_LIMIT, 2])
+def test_census_fold_matches_plane_tree(monkeypatch, memo_limit):
+    monkeypatch.setattr(tc, "MEMO_LIMIT", memo_limit)
+    enum = TreeEnumerator()
+    for n in range(1, 7):
+        for r in labels(n):
+            for forest in enum.forests(labels(n) - {r}):
+                t = tc.PlaneTree(r, forest)
+                assert tc._census_fold(r, forest) == (t.imp_sub, t.young_at_1, t.eld_sub), t
 
 
 def test_count_trees_matches_stream(enum):
@@ -422,7 +455,9 @@ def test_root_forests_are_the_streamed_trees_children(enum):
 
 
 def test_enumerate_count_only_matches_stream(capsys):
-    for argv in (["--n", "5"], ["--n", "5", "--root", "3"], ["--n", "1"]):
+    for argv in (["--n", "5"], ["--n", "5", "--root", "3"], ["--n", "1"],
+                 ["--n", "5", "--improper", "2"], ["--n", "6", "--root", "2", "--improper", "1"],
+                 ["--n", "5", "--really-improper", "1"], ["--n", "4", "--improper", "7"]):
         assert cli.main(["enumerate", *argv, "--count-only"]) == 0
         counted = capsys.readouterr().out
         assert cli.main(["enumerate", *argv]) == 0
