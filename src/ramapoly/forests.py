@@ -15,17 +15,15 @@ Counting formulas:
   (n-k)!/prod(i!^r_i) * n!/prod(r_i!)
 * unlabeled plane forests of type r: (k/n) * n!/prod(r_i!)
 
-``fixed_root_forests`` builds its forests at C level, with ``itertools.product``
-over the components' memoized tree tuples; a component too large for the
-enumerator's memo is streamed, once per prefix of the components before it.
+``fixed_root_forests`` yields each forest as the tuple of its components,
+picking one tree per component recursively; a component too large for the
+enumerator's memo is streamed anew per choice of the components before it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain, product, repeat
+from itertools import product
 from math import comb, factorial
-from operator import add
 from typing import Iterator, Sequence
 
 from .polyring import Poly
@@ -34,27 +32,10 @@ from .treecore import PlaneTree, TreeEnumerator
 T_VARS = ("t",)
 
 
-@dataclass(frozen=True)
-class RootedPlaneForest:
-    """Components indexed by root label (component i is rooted at i+1)."""
-
-    components: tuple[PlaneTree, ...]
-
-    @property
-    def eld(self) -> int:
-        return sum(c.eld_sub for c in self.components)
-
-    @property
-    def improper(self) -> int:
-        return sum(c.imp_sub for c in self.components)
-
-    def to_obj(self) -> dict:
-        return {"components": [c.to_obj() for c in self.components]}
-
-
 def fixed_root_forests(n: int, r: int,
-                       enumerator: TreeEnumerator | None = None) -> Iterator[RootedPlaneForest]:
-    """Every forest of r plane trees on [n] with roots exactly 1..r, once.
+                       enumerator: TreeEnumerator | None = None) -> Iterator[tuple[PlaneTree, ...]]:
+    """Every forest of r plane trees on [n] with roots exactly 1..r, once, as
+    its tuple of components (component i is rooted at i+1).
 
     Free labels r+1..n are assigned to components in all ways; within a
     component the plane trees on its label set are enumerated with the
@@ -69,33 +50,19 @@ def fixed_root_forests(n: int, r: int,
     for assignment in product(range(r), repeat=len(free)):
         bins = [(frozenset([b + 1, *(lab for lab, slot in zip(free, assignment) if slot == b)]),
                  b + 1) for b in range(r)]
-        yield from map(RootedPlaneForest, _choices(enum, bins))
+        yield from _choices(enum, bins)
 
 
 def _choices(enum: TreeEnumerator,
              bins: Sequence[tuple[frozenset[int], int]]) -> Iterator[tuple[PlaneTree, ...]]:
-    """One tree per (label set, root) bin, every way: the first bin
-    outermost, each bin in ``trees_rooted`` order.  ``product`` holds its
-    inputs whole, so a bin that ``trees_rooted`` streams (more than
-    MEMO_LIMIT labels) is asked for anew per prefix of the bins before it,
-    and the bins after it are chosen per tree of that stream."""
-    factors = []
-    for labels, root in bins:
-        trees = enum.trees_rooted(labels, root)
-        if isinstance(trees, tuple):
-            factors.append(trees)
-            continue
-        rest = bins[len(factors) + 1:]
-
-        def heads(prefix: tuple[PlaneTree, ...]) -> Iterator[tuple[PlaneTree, ...]]:
-            return map(add, repeat(prefix), zip(enum.trees_rooted(labels, root)))
-
-        streamed = chain.from_iterable(map(heads, product(*factors)))
-        if not rest:
-            return streamed
-        return chain.from_iterable(map(add, repeat(head), _choices(enum, rest))
-                                   for head in streamed)
-    return product(*factors)
+    """One tree per (label set, root) bin, every way, the first bin outermost;
+    a bin is asked for anew per choice of the bins before it, so a bin that
+    ``trees_rooted`` streams (over MEMO_LIMIT labels) is never held whole."""
+    (labels, root), rest = bins[0], bins[1:]
+    if not rest:
+        return zip(enum.trees_rooted(labels, root))
+    return ((tree,) + tail for tree in enum.trees_rooted(labels, root)
+            for tail in _choices(enum, rest))
 
 
 def forest_generating_poly(n: int, r: int,
@@ -106,7 +73,7 @@ def forest_generating_poly(n: int, r: int,
     census: dict[int, dict[tuple[int], int]] = {}
     for forest in fixed_root_forests(n, r, enumerator):
         imp = eld = 0
-        for c in forest.components:
+        for c in forest:
             imp += c.imp_sub
             eld += c.eld_sub
         cells = census.setdefault(imp, {})

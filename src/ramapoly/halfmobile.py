@@ -355,10 +355,9 @@ def _check_new_images(memo: _Memo, checked: int, sources: dict[int, PlaneTree]) 
     return len(memo)
 
 
-def enumerate_hm(n: int, k: int | None = None,
-                 enumerator: TreeEnumerator | None = None) -> Iterator[HalfMobileForest]:
-    """All half-mobile forests on [n] (k improper edges if given), produced
-    as theta images of the root-1 plane trees on [n+1].
+def enumerate_hm(n: int, enumerator: TreeEnumerator | None = None) -> Iterator[HalfMobileForest]:
+    """All half-mobile forests on [n], produced as theta images of the
+    root-1 plane trees on [n+1].
 
     theta is proved injective on the stream by a left inverse: each forest
     must expand back, as theta_inv expands it, to the tree it came from, and
@@ -379,8 +378,7 @@ def enumerate_hm(n: int, k: int | None = None,
         if not _rebuilds(forest.components, tree.children, sources):
             raise RuntimeError(f"theta collision on {forest!r}, the image of "
                                f"{tree!r}: theta_inv does not give the tree back")
-        if k is None or hm_stats(forest).imp == k:
-            yield forest
+        yield forest
 
 
 def enumerate_hm_direct(n: int) -> Iterator[HalfMobileForest]:

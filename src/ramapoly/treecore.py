@@ -26,7 +26,9 @@ and ``generating_poly`` sums t^eld * prod_i x_i^young(i) (``multivar_exponents``
 ``count_trees`` and ``leaf_profile`` read the forest under each root
 (``root_forests``), and ``weight_census`` folds each root label over it
 (``_census_fold``, or ``_really_fold`` for the really-variant), so none of
-them builds a root node.
+them builds a root node.  The increasing-tree generators insert each vertex
+with ``_graft``, the path copy ``bijections`` shares, which rebuilds only
+the path from the root to the new leaf's parent.
 """
 
 from __future__ import annotations
@@ -300,17 +302,17 @@ def stats(tree: PlaneTree) -> TreeStats:
     leaves = set()
     increasing = True
     for v in tree.walk():
-        beta[v.label] = v.beta
-        deg[v.label] = len(v.children)
-        eld[v.label] = len(v.children) - v.young_self
-        young[v.label] = v.young_self
-        ryoung[v.label] = v.ryoung_self
-        if not v.children:
-            leaves.add(v.label)
         # a child is younger exactly when its beta (label, for the really
         # variant) is a right-to-left minimum of the children's word
         younger = set(right_to_left_minima([c.beta for c in v.children]))
         ryounger = set(right_to_left_minima([c.label for c in v.children]))
+        beta[v.label] = v.beta
+        deg[v.label] = len(v.children)
+        eld[v.label] = len(v.children) - len(younger)
+        young[v.label] = len(younger)
+        ryoung[v.label] = len(ryounger)
+        if not v.children:
+            leaves.add(v.label)
         for idx, c in enumerate(v.children):
             if c.label < v.label:
                 increasing = False
@@ -475,6 +477,8 @@ def weight_census(labels: Iterable[int], root: int | None = None, *,
 
 def census_poly(cells: Mapping[tuple[int, int], int], mode: str) -> Poly:
     """Collapse census cells to a polynomial in {x, t}; mode "o" uses x^(young-1)."""
+    if mode not in ("o", "p"):
+        raise ValueError(f"unknown census mode {mode!r}")
     terms: dict[tuple[int, int], int] = {}
     for (young1, eld), count in cells.items():
         expo = young1 - 1 if mode == "o" else young1
@@ -545,40 +549,38 @@ def leaf_profile(n: int, enumerator: TreeEnumerator | None = None) -> dict[int, 
 # -- increasing trees (no improper edges) ----------------------------------------
 
 
+def _graft(path: list[tuple[PlaneTree, int | None]], new: PlaneTree) -> PlaneTree:
+    """The tree at the head of ``path`` (the vertices from the root down, each
+    with the index of its child on the path) with the path's last vertex
+    replaced by ``new``; only the vertices on the path are rebuilt."""
+    for v, idx in reversed(path[:-1]):
+        new = PlaneTree(v.label, v.children[:idx] + (new,) + v.children[idx + 1:])
+    return new
+
+
 def _grow_increasing(n: int, plane: bool) -> Iterator[PlaneTree]:
-    """Insert k = 2..n under every vertex, at every child position if plane
-    (else last).  One node per vertex is kept; an insertion rebuilds only
-    the path from the new leaf to the root."""
-    if n < 1:
-        return
-    node_of = {1: PlaneTree(1)}
-    parent = {1: None}
+    """Each increasing tree on [k-1], k = 2..n, takes k under every vertex, at
+    every child position if plane (else last), grafted along one walk's paths."""
 
-    def rec(k: int) -> Iterator[PlaneTree]:
+    def rec(tree: PlaneTree, k: int) -> Iterator[PlaneTree]:
         if k > n:
-            yield node_of[1]
+            yield tree
             return
-        leaf = node_of[k] = PlaneTree(k)
+        paths, stack = {}, [[(tree, None)]]
+        while stack:
+            path = stack.pop()
+            v = path[-1][0]
+            paths[v.label] = path
+            stack.extend(path[:-1] + [(v, idx), (c, None)] for idx, c in enumerate(v.children))
+        leaf = PlaneTree(k)
         for v in range(1, k):
-            parent[k] = v
-            row = node_of[v].children
+            path = paths[v]
+            row = path[-1][0].children
             for pos in range(len(row) + 1) if plane else (len(row),):
-                saved = []
-                u, new = v, PlaneTree(v, row[:pos] + (leaf,) + row[pos:])
-                while u is not None:
-                    saved.append((u, node_of[u]))
-                    old, node_of[u] = node_of[u], new
-                    u = parent[u]
-                    if u is not None:
-                        kids = node_of[u].children
-                        i = kids.index(old)
-                        new = PlaneTree(u, kids[:i] + (new,) + kids[i + 1:])
-                yield from rec(k + 1)
-                for u, old in saved:
-                    node_of[u] = old
-        del node_of[k], parent[k]
+                yield from rec(_graft(path, PlaneTree(v, row[:pos] + (leaf,) + row[pos:])), k + 1)
 
-    yield from rec(2)
+    if n >= 1:
+        yield from rec(PlaneTree(1), 2)
 
 
 def increasing_plane_trees(n: int) -> Iterator[PlaneTree]:

@@ -19,17 +19,17 @@ def expected_row(n, r, k):
 def test_all_roots_forest_is_unique(enum):
     out = list(fo.fixed_root_forests(4, 4, enum))
     assert len(out) == 1
-    assert out[0].eld == 0 and out[0].improper == 0
+    assert sum(c.eld_sub for c in out[0]) == 0 and sum(c.imp_sub for c in out[0]) == 0
 
 
 def test_fixed_root_count_and_partition(enum):
     seen = set()
     for forest in fo.fixed_root_forests(5, 2, enum):
-        roots = tuple(c.label for c in forest.components)
+        roots = tuple(c.label for c in forest)
         assert roots == (1, 2)
-        all_labels = sorted(l for c in forest.components for l in c.labels())
+        all_labels = sorted(l for c in forest for l in c.labels())
         assert all_labels == [1, 2, 3, 4, 5]
-        key = tuple(forest.components)
+        key = tuple(forest)
         assert key not in seen
         seen.add(key)
     assert len(seen) == 2 * qp.q_n(3).evaluate({"x": 2, "y": 1, "z": 1, "t": 1})
@@ -38,7 +38,8 @@ def test_fixed_root_count_and_partition(enum):
 def test_generating_poly_small(enum):
     polys = fo.forest_generating_poly(3, 2, enum)
     assert polys[0] == Poly(("t",), {(0,): 2})
-    for r, n in [(1, 4), (2, 5), (1, 5)]:
+    # from n = 6 on a component can exceed MEMO_LIMIT labels and is streamed
+    for r, n in [(1, 4), (2, 5), (1, 5), (1, 6), (1, 7), (2, 7)]:
         got = fo.forest_generating_poly(n, r, enum)
         for k in range(n - r):
             assert got.get(k, Poly.zero(("t",))) == expected_row(n, r, k)
@@ -100,9 +101,9 @@ def test_type_helpers(enum):
 
 
 def reference_fixed_root_forests(n, r, enum):
-    """The components of every forest of ``fixed_root_forests(n, r)``, by the
-    recursive generator it replaced: component 1 outermost, each component's
-    trees in ``trees_rooted`` order."""
+    """Every forest of ``fixed_root_forests(n, r)``, by an independent
+    recursive generator: component 1 outermost, each component's trees in
+    ``trees_rooted`` order."""
     free = list(range(r + 1, n + 1))
 
     def components(bins, idx, acc):
@@ -126,7 +127,7 @@ def test_fixed_root_forests_match_reference_order(monkeypatch, memo_limit):
     enum = tc.TreeEnumerator()
     for n in range(1, 7):
         for r in range(1, n + 1):
-            got = [forest.components for forest in fo.fixed_root_forests(n, r, enum)]
+            got = list(fo.fixed_root_forests(n, r, enum))
             assert got == list(reference_fixed_root_forests(n, r, enum)), (n, r)
 
 

@@ -139,13 +139,6 @@ def test_direct_enumerator_agrees(enum):
         assert set(direct) == via_theta
 
 
-def test_filter_by_improper(enum):
-    stats = [hm.hm_stats(f).imp for f in hm.enumerate_hm(3, enumerator=enum)]
-    for k in range(3):
-        filtered = list(hm.enumerate_hm(3, k=k, enumerator=enum))
-        assert len(filtered) == stats.count(k)
-
-
 def test_round_trip_small(enum):
     for n in range(1, 5):
         for tree in enum.trees(range(1, n + 2), root=1):

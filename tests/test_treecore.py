@@ -74,6 +74,10 @@ def test_stats_invariants(enum):
         for v in st.beta:
             assert st.beta[v] <= v
             assert st.young_per_vertex[v] + st.eld_per_vertex[v] == st.deg[v]
+        # the node's own fields against the bundle's right-to-left minima
+        for v in t.walk():
+            assert v.young_self == st.young_per_vertex[v.label]
+            assert v.ryoung_self == st.ryoung_per_vertex[v.label]
         assert (st.increasing) == (t.imp_sub == 0)
         assert st.eld_total == t.eld_sub
         assert st.reld_total == t.reld_sub
@@ -95,6 +99,8 @@ def test_generating_poly_examples(enum):
     assert o41 == parse("3x+4+5t", tc.QK_VARS)
     p31 = tc.census_poly(tc.weight_census(labels(3), enumerator=enum)[1], "p")
     assert p31 == parse("3x+1+2t", tc.QK_VARS)
+    with pytest.raises(ValueError):
+        tc.census_poly({(1, 0): 1}, "q")
     uni = tc.multivar_universe(labels(3))
     p3 = tc.generating_poly(labels(3), enumerator=enum)
     assert p3 == parse("(x1+x2+x3)(x1+x2+x3+t)", uni)
