@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import permutations as iter_permutations
 from typing import Iterable, Sequence
 
-from .treecore import PlaneTree, _graft, right_to_left_minima
+from .treecore import PlaneTree, right_to_left_minima
 
 
 def _is_word_over_n(word: Sequence) -> bool:
@@ -153,6 +153,15 @@ def _path(tree: PlaneTree, label: int) -> list[tuple[PlaneTree, int | None]] | N
             up[c.label] = (v, idx)
         stack.extend(v.children)
     return None
+
+
+def _graft(path: list[tuple[PlaneTree, int | None]], new: PlaneTree) -> PlaneTree:
+    """The tree at the head of ``path`` (the vertices from the root down, each
+    with the index of its child on the path) with the path's last vertex
+    replaced by ``new``; only the vertices on the path are rebuilt."""
+    for v, idx in reversed(path[:-1]):
+        new = PlaneTree(v.label, v.children[:idx] + (new,) + v.children[idx + 1:])
+    return new
 
 
 def contract(tree: PlaneTree, i: int, j: int) -> PlaneTree:

@@ -26,8 +26,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import (combinations_with_replacement, islice, permutations as iter_permutations,
-                       repeat)
+from itertools import combinations_with_replacement, permutations as iter_permutations, repeat
 from math import comb, factorial
 from operator import sub
 from typing import Callable, Iterator
@@ -380,27 +379,19 @@ def run_cor_roots(max_n: int = 6) -> Iterator[Outcome]:
                 yield _cmp({"n": n, "r": r, "s": s}, lhs, rhs)
 
 
-def run_lemma_4_2(instances: int = 200, max_n: int = 6, seed: int = 20260811) -> Iterator[Outcome]:
+def run_lemma_4_2(instances: int = 200, max_n: int = 8, seed: int = 20260811) -> Iterator[Outcome]:
     rng = random.Random(seed)
     enum = treecore.TreeEnumerator()
+    # unranking needs no cap, but max_n is an enumeration bound like any other
+    enum.check_bound(range(1, max_n + 1))
     sizes = list(range(4, max_n + 1))
-    counts = {n: enum.count_trees(range(1, n + 1)) for n in sizes}
-    # Every tree on [n] has n - 1 edges, so no draw needs a tree: each makes
-    # the random calls that choosing from the list of every tree on [n], and
-    # then from the drawn tree's edges, made.  One stream pass per size then
-    # keeps only the drawn trees.
-    draws = []
-    for _ in range(instances):
+    # each trial makes the random calls that choosing from the list of every
+    # tree on [n], then from the drawn tree's n - 1 edges, made, and unranks
+    # the drawn tree from its position in the stream
+    for trial in range(instances):
         n = rng.choice(sizes)
-        draws.append((n, rng.randrange(counts[n]), rng.randrange(n - 1)))
-    drawn = {}
-    for n in sizes:
-        wanted = {rank for m, rank, _ in draws if m == n}
-        stream = islice(enum.trees(range(1, n + 1)), max(wanted, default=-1) + 1)
-        drawn.update(((n, rank), tree) for rank, tree in enumerate(stream) if rank in wanted)
-    for trial, (n, rank, edge) in enumerate(draws):
-        tree = drawn[n, rank]
-        i, j = tree.edges()[edge]
+        tree = enum.unrank(range(1, n + 1), rng.randrange(n * treecore.forest_count(n - 1)))
+        i, j = tree.edges()[rng.randrange(n - 1)]
         uni = treecore.multivar_universe(range(1, n + 1))
         pos = {lab: idx for idx, lab in enumerate(range(1, n + 1))}
         t = Poly.var(uni, "t")

@@ -26,9 +26,11 @@ and ``generating_poly`` sums t^eld * prod_i x_i^young(i) (``multivar_exponents``
 ``count_trees`` and ``leaf_profile`` read the forest under each root
 (``root_forests``), and ``weight_census`` folds each root label over it
 (``_census_fold``, or ``_really_fold`` for the really-variant), so none of
-them builds a root node.  The increasing-tree generators insert each vertex
-with ``_graft``, the path copy ``bijections`` shares, which rebuilds only
-the path from the root to the new leaf's parent.
+them builds a root node.  ``TreeEnumerator.unrank`` builds the tree at any
+position of the stream from the forest counts ``forest_count``, without
+streaming.  The increasing-tree generators read the same memoizing stream,
+narrowed by a private subclass to the forests whose every subtree is rooted
+at its smallest label.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, product, repeat, starmap
 from math import comb
 from operator import add, itemgetter
@@ -46,6 +49,7 @@ from .qpolys import QK_VARS, BoundExceeded
 
 MEMO_LIMIT = 5             # label-set size up to which forest/tree lists are cached
 DEFAULT_MAX_LABELS = 8     # enumeration hard cap; |P_8| = 17,297,280
+UNRANK_MAX_LABELS = 64     # unranking builds one tree, so the cap does not bound it
 ENV_MAX_LABELS = "RAMAPOLY_MAX_LABELS"
 
 
@@ -361,6 +365,10 @@ class TreeEnumerator:
     A stream chains one C iterator per (first label set, root); a forest is one tuple concatenation.
     """
 
+    # every first label set roots a piece at each label; _IncreasingTrees narrows both
+    _mask_step = 1
+    _roots_per_set: int | None = None
+
     def __init__(self, max_labels: int | None = None):
         self.max_labels = label_cap(max_labels)
         self._forest_memo: dict[frozenset[int], tuple] = {frozenset(): ((),)}
@@ -393,10 +401,10 @@ class TreeEnumerator:
         """One C iterator per (first component's label set, root): the first
         trees, each followed by each forest on the rest if there is one."""
         elems = sorted(labels)
-        for mask in range(1, 1 << len(elems)):
+        for mask in range(1, 1 << len(elems), self._mask_step):
             first_set = frozenset(e for i, e in enumerate(elems) if mask >> i & 1)
             rest = labels - first_set
-            for root in sorted(first_set):
+            for root in sorted(first_set)[:self._roots_per_set]:
                 firsts = zip(self.trees_rooted(first_set, root))
                 if not rest:
                     yield firsts
@@ -417,14 +425,16 @@ class TreeEnumerator:
             self._tree_memo[labels, root] = cached
         return cached
 
-    def _checked(self, labels: Iterable[int], root: int | None) -> tuple[frozenset[int], list[int]]:
+    def _checked(self, labels: Iterable[int], root: int | None,
+                 capped: bool = True) -> tuple[frozenset[int], list[int]]:
         """The label set and its trees' roots; it must be non-empty, hold root, fit the cap."""
         labels = frozenset(labels)
         if not labels:
             raise ValueError("empty label set")
         if root is not None and root not in labels:
             raise ValueError(f"root {root} not in label set")
-        self.check_bound(labels)
+        if capped:
+            self.check_bound(labels)
         return labels, sorted(labels) if root is None else [root]
 
     def trees(self, labels: Iterable[int], root: int | None = None) -> Iterator[PlaneTree]:
@@ -441,6 +451,59 @@ class TreeEnumerator:
     def count_trees(self, labels: Iterable[int], root: int | None = None) -> int:
         """How many trees ``trees(labels, root)`` streams, without building their roots."""
         return sum(1 for _ in self.root_forests(labels, root))
+
+    def unrank(self, labels: Iterable[int], rank: int, root: int | None = None) -> PlaneTree:
+        """The tree at position ``rank`` of ``trees(labels, root)``, built from
+        ``forest_count`` without streaming (the recursive method of Nijenhuis
+        and Wilf); UNRANK_MAX_LABELS, not the label cap, bounds the label set."""
+        labels, roots = self._checked(labels, root, capped=False)
+        if len(labels) > UNRANK_MAX_LABELS:
+            raise BoundExceeded(f"label set of size {len(labels)} exceeds the unranking "
+                                f"bound {UNRANK_MAX_LABELS}")
+        per_root = forest_count(len(labels) - 1)
+        if type(rank) is not int or not 0 <= rank < len(roots) * per_root:
+            raise ValueError(f"rank {rank!r} outside 0..{len(roots) * per_root - 1}")
+        index, rank = divmod(rank, per_root)
+        return PlaneTree(roots[index], _unrank_forest(sorted(labels - {roots[index]}), rank))
+
+
+
+@cache
+def forest_count(m: int) -> int:
+    """F(m), the ordered forests on m labels: F(0) = 1 and
+    F(m) = sum over k of C(m, k) * k * F(k - 1) * F(m - k), the first
+    component's label set, root, tree and the forest on the rest."""
+    return sum(comb(m, k) * k * forest_count(k - 1) * forest_count(m - k)
+               for k in range(1, m + 1)) if m else 1
+
+
+def _unrank_forest(elems: list[int], rank: int) -> tuple[PlaneTree, ...]:
+    """The forest at position ``rank`` of ``TreeEnumerator.forests`` on the
+    sorted labels ``elems``, one component per turn of the loop.
+
+    The first component's mask ascends, bit i standing for elems[i], and a
+    mask of k bits holds w_k = k * F(k - 1) * F(m - k) forests.  With the bits
+    above i decided and c of them set, the masks with bit i clear come first
+    and hold sum over j of C(i, j) * w_(c + j).  Within the mask the root is
+    the outer loop, then the first tree, then the forest on the rest."""
+    trees = []
+    while elems:
+        m = len(elems)
+        weight = [0] + [k * forest_count(k - 1) * forest_count(m - k) for k in range(1, m + 1)]
+        mask = c = 0
+        for i in reversed(range(m)):
+            clear = sum(comb(i, j) * weight[c + j] for j in range(i + 1))
+            if rank >= clear:
+                rank -= clear
+                mask |= 1 << i
+                c += 1
+        first = [e for i, e in enumerate(elems) if mask >> i & 1]
+        index, rank = divmod(rank, forest_count(c - 1) * forest_count(m - c))
+        first_rank, rank = divmod(rank, forest_count(m - c))
+        root = first.pop(index)
+        trees.append(PlaneTree(root, _unrank_forest(first, first_rank)))
+        elems = [e for i, e in enumerate(elems) if not mask >> i & 1]
+    return tuple(trees)
 
 
 # -- generating polynomials -----------------------------------------------------
@@ -549,46 +612,31 @@ def leaf_profile(n: int, enumerator: TreeEnumerator | None = None) -> dict[int, 
 # -- increasing trees (no improper edges) ----------------------------------------
 
 
-def _graft(path: list[tuple[PlaneTree, int | None]], new: PlaneTree) -> PlaneTree:
-    """The tree at the head of ``path`` (the vertices from the root down, each
-    with the index of its child on the path) with the path's last vertex
-    replaced by ``new``; only the vertices on the path are rebuilt."""
-    for v, idx in reversed(path[:-1]):
-        new = PlaneTree(v.label, v.children[:idx] + (new,) + v.children[idx + 1:])
-    return new
+class _IncreasingTrees(TreeEnumerator):
+    """Every subtree rooted at its smallest label: a first label set roots at
+    its minimum only and, for rooted trees (children ascending), must hold the
+    smallest label left, bit 0 of the mask."""
+
+    _roots_per_set = 1
+
+    def __init__(self, plane: bool):
+        super().__init__()
+        self._mask_step = 1 if plane else 2
 
 
-def _grow_increasing(n: int, plane: bool) -> Iterator[PlaneTree]:
-    """Each increasing tree on [k-1], k = 2..n, takes k under every vertex, at
-    every child position if plane (else last), grafted along one walk's paths."""
-
-    def rec(tree: PlaneTree, k: int) -> Iterator[PlaneTree]:
-        if k > n:
-            yield tree
-            return
-        paths, stack = {}, [[(tree, None)]]
-        while stack:
-            path = stack.pop()
-            v = path[-1][0]
-            paths[v.label] = path
-            stack.extend(path[:-1] + [(v, idx), (c, None)] for idx, c in enumerate(v.children))
-        leaf = PlaneTree(k)
-        for v in range(1, k):
-            path = paths[v]
-            row = path[-1][0].children
-            for pos in range(len(row) + 1) if plane else (len(row),):
-                yield from rec(_graft(path, PlaneTree(v, row[:pos] + (leaf,) + row[pos:])), k + 1)
-
-    if n >= 1:
-        yield from rec(PlaneTree(1), 2)
+def _increasing_trees(n: int, plane: bool) -> Iterator[PlaneTree]:
+    """The increasing trees on [n] (none if n = 0), checked against the cap on the call."""
+    enum = _IncreasingTrees(plane)
+    labels = enum.check_bound(range(1, n + 1))
+    return iter(enum.trees_rooted(labels, 1) if labels else ())
 
 
 def increasing_plane_trees(n: int) -> Iterator[PlaneTree]:
     """All increasing plane trees on [n] (exactly the trees with no improper edge)."""
-    return _grow_increasing(n, plane=True)
+    return _increasing_trees(n, plane=True)
 
 
 def increasing_rooted_trees(n: int) -> Iterator[PlaneTree]:
     """Increasing unordered trees on [n], one canonical plane form each
     (children ascending, i.e. the eld = 0 representatives)."""
-    return _grow_increasing(n, plane=False)
+    return _increasing_trees(n, plane=False)

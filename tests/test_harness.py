@@ -221,9 +221,20 @@ def test_cli_bad_jobs_creates_no_report(tmp_path, capsys):
 ])
 def test_lemma_4_2_draws_are_pinned(seed, digest):
     # digests of the (instance, status) records drawn from a list of every
-    # tree on [n]; streaming the trees must draw the same instances
-    records = [[instance, status] for instance, status, _ in harness.run_lemma_4_2(seed=seed)]
+    # tree on [n], n <= 6; unranking the trees must draw the same instances
+    records = [[instance, status]
+               for instance, status, _ in harness.run_lemma_4_2(max_n=6, seed=seed)]
     assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_lemma_4_2_draws_are_pinned_at_default():
+    # the records at the registry defaults (max_n = 8), the same as drawing
+    # from the stream of every tree on [n] gave
+    entry = harness.REGISTRY["lemma-4-2"]
+    records = [[instance, status] for instance, status, _ in entry.runner(**entry.defaults)]
+    assert len(records) == 200 and {status for _, status in records} == {harness.PASS}
+    assert (hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+            == "e3e3662d17ac45853c9476bd9d63c28420bc88d01f9533cfb4d7f0380d8e12b1")
 
 
 @pytest.mark.parametrize("name,count,digest", [
@@ -295,6 +306,29 @@ def test_cli_verify_bound_exceeded_keeps_running(capsys, monkeypatch):
     assert out[-1] == "overall: FAIL (2 identities)"
     assert cli.main(argv + ["--allow-skip"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "overall: pass (2 identities)"
+
+
+def test_cli_verify_increasing_counts_past_the_cap(tmp_path, capsys, monkeypatch):
+    # the increasing-tree generators read the label cap, so prop-2-5's
+    # count_max_n above it ends in one skipped instance
+    monkeypatch.setenv("RAMAPOLY_MAX_LABELS", "4")
+    cfg = tmp_path / "bounds.cfg"
+    cfg.write_text("prop-2-5.enum_max_n=1\nprop-2-5.count_max_n=5\n")
+    argv = ["verify", "--identity", "prop-2-5", "--config", str(cfg), "--verbose"]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("BOUND-EXCEEDED prop-2-5 {}") for line in out) == 1
+    # three records for each n <= 4, the enumeration at n = 1 and the table
+    # product at n = 5, which is checked before the increasing trees
+    assert sum(line.startswith("pass prop-2-5") for line in out) == 3 * 4 + 1 + 1
+    assert cli.main(argv + ["--allow-skip"]) == 0
+
+
+def test_lemma_4_2_past_the_cap_is_skipped(monkeypatch):
+    # unranking needs no cap, but lemma-4-2.max_n is checked against it first
+    monkeypatch.setenv("RAMAPOLY_MAX_LABELS", "5")
+    report = harness.run_identity("lemma-4-2", {"max_n": 6})
+    assert [r.status for r in report.instances] == [harness.SKIP]
 
 
 TREE_TRUE_LABEL = '{"label": true, "children": []}'
@@ -420,7 +454,7 @@ def test_cli_verify_list(capsys):
     # the names, descriptions and default bounds in registry order, byte for
     # byte: the registry reads each identity's bounds from its runner
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "d5d248730f658c8cb9e1d1d7919ecfe7eaace22eca4e9239a10e75597b540a41")
+            == "212ca635cf45ad9ee6eee25fa508762e548be0eb0f2a4a72034db94a14592e45")
 
 
 @pytest.fixture

@@ -1,4 +1,6 @@
 import hashlib
+import random
+from collections import Counter
 from itertools import combinations
 from math import comb, factorial
 
@@ -160,6 +162,18 @@ def test_increasing_generators():
         assert all(t.eld_sub == 0 and t.imp_sub == 0 for t in rooted)
 
 
+def test_increasing_generators_read_the_cap(monkeypatch):
+    # checked on the call, before any tree is built
+    cap = tc.label_cap()
+    for generator in (tc.increasing_plane_trees, tc.increasing_rooted_trees):
+        with pytest.raises(BoundExceeded):
+            generator(cap + 1)
+    monkeypatch.setenv(tc.ENV_MAX_LABELS, "3")
+    with pytest.raises(BoundExceeded):
+        tc.increasing_plane_trees(4)
+    assert sum(1 for _ in tc.increasing_plane_trees(3)) == 3
+
+
 def test_bound_cap(monkeypatch):
     small = TreeEnumerator(max_labels=4)
     with pytest.raises(BoundExceeded):
@@ -254,8 +268,9 @@ def test_lazy_hash_and_equality(enum):
 
 
 def reference_grow_increasing(n, plane):
-    """Increasing trees by full rebuild: every yielded tree is built anew
-    from the children lists (the order the library must keep)."""
+    """Increasing trees by full rebuild: each tree on [k-1] takes k under
+    every vertex, at every child position if plane (else last), and every
+    yielded tree is built anew from the children lists."""
     children = {1: []}
 
     def build(v):
@@ -279,9 +294,36 @@ def reference_grow_increasing(n, plane):
 
 
 def test_increasing_trees_match_full_rebuild():
+    # the same trees as the insertion order gives, each once, in another order
     for n in range(0, 8):
-        assert list(tc.increasing_plane_trees(n)) == list(reference_grow_increasing(n, True))
-        assert list(tc.increasing_rooted_trees(n)) == list(reference_grow_increasing(n, False))
+        for plane, generator in ((True, tc.increasing_plane_trees),
+                                 (False, tc.increasing_rooted_trees)):
+            trees = list(generator(n))
+            assert len(set(trees)) == len(trees)
+            assert Counter(trees) == Counter(reference_grow_increasing(n, plane))
+
+
+def test_increasing_trees_meet_the_definition():
+    # read from the children tuples, not from the cached imp_sub: every child
+    # is above its parent, and a rooted tree's children ascend
+    for n in range(1, 8):
+        for plane, generator in ((True, tc.increasing_plane_trees),
+                                 (False, tc.increasing_rooted_trees)):
+            for tree in generator(n):
+                assert tree.label == 1 and tree.size == n
+                for v in tree.walk():
+                    row = [c.label for c in v.children]
+                    assert all(v.label < c for c in row)
+                    assert plane or row == sorted(row)
+
+
+@pytest.mark.parametrize("generator,digest", [
+    (tc.increasing_plane_trees, "d3b21e0b84c29677933ed8f6ba69f755db2ace690a21d9c413344e4b95c028cf"),
+    (tc.increasing_rooted_trees, "788e663c210d6fc09f9598d66e4c5e6baf4f8c337694501e4bdb868be05b2faa"),
+], ids=["plane", "rooted"])
+def test_increasing_order_is_pinned(generator, digest):
+    text = "\n".join(map(repr, generator(6)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.fixture
@@ -300,7 +342,9 @@ def constructions(monkeypatch):
 
 def test_increasing_trees_rebuild_only_the_path(constructions):
     assert sum(1 for _ in tc.increasing_plane_trees(7)) == 10395
-    assert constructions[0] <= 36330  # a full rebuild per tree makes 72,765
+    # the subtrees on at most MEMO_LIMIT labels are shared; a path rebuild
+    # per inserted vertex made 22,488 and a full rebuild per tree 72,765
+    assert constructions[0] <= 12276
 
 
 def test_stream_shares_memo_subtrees(constructions):
@@ -409,6 +453,37 @@ def test_count_trees_matches_stream(enum):
         for root in (1, m):
             assert (enum.count_trees(labels(m), root)
                     == len(list(enum.trees(labels(m), root))))
+
+
+def test_unrank_matches_stream(enum):
+    for n in range(1, 7):
+        for root in (None, 1):
+            stream = list(enum.trees(labels(n), root))
+            assert len(stream) == (n if root is None else 1) * tc.forest_count(n - 1)
+            assert [enum.unrank(labels(n), rank, root) for rank in range(len(stream))] == stream
+    # 1,000 seeded ranks on [7], read off one pass that holds no tree list
+    rng = random.Random(20260811)
+    ranks = {rng.randrange(7 * tc.forest_count(6)) for _ in range(1000)}
+    seen = 0
+    for rank, tree in enumerate(enum.trees(labels(7))):
+        if rank in ranks:
+            assert enum.unrank(labels(7), rank) == tree
+            seen += 1
+    assert seen == len(ranks) and rank + 1 == 665280
+
+
+def test_unrank_bounds():
+    # the unranking bound, not the label cap, limits the label set
+    small = TreeEnumerator(max_labels=2)
+    big = range(1, tc.UNRANK_MAX_LABELS + 1)
+    last = tc.UNRANK_MAX_LABELS * tc.forest_count(tc.UNRANK_MAX_LABELS - 1) - 1
+    assert small.unrank(big, last).size == tc.UNRANK_MAX_LABELS
+    with pytest.raises(BoundExceeded):
+        small.unrank(range(1, tc.UNRANK_MAX_LABELS + 2), 0)
+    for bad, rank, root in ((labels(3), 12, None), (labels(3), -1, None), (labels(3), 4, 1),
+                            (labels(3), True, None), ((), 0, None), (labels(3), 0, 4)):
+        with pytest.raises(ValueError):
+            small.unrank(bad, rank, root)
 
 
 def test_stream_readers_check_input_on_call():
