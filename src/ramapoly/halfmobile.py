@@ -22,20 +22,16 @@ excess when it is built, so ``hm_stats`` sums a forest's components into an
 
 ``enumerate_hm`` shares theta's work across one enumeration.  The
 :class:`TreeEnumerator` reuses one object for every subtree of at most
-``MEMO_LIMIT`` labels, so ``enumerate_hm`` hands ``theta`` one dict that maps
-each such subtree to its image and the bitmask of its labels; a shared
-subtree is converted, counted and label-checked once, and the forests it
-yields share those images.  Equal subtrees have equal images, so the sharing
-changes no result.  Larger subtrees are new in every tree and are converted
-fresh.  ``theta`` checks its label set by OR-ing those masks, with no
-separate walk over the tree.
+``MEMO_LIMIT`` labels, so ``theta`` gets one dict that maps the id of each
+such subtree to its image, its label bitmask and the subtree itself, which
+keeps the id from being reused.  A shared subtree is converted, counted and
+checked once, and the forests it yields share its image; larger subtrees
+are converted fresh.  ``theta`` checks its label set by OR-ing the masks.
 
 ``enumerate_hm`` proves theta injective on its stream with a left inverse,
-not with a set of every forest, so its memory grows with the memo and the
-depth, not with the object count.  Each image entering the memo is checked
-once to expand, as ``theta_inv`` expands it, back to its subtree; each forest
-is then expanded one level, its images mapped to their checked subtrees by
-``id``, and compared with the tree's children.
+not with a set of every forest: an image entering the memo must expand, as
+``theta_inv`` expands it, back to its subtree, and each forest's expansion
+must be the images of the tree's children, matched by identity.
 
 ``hm_generating_poly`` is the one half-mobile census, x^(tree-1) y^imp t^bdeg
 summed over those forests; ``thm-3-4`` reads it once per n, its per-k rows too.
@@ -44,7 +40,6 @@ summed over those forests; ``thm-3-4`` reads it once per n, its per-k rows too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .polyring import Poly
@@ -220,18 +215,20 @@ def hm_stats(forest: HalfMobileForest) -> HmStats:
 
 
 _LABEL_SET_ERROR = "theta needs the label set {1, ..., n+1}"
-# enumerate_hm's memo: each shared subtree -> its image and its label bitmask
-_Memo = dict[PlaneTree, tuple[HmNode, int]]
+# enumerate_hm's memo: id of each shared subtree -> its image, its label
+# bitmask and the subtree itself, which the entry keeps alive, so no id is
+# reused while the memo lives
+_Memo = dict[int, tuple[HmNode, int, PlaneTree]]
 
 
-def _to_hm(v: PlaneTree, memo: _Memo | None, top: int) -> tuple[HmNode, int]:
-    """v's image with its label shifted down by one, and the bitmask of v's
-    labels.  With a memo, a node of at most MEMO_LIMIT labels (the subtrees
-    the enumerator shares) is converted once and reused; larger nodes are
-    converted fresh."""
+def _to_hm(v: PlaneTree, memo: _Memo | None, top: int) -> tuple[HmNode, int, PlaneTree]:
+    """v's image with its label shifted down by one, the bitmask of v's
+    labels, and v.  With a memo, a node of at most MEMO_LIMIT labels (the
+    subtrees the enumerator shares) is converted and checked once and then
+    reused; larger nodes are converted fresh."""
     shared = memo is not None and v.size <= MEMO_LIMIT
     if shared:
-        hit = memo.get(v)
+        hit = memo.get(id(v))
         if hit is not None:
             return hit
     # a label is range-checked before it is shifted into a mask, so no mask
@@ -240,10 +237,10 @@ def _to_hm(v: PlaneTree, memo: _Memo | None, top: int) -> tuple[HmNode, int]:
     if not 0 < label <= top:
         raise ValueError(_LABEL_SET_ERROR)
     blocks, mask = _hm_blocks(v, memo, top)
-    image = HmNode(label - 1, blocks), mask | 1 << label
+    entry = HmNode(label - 1, blocks), mask | 1 << label, v
     if shared:
-        memo[v] = image
-    return image
+        _enter(memo, entry)
+    return entry
 
 
 def _hm_blocks(v: PlaneTree, memo: _Memo | None, top: int) -> tuple[tuple[HmNode, ...], int]:
@@ -257,7 +254,7 @@ def _hm_blocks(v: PlaneTree, memo: _Memo | None, top: int) -> tuple[tuple[HmNode
     mask = 0
     min_right = None
     for c in reversed(v.children):
-        image, c_mask = _to_hm(c, memo, top)
+        image, c_mask, _ = _to_hm(c, memo, top)
         mask |= c_mask
         if min_right is None or c.beta < min_right:
             if block:
@@ -279,7 +276,8 @@ def theta(tree: PlaneTree, *, _memo: _Memo | None = None) -> HalfMobileForest:
     and their bitmask is full; both are checked during the conversion.
 
     ``_memo`` is private to :func:`enumerate_hm`: a dict shared across one
-    enumeration that maps each small subtree to its image and label mask."""
+    enumeration that maps each small subtree, by id, to its checked image
+    and label mask."""
     if tree.label != 1:
         raise ValueError(f"theta needs root 1, got root {tree.label}")
     size = tree.size
@@ -319,40 +317,33 @@ def theta_inv(forest: HalfMobileForest) -> PlaneTree:
 # -- enumeration -------------------------------------------------------------------
 
 
-def _rebuilds(images: Sequence[HmNode], children: tuple[PlaneTree, ...],
-              sources: dict[int, PlaneTree]) -> bool:
-    """True when theta_inv's expansion of images gives back children.  An
-    image in ``sources`` (id of a checked memo image -> its subtree) stands
-    for that subtree; any other is expanded recursively."""
+def _rebuilds(images: Sequence[HmNode], children: tuple[PlaneTree, ...], memo: _Memo) -> bool:
+    """True when theta_inv's expansion of images gives back children.  A
+    child in the memo must be matched by its entry's checked image itself;
+    any other is expanded recursively."""
     expanded = _expand(images)
-    got = tuple(map(sources.get, map(id, expanded)))
-    if got == children:  # the common case: one C-level compare that hits `is`
-        return True
-    if len(got) != len(children):
+    if len(expanded) != len(children):
         return False
-    for w, source, c in zip(expanded, got, children):
-        if source is None:
+    for w, c in zip(expanded, children):
+        entry = memo.get(id(c))
+        if entry is None:
             if w.label is None or w.label + 1 != c.label \
-                    or not _rebuilds(w.children, c.children, sources):
+                    or not _rebuilds(w.children, c.children, memo):
                 return False
-        elif source != c:
+        elif entry[0] is not w:
             return False
     return True
 
 
-def _check_new_images(memo: _Memo, checked: int, sources: dict[int, PlaneTree]) -> int:
-    """Check the memo entries past the first ``checked``, oldest first: each
-    image must expand back to its subtree.  A child entered the memo before
-    its parent, so its checked subtree is read from ``sources``, which gains
-    each entry.  Returns the memo's size; the entries are read from its end,
-    with no rescan."""
-    growth = len(memo) - checked
-    for v, (image, _) in reversed(tuple(islice(reversed(memo.items()), growth))):
-        if not _rebuilds((image,), (v,), sources):
-            raise RuntimeError(f"theta collision on {image!r}, the image of subtree "
-                               f"{v!r}: theta_inv does not give the subtree back")
-        sources[id(image)] = v
-    return len(memo)
+def _enter(memo: _Memo, entry: tuple[HmNode, int, PlaneTree]) -> None:
+    """Enter (image, mask, v) in the memo once the image expands back to v;
+    v's children entered the memo before it, so only their images are
+    compared."""
+    image, _, v = entry
+    if not _rebuilds((image,), (v,), memo):
+        raise RuntimeError(f"theta collision on {image!r}, the image of subtree "
+                           f"{v!r}: theta_inv does not give the subtree back")
+    memo[id(v)] = entry
 
 
 def enumerate_hm(n: int, enumerator: TreeEnumerator | None = None) -> Iterator[HalfMobileForest]:
@@ -363,19 +354,13 @@ def enumerate_hm(n: int, enumerator: TreeEnumerator | None = None) -> Iterator[H
     must expand back, as theta_inv expands it, to the tree it came from, and
     a forest that does not raises.  The check holds no forest: a subtree's
     image is checked once, when it enters theta's memo, and a forest's
-    components are then mapped to those subtrees and compared with the
-    tree's children; only images of larger subtrees are expanded recursively."""
+    components are then matched by identity with the entries of the tree's
+    children; only images of larger subtrees are expanded recursively."""
     enum = enumerator or TreeEnumerator()
     memo: _Memo = {}
-    # id of a checked memo image -> its subtree; the memo keeps every image
-    # alive, so no id is reused while the stream runs
-    sources: dict[int, PlaneTree] = {}
-    checked = 0
     for tree in enum.trees(range(1, n + 2), root=1):
         forest = theta(tree, _memo=memo)
-        if len(memo) != checked:
-            checked = _check_new_images(memo, checked, sources)
-        if not _rebuilds(forest.components, tree.children, sources):
+        if not _rebuilds(forest.components, tree.children, memo):
             raise RuntimeError(f"theta collision on {forest!r}, the image of "
                                f"{tree!r}: theta_inv does not give the tree back")
         yield forest

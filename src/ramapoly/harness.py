@@ -395,9 +395,8 @@ def run_lemma_4_2(instances: int = 200, max_n: int = 8, seed: int = 20260811) ->
         uni = treecore.multivar_universe(range(1, n + 1))
         pos = {lab: idx for idx, lab in enumerate(range(1, n + 1))}
         t = Poly.var(uni, "t")
-        lhs = Poly.zero(uni)
-        for member in bijections.ij_class(tree, i, j):
-            lhs = lhs + Poly(uni, {treecore.multivar_exponents(member, pos): 1})
+        lhs = Poly(uni, Counter(treecore.multivar_exponents(member, pos)
+                                for member in bijections.ij_class(tree, i, j)))
         xi = Poly.var(uni, f"x{i}")
         base = xi + Poly.var(uni, f"x{j}") + t
         local = Poly.zero(uni)
@@ -405,13 +404,11 @@ def run_lemma_4_2(instances: int = 200, max_n: int = 8, seed: int = 20260811) ->
             inode = member.find(i)
             eld_i = len(inode.children) - inode.young_self
             local = local + base ** inode.young_self * t ** eld_i
-        exps = [0] * len(uni)
-        eld_rest = 0
-        for v in tree.walk():
-            if v.label not in (i, j):
-                exps[pos[v.label]] = v.young_self
-                eld_rest += len(v.children) - v.young_self
-        exps[-1] = eld_rest
+        # the rest: the tree's exponents with i's and j's young and eld taken off
+        exps = list(treecore.multivar_exponents(tree, pos))
+        for v in (tree.find(i), tree.find(j)):
+            exps[pos[v.label]] = 0
+            exps[-1] -= len(v.children) - v.young_self
         rhs = xi * local * Poly(uni, {tuple(exps): 1})
         yield _cmp({"trial": trial, "n": n, "i": i, "j": j}, lhs, rhs)
 

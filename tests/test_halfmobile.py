@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import time
 import tracemalloc
@@ -102,7 +103,8 @@ def test_theta_memo_matches_fresh_images(enum, example_pair):
     tree, forest = example_pair
     assert hm.theta(tree, _memo=memo) == forest
     assert memo
-    assert all(v.size <= MEMO_LIMIT for v in memo)
+    # each entry holds the subtree it is keyed by, and that subtree is small
+    assert all(key == id(v) and v.size <= MEMO_LIMIT for key, (_, _, v) in memo.items())
 
 
 def test_enumerate_hm_shares_small_images(enum):
@@ -272,13 +274,33 @@ def test_theta_memo_reused_across_n(enum):
     for n in (5, 2, 4, 1, 3):
         for tree in enum.trees(range(1, n + 2), root=1):
             assert hm.theta(tree, _memo=memo) == hm.theta(tree)
-    # every leaf on up to 6 labels is in the memo now, with its label mask;
-    # a hit must not let a label above the size through
-    assert node(6) in memo
-    for tree in (node(1, node(6)), node(1, node(2), node(5)), node(1, node(3, node(2)), node(3))):
+    # every leaf on up to 6 labels is in the memo now, keyed by the one object
+    # the enumerator shares for it, with its label mask; a hit on that object
+    # must not let a label above the size through
+    leaf = {k: enum.trees_rooted(frozenset({k}), k)[0] for k in range(2, 7)}
+    assert all(memo[id(v)][2] is v for v in leaf.values())
+    for tree in (node(1, leaf[6]), node(1, leaf[2], leaf[5]), node(1, node(3, leaf[2]), leaf[3])):
         with pytest.raises(ValueError, match="label set"):
             hm.theta(tree, _memo=memo)
-    assert hm.theta(node(1, node(2)), _memo=memo) == hm.HalfMobileForest((hm.white(1),))
+    assert hm.theta(node(1, leaf[2]), _memo=memo) == hm.HalfMobileForest((hm.white(1),))
+
+
+def test_theta_memo_keeps_its_subtrees_alive():
+    # hand-built trees dropped between calls free their nodes, so CPython may
+    # give a later node a dropped node's id; the memo's entries hold their
+    # subtrees, so no id is reused while the memo lives and no stale image
+    # is hit
+    memo = {}
+    shapes = [lambda a, b, c: node(1, node(a), node(b), node(c)),
+              lambda a, b, c: node(1, node(a, node(b)), node(c)),
+              lambda a, b, c: node(1, node(a, node(b), node(c))),
+              lambda a, b, c: node(1, node(a, node(b, node(c))))]
+    for _ in range(3):
+        for shape in shapes:
+            for labels in itertools.permutations((2, 3, 4)):
+                assert hm.theta(shape(*labels), _memo=memo) == hm.theta(shape(*labels))
+    assert all(key == id(v) for key, (_, _, v) in memo.items())
+    assert len(memo) == 3 * 4 * 6 * 3
 
 
 def test_enumerate_hm_output_is_pinned(enum):
@@ -322,17 +344,14 @@ def test_left_inverse_check_agrees_with_theta_inv(monkeypatch, enum, memo_limit)
     # are expanded recursively instead of read from the checked memo
     monkeypatch.setattr(hm, "MEMO_LIMIT", memo_limit)
     for n in range(1, 6):
-        memo, sources, checked = {}, {}, 0
+        memo = {}
         trees = list(enum.trees(range(1, n + 2), root=1))
-        forests = []
-        for tree in trees:
-            forests.append(hm.theta(tree, _memo=memo))
-            checked = hm._check_new_images(memo, checked, sources)
-        assert all(v.size <= memo_limit for v in memo)
+        forests = [hm.theta(tree, _memo=memo) for tree in trees]
+        assert all(v.size <= memo_limit for _, _, v in memo.values())
         # each tree against its own image and against its predecessor's
         for idx, tree in enumerate(trees):
             for forest in (forests[idx], forests[idx - 1]):
-                assert hm._rebuilds(forest.components, tree.children, sources) == (
+                assert hm._rebuilds(forest.components, tree.children, memo) == (
                     hm.theta_inv(forest) == tree), (tree, forest)
         assert list(hm.enumerate_hm(n, enumerator=enum)) == forests
 
@@ -355,19 +374,23 @@ def test_memo_check_rejects_wrong_images():
     leaf2, leaf3 = node(2), node(3)
     parent = node(4, leaf2, leaf3)
     w1, w2 = hm.white(1), hm.white(2)
-    good = {leaf2: (w1, 0), leaf3: (w2, 0), parent: (hm.white(3, w1, w2), 0)}
-    sources = {}
-    assert hm._check_new_images(good, 0, sources) == 3
-    assert sorted(sources.values(), key=lambda v: v.label) == [leaf2, leaf3, parent]
-    # children that are not checked images are expanded recursively
-    assert hm._check_new_images({parent: (hm.white(3, hm.white(1), hm.white(2)), 0)}, 0, {}) == 1
-    for memo in ({leaf2: (hm.white(2), 0)},                          # label not less one
-                 {leaf2: (w1, 0), leaf3: (w2, 0),                    # children reordered
-                  parent: (hm.HmNode(3, (w2, w1)), 0)},
-                 {parent: (hm.white(3, hm.black(w1, w2)), 0)},       # a block where none is
-                 {leaf2: (hm.black(w1, w2), 0)}):                    # a black image
+    good = [(w1, 0, leaf2), (w2, 0, leaf3), (hm.white(3, w1, w2), 0, parent)]
+    memo = {}
+    for entry in good:
+        hm._enter(memo, entry)
+    assert memo == {id(entry[2]): entry for entry in good}
+    # children that are not entered are expanded recursively
+    hm._enter({}, (hm.white(3, hm.white(1), hm.white(2)), 0, parent))
+    for entries in ([(hm.white(2), 0, leaf2)],                          # label not less one
+                    good[:2] + [(hm.HmNode(3, (w2, w1)), 0, parent)],   # children reordered
+                    [(hm.white(3, hm.black(w1, w2)), 0, parent)],       # a block where none is
+                    [(hm.black(w1, w2), 0, leaf2)]):                    # a black image
+        memo = {}
+        for entry in entries[:-1]:
+            hm._enter(memo, entry)
         with pytest.raises(RuntimeError, match="^theta collision on .*, the image of subtree "):
-            hm._check_new_images(memo, 0, {})
+            hm._enter(memo, entries[-1])
+        assert id(entries[-1][2]) not in memo
 
 
 def test_a_wrong_shared_image_is_caught_when_it_enters_the_memo(monkeypatch, enum):
