@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import combinations_with_replacement, permutations as iter_permutations, repeat
 from math import comb, factorial
-from operator import sub
+from operator import add, sub
 from typing import Callable, Iterator
 
 from . import bijections, forests, halfmobile, qpolys, treecore
@@ -95,6 +95,35 @@ def _check(instance: dict, witness: Payload, info: Payload = None) -> Outcome:
 
 def _cmp(instance: dict, lhs: Poly | int, rhs: Poly | int, info: Payload = None) -> Outcome:
     return _check(instance, qpolys.mismatch(lhs, rhs), info)
+
+
+# Results that a second identity re-reads, kept while a serial run_suite runs;
+# None otherwise, so a lone runner, run_identity or a pool worker computes
+_memo: dict | None = None
+
+
+def _once(key: tuple, compute: Callable[[], object]):
+    """compute(), or the value it gave for key earlier in the same serial run.
+    An exception (BoundExceeded) propagates and is not kept."""
+    if _memo is None:
+        return compute()
+    if key not in _memo:
+        _memo[key] = compute()
+    return _memo[key]
+
+
+def _census(labels: range, root: int | None,
+            enum: treecore.TreeEnumerator) -> dict[int, dict[tuple[int, int], int]]:
+    """The plain weight census of the label set, once per serial run."""
+    return _once(("census", frozenset(labels), root),
+                 lambda: treecore.weight_census(labels, root, enumerator=enum))
+
+
+def _rooted_polys(labels: frozenset[int], enum: treecore.TreeEnumerator) -> dict[int, Poly]:
+    """The multivariate sum of the trees on the label set rooted at r, by r,
+    once per serial run."""
+    return _once(("rooted-polys", labels),
+                 lambda: {r: treecore.generating_poly(labels, r, enum) for r in sorted(labels)})
 
 
 def _xt_in_t(poly: Poly) -> Poly:
@@ -173,7 +202,7 @@ def run_eq_gs(max_n: int = 20, enum_max_n: int = 5) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
     for n in range(1, enum_max_n + 1):
         counts: Counter[tuple[int, int]] = Counter()   # pooled over the improper count
-        for cells in treecore.weight_census(range(1, n + 2), root=1, enumerator=enum).values():
+        for cells in _census(range(1, n + 2), 1, enum).values():
             counts.update(cells)
         total = Poly.zero(uni)
         for (y1, e), count in counts.items():
@@ -204,8 +233,8 @@ def run_eq_equiv(max_n: int = 6) -> Iterator[Outcome]:
     t = Poly.var(QK_VARS, "t")
     enum = treecore.TreeEnumerator()
     for n in range(1, max_n + 1):
-        left = treecore.weight_census(range(1, n + 2), root=1, enumerator=enum)
-        right = treecore.weight_census(range(1, n + 1), enumerator=enum)
+        left = _census(range(1, n + 2), 1, enum)
+        right = _census(range(1, n + 1), None, enum)
         witness = None
         for k in range(n):
             lhs = treecore.census_poly(left.get(k, {}), mode="o")
@@ -228,14 +257,14 @@ def _census_vs_table(n: int, census, mode: str, shifted: bool,
 def run_thm_2_2(max_n: int = 6) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
     for n in range(1, max_n + 1):
-        census = treecore.weight_census(range(1, n + 2), root=1, enumerator=enum)
+        census = _census(range(1, n + 2), 1, enum)
         yield from _census_vs_table(n, census, "o", shifted=False, max_k=n)
 
 
 def run_thm_2_3(max_n: int = 7) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
     for n in range(1, max_n + 1):
-        census = treecore.weight_census(range(1, n + 1), enumerator=enum)
+        census = _census(range(1, n + 1), None, enum)
         yield from _census_vs_table(n, census, "p", shifted=True, max_k=n)
 
 
@@ -309,7 +338,7 @@ def run_prop_2_5(enum_max_n: int = 6, count_max_n: int = 8) -> Iterator[Outcome]
         yield _cmp({"n": n, "check": "table-product"},
                    qpolys.q_nk(n, 0, shifted=True), product)
         if n <= enum_max_n:
-            census = treecore.weight_census(range(1, n + 1), enumerator=enum)
+            census = _census(range(1, n + 1), None, enum)
             yield _cmp({"n": n, "check": "enumeration"},
                        treecore.census_poly(census.get(0, {}), "p"), product)
         plane_count = sum(1 for _ in treecore.increasing_plane_trees(n))
@@ -348,7 +377,8 @@ def run_thm_4_3(max_n: int = 6) -> Iterator[Outcome]:
         uni = treecore.multivar_universe(labels)
         s = _symmetric_sum(uni, n)
         t = Poly.var(uni, "t")
-        lhs = treecore.generating_poly(labels, enumerator=enum)
+        # the free sum is the rooted sums added up: the same trees, split by root
+        lhs = reduce(add, _rooted_polys(labels, enum).values())
         rhs = poly_prod((s + t * k for k in range(n - 1)), uni)
         yield _cmp({"n": n}, lhs, rhs)
 
@@ -361,8 +391,7 @@ def run_thm_4_gen_on(max_n: int = 6) -> Iterator[Outcome]:
         s = _symmetric_sum(uni, n)
         t = Poly.var(uni, "t")
         tail = poly_prod((s + t * k for k in range(1, n - 1)), uni)
-        for r in range(1, n + 1):
-            lhs = treecore.generating_poly(labels, r, enum)
+        for r, lhs in _rooted_polys(labels, enum).items():
             yield _cmp({"n": n, "r": r}, lhs, Poly.var(uni, f"x{r}") * tail)
 
 
@@ -371,7 +400,7 @@ def run_cor_roots(max_n: int = 6) -> Iterator[Outcome]:
     for n in range(2, max_n + 1):
         labels = frozenset(range(1, n + 1))
         uni = treecore.multivar_universe(labels)
-        by_root = {r: treecore.generating_poly(labels, r, enum) for r in range(1, n + 1)}
+        by_root = _rooted_polys(labels, enum)
         for r in range(1, n + 1):
             for s in range(r + 1, n + 1):
                 lhs = by_root[r] * Poly.var(uni, f"x{s}")
@@ -473,9 +502,9 @@ def _degree_sequences(n: int, total: int) -> Iterator[tuple[int, ...]]:
 
 
 def _degseq_census(n: int, enum: treecore.TreeEnumerator) -> Counter[tuple[int, ...]]:
-    """The plane forests on [n] counted by ordered degree sequence."""
-    return Counter(map(forests.ordered_degree_sequence,
-                       forests.plane_forests(range(1, n + 1), enum), repeat(n)))
+    """The plane forests on [n] counted by ordered degree sequence, once per serial run."""
+    return _once(("degseq", n), lambda: Counter(map(
+        forests.ordered_degree_sequence, forests.plane_forests(range(1, n + 1), enum), repeat(n))))
 
 
 def _type_table(n: int) -> Counter[tuple[int, ...]]:
@@ -676,6 +705,18 @@ def run_identity(name: str, overrides: dict | None = None) -> VerificationReport
 def run_suite(names: list[str] | None = None,
               overrides: dict[str, dict] | None = None,
               jobs: int = 1) -> list[VerificationReport]:
+    """Run the named identities (all by default) in order, each at its defaults
+    updated by its overrides, on up to ``jobs`` processes.
+
+    Every name and bound is checked before any identity runs.  A serial run
+    (``jobs`` 1, or clamped to 1 by the selection or the CPU count) keeps a
+    run-scoped memo through ``_once``: the plain weight censuses, the rooted
+    multivariate sums and the degree-sequence census are enumerated once and
+    re-read by every later identity that needs them, so such an identity's
+    seconds leave out work an earlier one did.  The memo is dropped when the
+    run ends, however it ends.  Pool workers share nothing.
+    """
+    global _memo
     overrides = overrides or {}
     if names is None:
         names = list(REGISTRY)
@@ -688,7 +729,11 @@ def run_suite(names: list[str] | None = None,
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     jobs = min(jobs, len(targets), os.cpu_count() or 1)
     if jobs <= 1:
-        return [run_identity(name, overrides.get(name)) for name in targets]
+        _memo = {}
+        try:
+            return [run_identity(name, overrides.get(name)) for name in targets]
+        finally:
+            _memo = None
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(run_identity, name, overrides.get(name))
                    for name in targets]

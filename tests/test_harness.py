@@ -1,14 +1,19 @@
+import dataclasses
 import gc
 import hashlib
 import json
+import subprocess
+import sys
 import tracemalloc
+from collections import Counter
 from concurrent.futures import Future
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from ramapoly import cli, harness
-from ramapoly.polyring import parse
+from ramapoly import cli, forests, harness, treecore
+from ramapoly.polyring import Poly, parse
 from ramapoly.qpolys import QK_VARS
 
 
@@ -78,6 +83,123 @@ def test_run_suite_clamps_pool_to_selection(monkeypatch):
     assert [r.identity for r in reports] == four
     with pytest.raises(ValueError):
         harness.run_suite(names, jobs=0)
+
+
+# the identities that re-read an enumeration another one made, at n <= 5;
+# thm-2-2 and eq-equiv meet on root-1 [5], thm-2-3 and prop-2-5 on free [5]
+SHARED = {"thm-2-2": {"max_n": 4}, "thm-2-3": {"max_n": 5},
+          "prop-2-5": {"enum_max_n": 5, "count_max_n": 5}, "eq-equiv": {"max_n": 4},
+          "eq-gs": {"max_n": 4, "enum_max_n": 4}, "thm-4-3": {"max_n": 5},
+          "thm-4-gen-on": {"max_n": 5}, "cor-roots": {"max_n": 5},
+          "cor-planted": {"enum_max_n": 5, "cayley_max_n": 5}, "cor-plane": {"max_n": 5}}
+
+
+def _records(reports):
+    return [(r.identity, i.instance, i.status, i.witness, i.info)
+            for r in reports for i in r.instances]
+
+
+def _counting(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def counted(labels, *args, **kwargs):
+        # keyed by the label set and root, not by the runner's own enumerator
+        root = [a for a in args[:1] if not isinstance(a, treecore.TreeEnumerator)]
+        calls[name, frozenset(labels), *root] += 1
+        return fn(labels, *args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_serial_run_enumerates_each_shared_result_once(monkeypatch):
+    calls = Counter()
+    for module, name in ((treecore, "weight_census"), (treecore, "generating_poly"),
+                         (forests, "plane_forests")):
+        _counting(monkeypatch, module, name, calls)
+    serial = harness.run_suite(list(SHARED), SHARED)
+    assert calls and max(calls.values()) == 1
+    calls.clear()
+    alone = [harness.run_identity(name, params) for name, params in SHARED.items()]
+    repeated = {key[0] for key, count in calls.items() if count > 1}
+    assert repeated == {"weight_census", "generating_poly", "plane_forests"}
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    pooled = harness.run_suite(list(SHARED), SHARED, jobs=2)
+    assert _records(serial) == _records(alone) == _records(pooled)
+    assert {i.status for r in serial for i in r.instances} == {harness.PASS}
+
+
+def test_run_memo_is_dropped_however_the_run_ends(monkeypatch):
+    harness.run_suite(["thm-2-2", "eq-equiv"], SHARED)
+    assert harness._memo is None
+    seen = []
+
+    def broken(max_n):
+        seen.append(dict(harness._memo))
+        raise RuntimeError("runner broke")
+        yield
+    entry = dataclasses.replace(harness.REGISTRY["eq-equiv"], runner=broken)
+    monkeypatch.setitem(harness.REGISTRY, "eq-equiv", entry)
+    with pytest.raises(RuntimeError):
+        harness.run_suite(["thm-2-2", "eq-equiv"], SHARED)
+    assert seen and seen[0]   # the memo was open, holding thm-2-2's censuses
+    assert harness._memo is None
+    # outside a serial run nothing is kept
+    harness.run_identity("thm-2-2", SHARED["thm-2-2"])
+    assert harness._memo is None
+
+
+def test_serial_run_skips_where_each_identity_alone_does(monkeypatch):
+    monkeypatch.setenv("RAMAPOLY_MAX_LABELS", "4")
+    serial = harness.run_suite(list(SHARED), SHARED)
+    alone = [harness.run_identity(name, params) for name, params in SHARED.items()]
+    assert _records(serial) == _records(alone)
+    skipped = [r.identity for r in serial if r.status == harness.SKIP]
+    assert {"thm-2-2", "thm-2-3", "eq-equiv", "thm-4-3", "cor-planted"} <= set(skipped)
+
+
+def _snapshot(value):
+    """An independent deep copy of a memoized value (a Poly cannot be deep-copied)."""
+    if isinstance(value, Poly):
+        return value.universe, _snapshot(value.terms)
+    if isinstance(value, dict):
+        return {key: _snapshot(item) for key, item in value.items()}
+    return value
+
+
+def test_no_runner_mutates_a_shared_result(monkeypatch):
+    entered = []
+    once = harness._once
+
+    def snapshotting(key, compute):
+        def first():
+            value = compute()
+            entered.append((key, value, _snapshot(value)))
+            return value
+        return once(key, first)
+    monkeypatch.setattr(harness, "_once", snapshotting)
+    harness.run_suite(list(SHARED), SHARED)
+    assert {key[0] for key, _, _ in entered} == {"census", "rooted-polys", "degseq"}
+    for key, value, snapshot in entered:
+        assert _snapshot(value) == snapshot, key
+
+
+def test_same_records_ignores_only_seconds(tmp_path, capsys):
+    script = Path(__file__).resolve().parent / "same_records.py"
+    serial = tmp_path / "serial.jsonl"
+    assert cli.main(["verify", "--identity", "thm-2-2,eq-equiv", "--max-n", "3",
+                     "--report", str(serial)]) == 0
+    capsys.readouterr()
+    records = [json.loads(line) for line in serial.read_text().splitlines()]
+    retimed = tmp_path / "retimed.jsonl"
+    retimed.write_text("".join(json.dumps({**r, "seconds": 9.0} if "seconds" in r else r) + "\n"
+                               for r in records))
+    changed = tmp_path / "changed.jsonl"
+    changed.write_text("".join(json.dumps({**r, "status": "fail"} if i == 2 else r) + "\n"
+                               for i, r in enumerate(records)))
+    run = partial(subprocess.run, capture_output=True, text=True)
+    assert run([sys.executable, str(script), str(serial), str(retimed)]).returncode == 0
+    result = run([sys.executable, str(script), str(serial), str(changed)])
+    assert result.returncode == 1 and result.stdout.startswith("record 3 differs")
+    assert run([sys.executable, str(script), str(serial), str(serial)[:-1] + "x"]).returncode != 0
 
 
 def test_suite_status_semantics():
