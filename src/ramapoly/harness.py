@@ -114,9 +114,23 @@ def _once(key: tuple, compute: Callable[[], object]):
 
 def _census(labels: range, root: int | None,
             enum: treecore.TreeEnumerator) -> dict[int, dict[tuple[int, int], int]]:
-    """The plain weight census of the label set, once per serial run."""
-    return _once(("census", frozenset(labels), root),
-                 lambda: treecore.weight_census(labels, root, enumerator=enum))
+    """The plain weight census of the label set, once per serial run.
+
+    The free census (root None) merges the root censuses in root order, so a
+    root census that a rooted reader left in the memo is read, not refolded.
+    The free stream is the root streams one after another, so the merge keeps
+    ``weight_census``'s key order (first appearance) at both levels."""
+    if root is not None:
+        return _once(("census", frozenset(labels), root),
+                     lambda: treecore.weight_census(labels, root, enumerator=enum))
+
+    def merged() -> dict[int, Counter[tuple[int, int]]]:
+        census: dict[int, Counter[tuple[int, int]]] = {}
+        for r in sorted(labels):
+            for k, cells in _census(labels, r, enum).items():
+                census.setdefault(k, Counter()).update(cells)
+        return census
+    return _once(("census", frozenset(labels), None), merged)
 
 
 def _rooted_polys(labels: frozenset[int], enum: treecore.TreeEnumerator) -> dict[int, Poly]:
@@ -341,11 +355,11 @@ def run_prop_2_5(enum_max_n: int = 6, count_max_n: int = 8) -> Iterator[Outcome]
             census = _census(range(1, n + 1), None, enum)
             yield _cmp({"n": n, "check": "enumeration"},
                        treecore.census_poly(census.get(0, {}), "p"), product)
-        plane_count = sum(1 for _ in treecore.increasing_plane_trees(n))
         yield _cmp({"n": n, "check": "increasing-plane"},
-                   plane_count, qpolys.odd_double_factorial(2 * n - 3))
-        rooted_count = sum(1 for _ in treecore.increasing_rooted_trees(n))
-        yield _cmp({"n": n, "check": "increasing-rooted"}, rooted_count, factorial(n - 1))
+                   treecore.count_increasing_trees(n, plane=True),
+                   qpolys.odd_double_factorial(2 * n - 3))
+        yield _cmp({"n": n, "check": "increasing-rooted"},
+                   treecore.count_increasing_trees(n, plane=False), factorial(n - 1))
 
 
 # -- section 3: half-mobile forests ------------------------------------------------
@@ -445,7 +459,8 @@ def run_lemma_4_2(instances: int = 200, max_n: int = 8, seed: int = 20260811) ->
 def run_cor_catalan(max_vertices: int = 7) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
     for m in range(1, max_vertices + 1):
-        count = enum.count_trees(range(1, m + 1))
+        # the free census's cells count its trees; thm-2-3 holds it in a serial run
+        count = sum(sum(cells.values()) for cells in _census(range(1, m + 1), None, enum).values())
         yield _cmp({"vertices": m, "check": "labeled"},
                    count, factorial(2 * m - 2) // factorial(m - 1))
         unlabeled = qpolys.catalan(m - 1)
@@ -713,8 +728,11 @@ def run_suite(names: list[str] | None = None,
     run-scoped memo through ``_once``: the plain weight censuses, the rooted
     multivariate sums and the degree-sequence census are enumerated once and
     re-read by every later identity that needs them, so such an identity's
-    seconds leave out work an earlier one did.  The memo is dropped when the
-    run ends, however it ends.  Pool workers share nothing.
+    seconds leave out work an earlier one did.  The free census of a label
+    set is its root censuses merged, so it refolds no root census a rooted
+    reader left, and ``cor-catalan`` counts the trees from ``thm-2-3``'s.
+    The memo is dropped when the run ends, however it ends.  Pool workers
+    share nothing.
     """
     global _memo
     overrides = overrides or {}

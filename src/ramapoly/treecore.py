@@ -30,7 +30,8 @@ them builds a root node.  ``TreeEnumerator.unrank`` builds the tree at any
 position of the stream from the forest counts ``forest_count``, without
 streaming.  The increasing-tree generators read the same memoizing stream,
 narrowed by a private subclass to the forests whose every subtree is rooted
-at its smallest label.
+at its smallest label, and ``count_increasing_trees`` counts the forests
+under vertex 1 of that stream, as ``count_trees`` does.
 """
 
 from __future__ import annotations
@@ -640,3 +641,10 @@ def increasing_rooted_trees(n: int) -> Iterator[PlaneTree]:
     """Increasing unordered trees on [n], one canonical plane form each
     (children ascending, i.e. the eld = 0 representatives)."""
     return _increasing_trees(n, plane=False)
+
+
+def count_increasing_trees(n: int, plane: bool) -> int:
+    """How many trees ``increasing_plane_trees(n)`` (plane) or
+    ``increasing_rooted_trees(n)`` yields: the forests under vertex 1 are
+    counted and no root node is built.  The same cap check as theirs."""
+    return _IncreasingTrees(plane).count_trees(range(1, n + 1), 1) if n > 0 else 0

@@ -4,7 +4,9 @@ Usage: python3 tests/check_expected_failures.py
 
 Exits 0 when the tests that fail (or error) are exactly those listed in
 tests/expected_failures.txt, and 1 otherwise, naming each unexpected failure
-and each listed test that no longer fails.  Uses only the stdlib.
+and each listed test that no longer fails.  After that verdict it prints
+pytest's list of the ten slowest test phases (``--durations=10``), which
+does not affect the exit code.  Uses only the stdlib.
 """
 
 from __future__ import annotations
@@ -33,13 +35,24 @@ def failing_tests(summary: str) -> set[str]:
     return failing
 
 
+def durations_section(output: str) -> list[str]:
+    """The lines of pytest's "slowest N durations" section, header included."""
+    lines = output.splitlines()
+    for start, line in enumerate(lines):
+        if line.startswith("=") and "slowest" in line and "durations" in line:
+            end = next((i for i in range(start + 1, len(lines)) if lines[i].startswith("=")),
+                       len(lines))
+            return lines[start:end]
+    return []
+
+
 def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"],
+         "--durations=10", "--continue-on-collection-errors"],
         cwd=ROOT, env=env, capture_output=True, text=True)
     if proc.returncode not in (0, 1):
         sys.stdout.write(proc.stdout[-4000:])
@@ -52,10 +65,10 @@ def main() -> int:
         print(f"unexpected failure: {node}")
     for node in sorted(expected - failing):
         print(f"listed but not failing: {node}")
-    if failing != expected:
-        return 1
-    print(f"ok: {len(failing)} failing tests, as listed in {LEDGER.relative_to(ROOT)}")
-    return 0
+    if failing == expected:
+        print(f"ok: {len(failing)} failing tests, as listed in {LEDGER.relative_to(ROOT)}")
+    print("\n".join(durations_section(proc.stdout)))
+    return 0 if failing == expected else 1
 
 
 if __name__ == "__main__":

@@ -86,12 +86,14 @@ def test_run_suite_clamps_pool_to_selection(monkeypatch):
 
 
 # the identities that re-read an enumeration another one made, at n <= 5;
-# thm-2-2 and eq-equiv meet on root-1 [5], thm-2-3 and prop-2-5 on free [5]
+# thm-2-2 and eq-equiv meet on root-1 [5], thm-2-3, prop-2-5 and cor-catalan
+# on free [5], which merges the root censuses
 SHARED = {"thm-2-2": {"max_n": 4}, "thm-2-3": {"max_n": 5},
           "prop-2-5": {"enum_max_n": 5, "count_max_n": 5}, "eq-equiv": {"max_n": 4},
           "eq-gs": {"max_n": 4, "enum_max_n": 4}, "thm-4-3": {"max_n": 5},
           "thm-4-gen-on": {"max_n": 5}, "cor-roots": {"max_n": 5},
-          "cor-planted": {"enum_max_n": 5, "cayley_max_n": 5}, "cor-plane": {"max_n": 5}}
+          "cor-planted": {"enum_max_n": 5, "cayley_max_n": 5}, "cor-plane": {"max_n": 5},
+          "cor-catalan": {"max_vertices": 5}}
 
 
 def _records(reports):
@@ -154,6 +156,23 @@ def test_serial_run_skips_where_each_identity_alone_does(monkeypatch):
     assert _records(serial) == _records(alone)
     skipped = [r.identity for r in serial if r.status == harness.SKIP]
     assert {"thm-2-2", "thm-2-3", "eq-equiv", "thm-4-3", "cor-planted"} <= set(skipped)
+
+
+@pytest.mark.parametrize("memo", [None, {}], ids=["alone", "serial-run-memo"])
+def test_free_census_merges_the_root_censuses(monkeypatch, memo):
+    # the merged census against one weight_census pass over every root, item
+    # for item and in the same key order at both levels; in the memo the root-1
+    # census is already there, as the rooted readers leave it
+    monkeypatch.setattr(harness, "_memo", memo)
+    enum = treecore.TreeEnumerator()
+    for n in range(1, 7):
+        labels = range(1, n + 1)
+        harness._census(labels, 1, enum)
+        merged = harness._census(labels, None, enum)
+        direct = treecore.weight_census(labels)
+        assert list(merged) == list(direct)
+        for k, cells in direct.items():
+            assert list(merged[k].items()) == list(cells.items())
 
 
 def _snapshot(value):

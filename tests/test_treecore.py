@@ -174,6 +174,22 @@ def test_increasing_generators_read_the_cap(monkeypatch):
     assert sum(1 for _ in tc.increasing_plane_trees(3)) == 3
 
 
+def test_increasing_counts_match_the_generators(monkeypatch):
+    for n in range(8):
+        assert tc.count_increasing_trees(n, plane=True) == sum(
+            1 for _ in tc.increasing_plane_trees(n))
+        assert tc.count_increasing_trees(n, plane=False) == sum(
+            1 for _ in tc.increasing_rooted_trees(n))
+    for plane in (True, False):
+        with pytest.raises(BoundExceeded):
+            tc.count_increasing_trees(tc.label_cap() + 1, plane)
+    monkeypatch.setenv(tc.ENV_MAX_LABELS, "3")
+    for plane in (True, False):
+        with pytest.raises(BoundExceeded):
+            tc.count_increasing_trees(4, plane)
+    assert tc.count_increasing_trees(3, plane=True) == 3
+
+
 def test_bound_cap(monkeypatch):
     small = TreeEnumerator(max_labels=4)
     with pytest.raises(BoundExceeded):
