@@ -139,7 +139,7 @@ def cmd_bijection(args) -> int:
     elif name == "psi-inv":
         _emit(list(bijections.psi_inv(data).word))
     elif name == "theta":
-        _emit(halfmobile.theta(treecore.tree_from_obj(data)).to_obj())
+        _emit(halfmobile.forest_to_obj(halfmobile.theta(treecore.tree_from_obj(data))))
     elif name == "theta-inv":
         _emit(halfmobile.theta_inv(halfmobile.forest_from_obj(data)).to_obj())
     elif name == "phi":
@@ -329,7 +329,8 @@ def main(argv=None) -> int:
         print("error: input nested too deeply", file=sys.stderr)
         return 2
     except (PolyError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
 
 

@@ -7,7 +7,8 @@ cyclic order).  Canonical storage makes structural equality plain recursion:
 * a white vertex's children are listed by ascending beta (beta of a node is
   the smallest white label in its subtree);
 * a black vertex's cyclic order is stored as the unique linearization whose
-  last child has the smallest beta.
+  last child has the smallest beta;
+* a forest is the plain tuple of its components, ascending by beta.
 
 ``theta`` maps plane trees rooted at 1 on [n+1] to forests on [n]: at every
 vertex the children are cut into blocks ending at the right-to-left minima
@@ -39,7 +40,7 @@ summed over those forests; ``thm-3-4`` reads it once per n, its per-k rows too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .polyring import Poly
@@ -135,22 +136,7 @@ def black(*children: HmNode) -> HmNode:
     return HmNode(None, children)
 
 
-@dataclass(frozen=True)
-class HalfMobileForest:
-    components: tuple[HmNode, ...]
-
-    @classmethod
-    def build(cls, components: Sequence[HmNode]) -> "HalfMobileForest":
-        return cls(tuple(sorted(components, key=lambda c: c.beta)))
-
-    def white_labels(self) -> list[int]:
-        out = []
-        for c in self.components:
-            out.extend(c.white_labels())
-        return out
-
-    def to_obj(self) -> dict:
-        return {"components": [c.to_obj() for c in self.components]}
+HmForest = tuple[HmNode, ...]   # a half-mobile forest: its components, ascending by beta
 
 
 class HmStats(NamedTuple):
@@ -162,7 +148,7 @@ class HmStats(NamedTuple):
 # -- validation ----------------------------------------------------------------
 
 
-def validate(forest: HalfMobileForest) -> str | None:
+def validate(forest: HmForest) -> str | None:
     """None when every structural invariant holds, else the first violation
     with the path to the offending node."""
 
@@ -189,26 +175,26 @@ def validate(forest: HalfMobileForest) -> str | None:
                 return problem
         return None
 
-    labels = forest.white_labels()
+    labels = [label for comp in forest for label in comp.white_labels()]
     if len(labels) != len(set(labels)):
         return "forest: duplicate white labels"
-    betas = [c.beta for c in forest.components]
+    betas = [c.beta for c in forest]
     if betas != sorted(betas):
         return "forest: components not sorted by beta"
-    for idx, comp in enumerate(forest.components):
+    for idx, comp in enumerate(forest):
         problem = check(comp, f"component {idx}")
         if problem:
             return problem
     return None
 
 
-def hm_stats(forest: HalfMobileForest) -> HmStats:
+def hm_stats(forest: HmForest) -> HmStats:
     """(imp, tree, bdeg) of the forest: its components' cached counts summed."""
     imp = bdeg = 0
-    for comp in forest.components:
+    for comp in forest:
         imp += comp.imp_sub
         bdeg += comp.bdeg_sub
-    return HmStats(imp=imp, tree=len(forest.components), bdeg=bdeg)
+    return HmStats(imp=imp, tree=len(forest), bdeg=bdeg)
 
 
 # -- theta ------------------------------------------------------------------------
@@ -269,7 +255,7 @@ def _hm_blocks(v: PlaneTree, memo: _Memo | None, top: int) -> tuple[tuple[HmNode
     return tuple(blocks), mask
 
 
-def theta(tree: PlaneTree, *, _memo: _Memo | None = None) -> HalfMobileForest:
+def theta(tree: PlaneTree, *, _memo: _Memo | None = None) -> HmForest:
     """Plane tree rooted at 1 on [n+1] -> half-mobile forest on [n].
 
     The n + 1 labels are exactly {1, ..., n+1} when each lies in that range
@@ -284,7 +270,7 @@ def theta(tree: PlaneTree, *, _memo: _Memo | None = None) -> HalfMobileForest:
     blocks, mask = _hm_blocks(tree, _memo, size)
     if mask | 2 != (1 << size + 1) - 2:
         raise ValueError(_LABEL_SET_ERROR)
-    return HalfMobileForest(blocks)
+    return blocks
 
 
 def _expand(images: Sequence[HmNode]) -> list[HmNode]:
@@ -299,19 +285,19 @@ def _expand(images: Sequence[HmNode]) -> list[HmNode]:
     return out
 
 
-def theta_inv(forest: HalfMobileForest) -> PlaneTree:
+def theta_inv(forest: HmForest) -> PlaneTree:
     """Inverse of theta; the forest must validate."""
     problem = validate(forest)
     if problem:
         raise ValueError(problem)
-    labels = forest.white_labels()
+    labels = [label for comp in forest for label in comp.white_labels()]
     if set(labels) != set(range(1, len(labels) + 1)):
         raise ValueError("theta_inv needs white labels {1, ..., n}")
 
     def to_plane(w: HmNode) -> PlaneTree:
         return PlaneTree(w.label + 1, map(to_plane, _expand(w.children)))
 
-    return PlaneTree(1, map(to_plane, _expand(forest.components)))
+    return PlaneTree(1, map(to_plane, _expand(forest)))
 
 
 # -- enumeration -------------------------------------------------------------------
@@ -346,7 +332,7 @@ def _enter(memo: _Memo, entry: tuple[HmNode, int, PlaneTree]) -> None:
     memo[id(v)] = entry
 
 
-def enumerate_hm(n: int, enumerator: TreeEnumerator | None = None) -> Iterator[HalfMobileForest]:
+def enumerate_hm(n: int, enumerator: TreeEnumerator | None = None) -> Iterator[HmForest]:
     """All half-mobile forests on [n], produced as theta images of the
     root-1 plane trees on [n+1].
 
@@ -360,13 +346,13 @@ def enumerate_hm(n: int, enumerator: TreeEnumerator | None = None) -> Iterator[H
     memo: _Memo = {}
     for tree in enum.trees(range(1, n + 2), root=1):
         forest = theta(tree, _memo=memo)
-        if not _rebuilds(forest.components, tree.children, memo):
+        if not _rebuilds(forest, tree.children, memo):
             raise RuntimeError(f"theta collision on {forest!r}, the image of "
                                f"{tree!r}: theta_inv does not give the tree back")
         yield forest
 
 
-def enumerate_hm_direct(n: int) -> Iterator[HalfMobileForest]:
+def enumerate_hm_direct(n: int) -> Iterator[HmForest]:
     """Independent recursive generator of all half-mobile forests on [n],
     used to check theta's surjectivity against :func:`enumerate_hm`."""
 
@@ -391,18 +377,10 @@ def enumerate_hm_direct(n: int) -> Iterator[HalfMobileForest]:
             for tail in compositions(labels - head):
                 yield [head] + tail
 
-    def choices(blocks: list[frozenset[int]], gen) -> Iterator[tuple[HmNode, ...]]:
-        if not blocks:
-            yield ()
-            return
-        for head in gen(blocks[0]):
-            for tail in choices(blocks[1:], gen):
-                yield (head,) + tail
-
     def white_trees(labels: frozenset[int]) -> Iterator[HmNode]:
         for root in sorted(labels):
             for part in set_partitions(labels - {root}):
-                for kids in choices(part, hm_trees):
+                for kids in product(*map(hm_trees, part)):
                     yield HmNode(root, kids)   # blocks ascend by min == beta
 
     def hm_trees(labels: frozenset[int]) -> Iterator[HmNode]:
@@ -418,12 +396,11 @@ def enumerate_hm_direct(n: int) -> Iterator[HalfMobileForest]:
             if not remainder:
                 continue
             for blocks in compositions(remainder):
-                for kids in choices(blocks + [last_block], white_trees):
+                for kids in product(*map(white_trees, blocks + [last_block])):
                     yield HmNode(None, kids)
 
     for part in set_partitions(frozenset(range(1, n + 1))):
-        for comps in choices(part, hm_trees):
-            yield HalfMobileForest(comps)
+        yield from product(*map(hm_trees, part))
 
 
 def hm_generating_poly(n: int, enumerator: TreeEnumerator | None = None) -> Poly:
@@ -457,7 +434,11 @@ def node_from_obj(obj: Mapping) -> HmNode:
     raise ValueError(f"unknown node kind {kind!r}")
 
 
-def forest_from_obj(obj: Mapping) -> HalfMobileForest:
+def forest_to_obj(forest: HmForest) -> dict:
+    return {"components": [c.to_obj() for c in forest]}
+
+
+def forest_from_obj(obj: Mapping) -> HmForest:
     if not isinstance(obj, Mapping) or not isinstance(obj.get("components"), list):
         raise ValueError("forest object needs a 'components' list")
-    return HalfMobileForest(tuple(node_from_obj(c) for c in obj["components"]))
+    return tuple(node_from_obj(c) for c in obj["components"])

@@ -171,12 +171,14 @@ run_eq_factor = partial(_run_symbolic, "factor", max_n=20)
 def run_eq_qnxt(max_n: int = 20, ones_max_n: int = 20) -> Iterator[Outcome]:
     yield from _run_symbolic("qnxt", max_n)
     for n in range(1, ones_max_n + 1):
+        qpolys.check_symbolic_n(n)
         value = qpolys.q_n(n).evaluate({"x": 1, "y": 1, "z": 1, "t": 1})
         yield _cmp({"n": n, "check": "all-ones"}, value, factorial(n) * qpolys.catalan(n))
 
 
 def run_eq_lambert(max_n: int = 20) -> Iterator[Outcome]:
     for n in range(1, max_n + 1):
+        qpolys.check_symbolic_n(n)
         r = qpolys.r_n(n)
         checks = {
             "constant-term": (r.coefficient((0,)), factorial(n - 1)),
@@ -231,7 +233,9 @@ def run_eq_gs(max_n: int = 20, enum_max_n: int = 5) -> Iterator[Outcome]:
 def run_eq_general(max_n: int = 7) -> Iterator[Outcome]:
     uni = ("t",)
     t = Poly.var(uni, "t")
+    enum = treecore.TreeEnumerator()   # n! permutations: the label cap bounds n
     for n in range(1, max_n + 1):
+        enum.check_bound(range(1, n + 1))
         counts: dict[int, int] = {}
         for perm in iter_permutations(range(1, n + 1)):
             g = treecore.gdes(perm)
@@ -538,6 +542,7 @@ def run_cor_planted(enum_max_n: int = 6, cayley_max_n: int = 7) -> Iterator[Outc
         witness = _first_planted_mismatch(n, _degseq_census(n, enum))
         yield _check({"n": n, "check": "plane-enumeration"}, witness)
     for n in range(1, cayley_max_n + 1):
+        enum.check_bound(range(1, n + 1))
         total = sum(forests.planted_count(d) for d in _degree_sequences(n, n - 1))
         yield _cmp({"n": n, "check": "cayley-sum"}, total, n ** (n - 1))
 
@@ -557,7 +562,9 @@ def _first_planted_mismatch(n: int, by_degseq: dict[tuple[int, ...], int]) -> Pa
 
 
 def run_cor_type_planted(max_n: int = 6) -> Iterator[Outcome]:
+    enum = treecore.TreeEnumerator()   # about 4^n degree sequences: the label cap bounds n
     for n in range(1, max_n + 1):
+        enum.check_bound(range(1, n + 1))
         for r, total in _type_table(n).items():
             yield _cmp({"n": n, "type": list(r)}, forests.type_count(r, "planted"), total)
 

@@ -40,6 +40,12 @@ class BoundExceeded(RuntimeError):
     enumeration label cap of :class:`treecore.TreeEnumerator`."""
 
 
+def check_symbolic_n(n: int) -> None:
+    """The symbolic n cap: BoundExceeded above MAX_SYMBOLIC_N."""
+    if n > MAX_SYMBOLIC_N:
+        raise BoundExceeded(f"n > {MAX_SYMBOLIC_N}")
+
+
 def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
@@ -293,6 +299,5 @@ def verify_identity(name: str, n: int) -> Witness:
         raise ValueError(f"unknown identity {name!r}; known: {sorted(_CHECKS)}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > MAX_SYMBOLIC_N:
-        raise BoundExceeded(f"n > {MAX_SYMBOLIC_N}")
+    check_symbolic_n(n)
     return check(n)

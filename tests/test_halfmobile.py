@@ -39,49 +39,48 @@ def test_fixture_statistics(example_pair):
 
 def test_validate_violations():
     lonely = hm.HmNode(None, (hm.white(2),))
-    out = hm.validate(hm.HalfMobileForest((lonely,)))
+    out = hm.validate((lonely,))
     assert out is not None and "fewer than two" in out
 
     bad_rotation = hm.HmNode(None, (hm.white(1), hm.white(2)))
-    out = hm.validate(hm.HalfMobileForest((bad_rotation,)))
+    out = hm.validate((bad_rotation,))
     assert out is not None and "minimal beta" in out
 
     unsorted_white = hm.HmNode(3, (hm.white(2), hm.white(1)))
-    out = hm.validate(hm.HalfMobileForest((unsorted_white,)))
+    out = hm.validate((unsorted_white,))
     assert out is not None and "sorted" in out
 
     nested_black = hm.HmNode(None, (hm.white(2), hm.HmNode(None, (hm.white(3), hm.white(1)))))
-    out = hm.validate(hm.HalfMobileForest((nested_black,)))
+    out = hm.validate((nested_black,))
     assert out is not None and "unlabeled child" in out
 
-    dup = hm.HalfMobileForest((hm.white(1), hm.white(1)))
+    dup = (hm.white(1), hm.white(1))
     assert "duplicate" in hm.validate(dup)
 
-    disordered = hm.HalfMobileForest((hm.white(2), hm.white(1)))
+    disordered = (hm.white(2), hm.white(1))
     assert "components" in hm.validate(disordered)
 
 
 def test_black_root_edges_are_proper():
     comp = hm.black(hm.white(2), hm.white(1))
-    forest = hm.HalfMobileForest.build([comp])
+    forest = (comp,)
     assert hm.validate(forest) is None
     st = hm.hm_stats(forest)
     assert (st.imp, st.tree, st.bdeg) == (0, 1, 1)
 
 
 def test_isolated_whites():
-    forest = hm.HalfMobileForest.build([hm.white(i) for i in range(1, 6)])
+    forest = tuple(hm.white(i) for i in range(1, 6))
     st = hm.hm_stats(forest)
     assert (st.tree, st.bdeg, st.imp) == (5, 0, 0)
 
 
 def test_theta_star_and_path():
     star = node(1, node(2), node(3), node(4))
-    assert hm.theta(star) == hm.HalfMobileForest.build(
-        [hm.white(1), hm.white(2), hm.white(3)])
+    assert hm.theta(star) == (hm.white(1), hm.white(2), hm.white(3))
     path = node(1, node(2))
-    assert hm.theta(path) == hm.HalfMobileForest((hm.white(1),))
-    assert hm.theta_inv(hm.HalfMobileForest(())) == node(1)
+    assert hm.theta(path) == (hm.white(1),)
+    assert hm.theta_inv(()) == node(1)
 
 
 def test_theta_preconditions():
@@ -90,7 +89,7 @@ def test_theta_preconditions():
     with pytest.raises(ValueError):
         hm.theta(node(1, node(5)))
     with pytest.raises(ValueError):
-        hm.theta_inv(hm.HalfMobileForest((hm.white(3),)))
+        hm.theta_inv((hm.white(3),))
 
 
 def test_theta_memo_matches_fresh_images(enum, example_pair):
@@ -114,10 +113,10 @@ def test_enumerate_hm_shares_small_images(enum):
     # most MEMO_LIMIT labels are one object
     by_value = {}
     for forest in forests:
-        for comp in forest.components:
+        for comp in forest:
             if comp.is_white and len(comp.white_labels()) <= MEMO_LIMIT:
                 assert by_value.setdefault(comp, comp) is comp
-    assert len(by_value) < sum(len(f.components) for f in forests)
+    assert len(by_value) < sum(len(f) for f in forests)
 
 
 def test_enumerate_counts(enum):
@@ -125,6 +124,16 @@ def test_enumerate_counts(enum):
     forests3 = list(hm.enumerate_hm(3, enumerator=enum))
     assert len(forests3) == 30
     assert len(set(forests3)) == 30
+
+
+def test_forests_are_plain_tuples(enum, example_pair):
+    # a forest is the tuple of its components, wherever it comes from
+    tree, forest = example_pair
+    assert type(forest) is tuple and type(hm.theta(tree)) is tuple
+    for forests in (hm.enumerate_hm(3, enumerator=enum), hm.enumerate_hm_direct(3)):
+        for forest in forests:
+            assert type(forest) is tuple
+            assert all(type(comp) is hm.HmNode for comp in forest)
 
 
 def test_generating_poly_matches_family(enum):
@@ -150,7 +159,7 @@ def test_round_trip_small(enum):
 
 def test_json_round_trip(example_pair):
     _, forest = example_pair
-    again = hm.forest_from_obj(forest.to_obj())
+    again = hm.forest_from_obj(hm.forest_to_obj(forest))
     assert again == forest
     with pytest.raises(ValueError):
         hm.node_from_obj({"kind": "grey", "children": []})
@@ -180,7 +189,7 @@ def reference_hm_stats(forest):
                 for w in c.children:
                     walk_white(w)
 
-    for comp in forest.components:
+    for comp in forest:
         if comp.is_white:
             walk_white(comp)
         else:
@@ -189,7 +198,7 @@ def reference_hm_stats(forest):
             bdeg += len(comp.children) - 1
             for w in comp.children:
                 walk_white(w)
-    return hm.HmStats(imp=imp, tree=len(forest.components), bdeg=bdeg)
+    return hm.HmStats(imp=imp, tree=len(forest), bdeg=bdeg)
 
 
 def test_cached_stats_match_reference_walk(enum):
@@ -206,7 +215,7 @@ def test_cached_stats_on_hand_built_forests(example_pair):
     assert hm.hm_stats(forest) == reference_hm_stats(forest)
     # improper edges to a black child are read at its last child
     comp = hm.white(3, hm.black(hm.white(4), hm.white(1)), hm.white(2))
-    forest = hm.HalfMobileForest.build([comp])
+    forest = (comp,)
     assert hm.validate(forest) is None
     assert hm.hm_stats(forest) == reference_hm_stats(forest) == hm.HmStats(2, 1, 1)
     # forests that fail validate but that the walk still reads: a black child
@@ -214,7 +223,7 @@ def test_cached_stats_on_hand_built_forests(example_pair):
     for comp in (hm.HmNode(3, (hm.HmNode(None, (hm.white(1), hm.white(4))),)),
                  hm.HmNode(None, (hm.white(2), hm.white(3, hm.white(1)), hm.white(1))),
                  hm.white(2, hm.white(2), hm.black(hm.white(2), hm.white(3)))):
-        forest = hm.HalfMobileForest((comp,))
+        forest = (comp,)
         assert hm.validate(forest) is not None
         assert hm.hm_stats(forest) == reference_hm_stats(forest), comp
 
@@ -232,7 +241,7 @@ def test_malformed_nodes_build():
     ]
     for comp in nodes:
         assert isinstance(comp.imp_sub, int) and isinstance(comp.bdeg_sub, int)
-        forest = hm.HalfMobileForest((comp,))
+        forest = (comp,)
         assert hm.validate(forest) is not None
         hm.hm_stats(forest)
 
@@ -282,7 +291,7 @@ def test_theta_memo_reused_across_n(enum):
     for tree in (node(1, leaf[6]), node(1, leaf[2], leaf[5]), node(1, node(3, leaf[2]), leaf[3])):
         with pytest.raises(ValueError, match="label set"):
             hm.theta(tree, _memo=memo)
-    assert hm.theta(node(1, leaf[2]), _memo=memo) == hm.HalfMobileForest((hm.white(1),))
+    assert hm.theta(node(1, leaf[2]), _memo=memo) == (hm.white(1),)
 
 
 def test_theta_memo_keeps_its_subtrees_alive():
@@ -307,7 +316,7 @@ def test_enumerate_hm_output_is_pinned(enum):
     digest = hashlib.sha256()
     count = 0
     for forest in hm.enumerate_hm(5, enumerator=enum):
-        digest.update((json.dumps(forest.to_obj(), sort_keys=True) + "\n").encode())
+        digest.update((json.dumps(hm.forest_to_obj(forest), sort_keys=True) + "\n").encode())
         count += 1
     assert count == 5040
     assert digest.hexdigest() == (
@@ -351,7 +360,7 @@ def test_left_inverse_check_agrees_with_theta_inv(monkeypatch, enum, memo_limit)
         # each tree against its own image and against its predecessor's
         for idx, tree in enumerate(trees):
             for forest in (forests[idx], forests[idx - 1]):
-                assert hm._rebuilds(forest.components, tree.children, memo) == (
+                assert hm._rebuilds(forest, tree.children, memo) == (
                     hm.theta_inv(forest) == tree), (tree, forest)
         assert list(hm.enumerate_hm(n, enumerator=enum)) == forests
 
@@ -360,7 +369,7 @@ def test_left_inverse_check_rejects_near_misses():
     # with no checked images every child is expanded recursively: a child of
     # six labels, its image relabeled or its children reordered
     tree = node(1, node(7, node(2), node(3), node(4), node(5), node(6)))
-    image = hm.theta(tree).components[0]
+    image = hm.theta(tree)[0]
     assert hm._rebuilds((image,), tree.children, {})
     for wrong in (hm.HmNode(image.label + 1, image.children),
                   hm.HmNode(image.label, image.children[::-1]),

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ramapoly import cli, forests, harness, treecore
+from ramapoly import cli, forests, harness, qpolys, treecore
 from ramapoly.polyring import Poly, parse
 from ramapoly.qpolys import QK_VARS
 
@@ -472,6 +472,25 @@ def test_lemma_4_2_past_the_cap_is_skipped(monkeypatch):
     assert [r.status for r in report.instances] == [harness.SKIP]
 
 
+@pytest.mark.parametrize("name,overrides,cap,reason", [
+    ("eq-general", {"max_n": 6}, 4, "label set of size 5 exceeds cap 4"),
+    ("cor-type-planted", {"max_n": 6}, 4, "label set of size 5 exceeds cap 4"),
+    ("cor-planted", {"enum_max_n": 1, "cayley_max_n": 6}, 4, "label set of size 5 exceeds cap 4"),
+    ("eq-lambert", {"max_n": 5}, 3, "n > 3"),
+    ("eq-qnxt", {"max_n": 1, "ones_max_n": 5}, 3, "n > 3"),
+])
+def test_bounds_past_their_cap_are_skipped(monkeypatch, name, overrides, cap, reason):
+    # with the label cap at 4 and the symbolic cap at 3, each bound passes
+    # every n up to its cap and ends in one skipped instance at the next n
+    monkeypatch.setenv("RAMAPOLY_MAX_LABELS", "4")
+    monkeypatch.setattr(qpolys, "MAX_SYMBOLIC_N", 3)
+    *passed, last = harness.run_identity(name, overrides).instances
+    assert {r.status for r in passed} == {harness.PASS}
+    assert max(r.instance["n"] for r in passed) == cap
+    assert (last.status, last.instance) == (harness.SKIP, {})
+    assert last.info["reason"].startswith(reason)
+
+
 TREE_TRUE_LABEL = '{"label": true, "children": []}'
 DEEP_TREE = '{"label": 1, "children": [' * 900 + '{"label": 2}' + ']}' * 900
 
@@ -533,7 +552,7 @@ def test_cli_rejects_bad_input(tmp_path, capsys, argv, content):
     (["verify", "--max-n", "0"], None, None, "thm-1-1.max_n"),
     (["verify", "--max-n", "-3"], None, None, "thm-1-1.max_n"),
     (["verify"], "lemma-4-2.instances=-1", None, "lemma-4-2.instances"),
-    (["verify"], "thm-2-3.bogus=1", None, "thm-2-3.bogus"),
+    (["verify"], "thm-2-3.bogus=1", None, "error: unknown parameter thm-2-3.bogus\n"),
     (["verify"], "nonexistent.max_n=3", None, "unknown identity 'nonexistent'"),
     (["verify"], None, "0", "RAMAPOLY_MAX_LABELS"),
     (["verify"], None, "abc", "RAMAPOLY_MAX_LABELS"),
