@@ -204,16 +204,13 @@ def cmd_verify(args) -> int:
             except KeyError:
                 raise ValueError(f"{args.config}: unknown identity {ident!r}")
             overrides.setdefault(canonical, {}).update(params)
-    # bad bounds, caps and report paths stop the run before any identity starts
     for name in names:
         entry = harness.resolve(name)
         main_bound = [key for key in ("max_n", "max_vertices") if key in entry.defaults]
         if args.max_n is not None and main_bound:
             overrides.setdefault(entry.name, {})[main_bound[0]] = args.max_n
-        harness.identity_params(name, overrides.get(entry.name))
-    treecore.label_cap()
-    if args.jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
+    # bad bounds, caps and report paths stop the run before any identity starts
+    harness.check_suite(names, overrides, args.jobs)
     report_file = open(args.report, "a") if args.report else None
     try:
         reports = harness.run_suite(names, overrides, jobs=args.jobs)

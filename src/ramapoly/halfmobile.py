@@ -63,7 +63,7 @@ class HmNode:
     with no children, or under a black vertex) still builds.
     """
 
-    __slots__ = ("label", "children", "beta", "imp_sub", "bdeg_sub", "_hash")
+    __slots__ = ("label", "children", "beta", "imp_sub", "bdeg_sub")
 
     def __init__(self, label: int | None, children: Sequence["HmNode"] = ()):
         children = tuple(children)
@@ -85,7 +85,6 @@ class HmNode:
         self.beta = beta
         self.imp_sub = imp
         self.bdeg_sub = bdeg if label is not None else bdeg + len(children) - 1
-        self._hash = hash((label, children))
 
     @property
     def is_white(self) -> bool:
@@ -96,11 +95,10 @@ class HmNode:
             return True
         if not isinstance(other, HmNode):
             return NotImplemented
-        return (self._hash == other._hash and self.label == other.label
-                and self.children == other.children)
+        return self.label == other.label and self.children == other.children
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.label, self.children))
 
     def __repr__(self) -> str:
         head = f"white({self.label}" if self.is_white else "black("

@@ -150,26 +150,26 @@ def _xt_in_t(poly: Poly) -> Poly:
 # -- section 1 / 6 / 7 symbolic identities -------------------------------------
 
 
-def run_thm_1_1(max_n: int = 20) -> Iterator[Outcome]:
-    for n in range(1, max_n + 1):
-        yield _check({"n": n, "check": "substitution"},
-                     qpolys.verify_identity("duality", n))
-        yield _check({"n": n, "check": "coefficient-level"},
-                     qpolys.verify_identity("mainconj", n))
+def _run_symbolic(checks: tuple[tuple[str, str | None], ...], first_n: int,
+                  max_n: int) -> Iterator[Outcome]:
+    """Per n from first_n, one ``verify_identity`` instance per (identity,
+    check label) pair; a pair without a label gives the instance {"n": n}."""
+    for n in range(first_n, max_n + 1):
+        for name, check in checks:
+            instance = {"n": n} if check is None else {"n": n, "check": check}
+            yield _check(instance, qpolys.verify_identity(name, n))
 
 
-def _run_symbolic(name: str, max_n: int) -> Iterator[Outcome]:
-    for n in range(1, max_n + 1):
-        yield _check({"n": n}, qpolys.verify_identity(name, n))
-
-
-run_eq_expansion = partial(_run_symbolic, "expansion", max_n=16)
-run_eq_special2 = partial(_run_symbolic, "special2", max_n=20)
-run_eq_factor = partial(_run_symbolic, "factor", max_n=20)
+# checks and first_n are bound positionally: _register reads the keywords left
+run_thm_1_1 = partial(_run_symbolic, (("duality", "substitution"),
+                                      ("mainconj", "coefficient-level")), 1, max_n=20)
+run_eq_expansion = partial(_run_symbolic, (("expansion", None),), 1, max_n=16)
+run_eq_special2 = partial(_run_symbolic, (("special2", None),), 1, max_n=20)
+run_eq_factor = partial(_run_symbolic, (("factor", None),), 1, max_n=20)
 
 
 def run_eq_qnxt(max_n: int = 20, ones_max_n: int = 20) -> Iterator[Outcome]:
-    yield from _run_symbolic("qnxt", max_n)
+    yield from _run_symbolic((("qnxt", None),), 1, max_n)
     for n in range(1, ones_max_n + 1):
         qpolys.check_symbolic_n(n)
         value = qpolys.q_n(n).evaluate({"x": 1, "y": 1, "z": 1, "t": 1})
@@ -195,24 +195,14 @@ def run_eq_lambert(max_n: int = 20) -> Iterator[Outcome]:
                    spec_p, qpolys.p_n(n).extend(Q_VARS))
 
 
-def run_lemma_6_1(max_n: int = 20) -> Iterator[Outcome]:
-    for n in range(2, max_n + 1):
-        yield _check({"n": n, "check": "rec2"}, qpolys.verify_identity("rec2", n))
-        yield _check({"n": n, "check": "rec3"}, qpolys.verify_identity("rec3", n))
-
-
-def run_lemma_6_2(max_n: int = 20) -> Iterator[Outcome]:
-    for n in range(2, max_n + 1):
-        yield _check({"n": n}, qpolys.verify_identity("diff", n))
-
-
-run_remark_6 = partial(_run_symbolic, "operator-remark", max_n=16)
-run_lemma_4_1 = partial(_run_symbolic, "chu", max_n=20)
+run_lemma_6_1 = partial(_run_symbolic, (("rec2", "rec2"), ("rec3", "rec3")), 2, max_n=20)
+run_lemma_6_2 = partial(_run_symbolic, (("diff", None),), 2, max_n=20)
+run_remark_6 = partial(_run_symbolic, (("operator-remark", None),), 1, max_n=16)
+run_lemma_4_1 = partial(_run_symbolic, (("chu", None),), 1, max_n=20)
 
 
 def run_eq_gs(max_n: int = 20, enum_max_n: int = 5) -> Iterator[Outcome]:
-    for n in range(1, max_n + 1):
-        yield _check({"n": n, "check": "product"}, qpolys.verify_identity("gessel-seo", n))
+    yield from _run_symbolic((("gessel-seo", "product"),), 1, max_n)
     uni = ("x", "z", "t")
     x, z, t = (Poly.var(uni, v) for v in uni)
     enum = treecore.TreeEnumerator()
@@ -264,26 +254,22 @@ def run_eq_equiv(max_n: int = 6) -> Iterator[Outcome]:
         yield _check({"n": n}, witness)
 
 
-def _census_vs_table(n: int, census, mode: str, shifted: bool,
-                     max_k: int) -> Iterator[Outcome]:
-    for k in sorted(set(census) | set(range(max_k))):
-        lhs = treecore.census_poly(census.get(k, {}), mode)
-        rhs = qpolys.q_nk(n, k, shifted=shifted)
-        yield _cmp({"n": n, "k": k}, lhs, rhs)
-
-
-def run_thm_2_2(max_n: int = 6) -> Iterator[Outcome]:
+def _run_census_table(rooted: bool, max_n: int) -> Iterator[Outcome]:
+    """The rows Q_{n,k} read off the root-1 trees on [n+1] (mode "o") or off
+    the free trees on [n] (mode "p", against the shifted row)."""
     enum = treecore.TreeEnumerator()
     for n in range(1, max_n + 1):
-        census = _census(range(1, n + 2), 1, enum)
-        yield from _census_vs_table(n, census, "o", shifted=False, max_k=n)
+        if rooted:
+            census, mode = _census(range(1, n + 2), 1, enum), "o"
+        else:
+            census, mode = _census(range(1, n + 1), None, enum), "p"
+        for k in sorted(set(census) | set(range(n))):
+            yield _cmp({"n": n, "k": k}, treecore.census_poly(census.get(k, {}), mode),
+                       qpolys.q_nk(n, k, shifted=not rooted))
 
 
-def run_thm_2_3(max_n: int = 7) -> Iterator[Outcome]:
-    enum = treecore.TreeEnumerator()
-    for n in range(1, max_n + 1):
-        census = _census(range(1, n + 1), None, enum)
-        yield from _census_vs_table(n, census, "p", shifted=True, max_k=n)
+run_thm_2_2 = partial(_run_census_table, True, max_n=6)
+run_thm_2_3 = partial(_run_census_table, False, max_n=7)
 
 
 REFINED_CUTOFF_2_4 = 3   # the per-improper-count refinement is false above this
@@ -305,46 +291,29 @@ def run_cor_2_4(max_n: int = 6) -> Iterator[Outcome]:
     x = Poly.var(QK_VARS, "x")
     t = Poly.var(QK_VARS, "t")
     for n in range(1, max_n + 1):
-        pooled_table = Poly.zero(QK_VARS)
-        for k in range(n):
-            pooled_table = pooled_table + qpolys.q_nk(n, k)
-        rooted = treecore.weight_census(range(1, n + 2), root=1, really=True,
-                                        enumerator=enum)
-        free = treecore.weight_census(range(1, n + 1), really=True, enumerator=enum)
-
-        pooled_rooted = Poly.zero(QK_VARS)
-        for cells in rooted.values():
-            pooled_rooted = pooled_rooted + treecore.census_poly(cells, "o")
-        yield _cmp({"n": n, "side": "root-1", "check": "pooled"},
-                   pooled_rooted, pooled_table)
-
-        pooled_free = Poly.zero(QK_VARS)
-        for cells in free.values():
-            pooled_free = pooled_free + treecore.census_poly(cells, "p")
-        pooled_free = pooled_free.substitute({"x": x + t + 1})
-        printed_matches = pooled_free == (x + t + 1) * pooled_table
-        yield _cmp({"n": n, "side": "free", "check": "pooled"}, pooled_free, pooled_table,
-                   info={"printed_exponent_variant_matches": printed_matches})
-
-        for k in sorted(set(rooted) | set(free) | set(range(n))):
-            lhs_rooted = treecore.census_poly(rooted.get(k, {}), "o")
-            lhs_free = treecore.census_poly(free.get(k, {}), "p").substitute(
-                {"x": x + t + 1})
+        pooled_table = reduce(add, (qpolys.q_nk(n, k) for k in range(n)))
+        sides = []
+        for side, labels, root, mode in (("root-1", range(1, n + 2), 1, "o"),
+                                         ("free", range(1, n + 1), None, "p")):
+            census = treecore.weight_census(labels, root, really=True, enumerator=enum)
+            rows = {k: treecore.census_poly(cells, mode) for k, cells in census.items()}
+            if root is None:
+                rows = {k: row.substitute({"x": x + t + 1}) for k, row in rows.items()}
+            pooled = reduce(add, rows.values())
+            info = None if root else {
+                "printed_exponent_variant_matches": pooled == (x + t + 1) * pooled_table}
+            yield _cmp({"n": n, "side": side, "check": "pooled"}, pooled, pooled_table, info)
+            sides.append((side, rows))
+        for k in sorted(set(range(n)).union(*(rows for _, rows in sides))):
             table = qpolys.q_nk(n, k)
-            if n <= REFINED_CUTOFF_2_4:
-                yield _cmp({"n": n, "k": k, "side": "root-1", "check": "refined"},
-                           lhs_rooted, table)
-                yield _cmp({"n": n, "k": k, "side": "free", "check": "refined"},
-                           lhs_free, table)
-            else:
-                note = {"refined_statement_holds": lhs_rooted == table,
-                        "difference": (lhs_rooted - table).render()}
-                yield ({"n": n, "k": k, "side": "root-1",
-                        "check": "refined-reported"}, PASS, note)
-                note = {"refined_statement_holds": lhs_free == table,
-                        "difference": (lhs_free - table).render()}
-                yield ({"n": n, "k": k, "side": "free",
-                        "check": "refined-reported"}, PASS, note)
+            for side, rows in sides:
+                lhs = rows.get(k, Poly.zero(QK_VARS))
+                if n <= REFINED_CUTOFF_2_4:
+                    yield _cmp({"n": n, "k": k, "side": side, "check": "refined"}, lhs, table)
+                else:
+                    note = {"refined_statement_holds": lhs == table,
+                            "difference": (lhs - table).render()}
+                    yield ({"n": n, "k": k, "side": side, "check": "refined-reported"}, PASS, note)
 
 
 def run_prop_2_5(enum_max_n: int = 6, count_max_n: int = 8) -> Iterator[Outcome]:
@@ -724,34 +693,40 @@ def run_identity(name: str, overrides: dict | None = None) -> VerificationReport
     return report
 
 
+def check_suite(names: list[str] | None, overrides: dict[str, dict], jobs: int) -> list[str]:
+    """The canonical names of the selection (all for None) once every name,
+    override, bound, the label cap and ``jobs`` pass: checked before any run."""
+    targets = [resolve(name).name for name in (list(REGISTRY) if names is None else names)]
+    for name in overrides:
+        resolve(name)
+    for name in targets:
+        identity_params(name, overrides.get(name))
+    treecore.label_cap()
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return targets
+
+
 def run_suite(names: list[str] | None = None,
               overrides: dict[str, dict] | None = None,
               jobs: int = 1) -> list[VerificationReport]:
     """Run the named identities (all by default) in order, each at its defaults
     updated by its overrides, on up to ``jobs`` processes.
 
-    Every name and bound is checked before any identity runs.  A serial run
-    (``jobs`` 1, or clamped to 1 by the selection or the CPU count) keeps a
-    run-scoped memo through ``_once``: the plain weight censuses, the rooted
-    multivariate sums and the degree-sequence census are enumerated once and
-    re-read by every later identity that needs them, so such an identity's
-    seconds leave out work an earlier one did.  The free census of a label
-    set is its root censuses merged, so it refolds no root census a rooted
-    reader left, and ``cor-catalan`` counts the trees from ``thm-2-3``'s.
-    The memo is dropped when the run ends, however it ends.  Pool workers
-    share nothing.
+    ``check_suite`` checks every name and bound, serial or pool, before any
+    identity runs.  A serial run (``jobs`` 1, or clamped to 1 by the selection
+    or the CPU count) keeps a run-scoped memo through ``_once``: the plain
+    weight censuses, the rooted multivariate sums and the degree-sequence
+    census are enumerated once and re-read by every later identity that needs
+    them, so such an identity's seconds leave out work an earlier one did.
+    The free census of a label set is its root censuses merged, so it refolds
+    no root census a rooted reader left, and ``cor-catalan`` counts the trees
+    from ``thm-2-3``'s.  The memo is dropped when the run ends, however it
+    ends.  Pool workers share nothing.
     """
     global _memo
     overrides = overrides or {}
-    if names is None:
-        names = list(REGISTRY)
-    targets = [resolve(name).name for name in names]
-    for name in overrides:
-        resolve(name)
-    for name in targets:   # every bound is checked before any identity runs
-        identity_params(name, overrides.get(name))
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    targets = check_suite(names, overrides, jobs)
     jobs = min(jobs, len(targets), os.cpu_count() or 1)
     if jobs <= 1:
         _memo = {}

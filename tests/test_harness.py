@@ -392,6 +392,24 @@ def test_forest_records_are_pinned(name, count, digest):
     assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name,max_n,count,digest", [
+    ("thm-1-1", 8, 16, "7c66f35567eea763069fcc0539c4ce91ce12e5e651eed09fdd7945e5116be4bb"),
+    ("lemma-6-1", 8, 14, "f05cfdab62c2693dce942c8347aba1f4f03d716ca3d2037f69a94d528b63c1cd"),
+    ("lemma-6-2", 8, 7, "2fd2619e09902ba2a07585628676b3dd371c0b173edaa2021fff9993d4e4a0b4"),
+    ("thm-2-2", 5, 15, "97c3c3def56f7da9132237ecf305cb84395d571277cd211f794d3babc6f4bdb2"),
+    ("thm-2-3", 6, 21, "55ec0acc27d9374a218fbfd7c5503c0784a97069e44aa025acda26f06a28633b"),
+    ("cor-2-4", 5, 40, "b842d36f41481c4929b90c449fe91f21bee7b7cd5d12b884db0332cf45009104"),
+])
+def test_shared_runner_records_are_pinned(name, max_n, count, digest):
+    # digests of the whole records (instance, status, witness, info) of the
+    # identities that share a runner shape; cor-2-4 at n = 4, 5 reports each
+    # refined difference polynomial
+    report = harness.run_identity(name, {"max_n": max_n})
+    records = [[r.instance, r.status, r.witness, r.info] for r in report.instances]
+    assert len(records) == count
+    assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest() == digest
+
+
 def test_lemma_4_2_holds_only_drawn_trees():
     # holding every tree on [7] peaked at 168 MB under tracemalloc; the
     # streamed draw peaks at 14 MB
@@ -592,6 +610,11 @@ def test_run_suite_checks_every_bound_first(monkeypatch):
         harness.run_suite(["eq-general", "lemma-4-2"], {"lemma-4-2": {"max_n": 3}})
     with pytest.raises(KeyError, match="thm-2-3.bogus"):
         harness.run_suite(["eq-general", "thm-2-3"], {"thm-2-3": {"bogus": 1}})
+    # a bad label cap stops the run before its first identity, serial or pool
+    monkeypatch.setenv("RAMAPOLY_MAX_LABELS", "abc")
+    for jobs in (1, 2):
+        with pytest.raises(ValueError, match="RAMAPOLY_MAX_LABELS"):
+            harness.run_suite(["thm-1-1", "thm-2-2"], jobs=jobs)
     assert ran == []
     # seed is the one parameter that may be below 1
     assert harness.identity_params("lemma-4-2", {"seed": -1, "max_n": 4})["seed"] == -1
