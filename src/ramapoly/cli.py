@@ -86,7 +86,7 @@ def cmd_enumerate(args) -> int:
     enum = treecore.TreeEnumerator(treecore.label_cap(args.max_labels, "--max-labels"))
     labels = range(1, args.n + 1)
     if args.count_only:
-        # counted from the forests under the roots, so no root node is built
+        # counted from the forests on [n - 1], so no root node is built
         if args.improper is None and args.really_improper is None:
             print(enum.count_trees(labels, args.root))
         else:

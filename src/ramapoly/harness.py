@@ -114,23 +114,9 @@ def _once(key: tuple, compute: Callable[[], object]):
 
 def _census(labels: range, root: int | None,
             enum: treecore.TreeEnumerator) -> dict[int, dict[tuple[int, int], int]]:
-    """The plain weight census of the label set, once per serial run.
-
-    The free census (root None) merges the root censuses in root order, so a
-    root census that a rooted reader left in the memo is read, not refolded.
-    The free stream is the root streams one after another, so the merge keeps
-    ``weight_census``'s key order (first appearance) at both levels."""
-    if root is not None:
-        return _once(("census", frozenset(labels), root),
-                     lambda: treecore.weight_census(labels, root, enumerator=enum))
-
-    def merged() -> dict[int, Counter[tuple[int, int]]]:
-        census: dict[int, Counter[tuple[int, int]]] = {}
-        for r in sorted(labels):
-            for k, cells in _census(labels, r, enum).items():
-                census.setdefault(k, Counter()).update(cells)
-        return census
-    return _once(("census", frozenset(labels), None), merged)
+    """The plain weight census of the label set, once per serial run."""
+    return _once(("census", frozenset(labels), root),
+                 lambda: treecore.weight_census(labels, root, enumerator=enum))
 
 
 def _rooted_polys(labels: frozenset[int], enum: treecore.TreeEnumerator) -> dict[int, Poly]:
@@ -718,11 +704,9 @@ def run_suite(names: list[str] | None = None,
     or the CPU count) keeps a run-scoped memo through ``_once``: the plain
     weight censuses, the rooted multivariate sums and the degree-sequence
     census are enumerated once and re-read by every later identity that needs
-    them, so such an identity's seconds leave out work an earlier one did.
-    The free census of a label set is its root censuses merged, so it refolds
-    no root census a rooted reader left, and ``cor-catalan`` counts the trees
-    from ``thm-2-3``'s.  The memo is dropped when the run ends, however it
-    ends.  Pool workers share nothing.
+    them, so such an identity's seconds leave out work an earlier one did;
+    ``cor-catalan`` counts the trees from ``thm-2-3``'s free census.  The memo
+    is dropped when the run ends, however it ends.  Pool workers share nothing.
     """
     global _memo
     overrides = overrides or {}

@@ -23,15 +23,15 @@ in binary order, roots ascending) and memoizes small sub-forests.
 Two censuses read that stream: ``weight_census`` buckets (young(1), eld) by
 improper count (``census_poly`` turns a bucket into a polynomial in {x, t}),
 and ``generating_poly`` sums t^eld * prod_i x_i^young(i) (``multivar_exponents``).
-``count_trees`` and ``leaf_profile`` read the forest under each root
-(``root_forests``), and ``weight_census`` folds each root label over it
-(``_census_fold``, or ``_really_fold`` for the really-variant), so none of
-them builds a root node.  ``TreeEnumerator.unrank`` builds the tree at any
-position of the stream from the forest counts ``forest_count``, without
-streaming.  The increasing-tree generators read the same memoizing stream,
-narrowed by a private subclass to the forests whose every subtree is rooted
-at its smallest label, and ``count_increasing_trees`` counts the forests
-under vertex 1 of that stream, as ``count_trees`` does.
+Statistics compare labels only, so the forest under any root is a forest on
+[n - 1] relabeled in order: ``count_trees``, ``leaf_profile`` and
+``weight_census`` (``_forest_fold``) read those forests once and build no
+root node.  ``TreeEnumerator.unrank`` builds the tree at any position of the
+stream from the forest counts ``forest_count``, without streaming.  The
+increasing-tree generators read the same memoizing stream, narrowed by a
+private subclass to the forests whose every subtree is rooted at its smallest
+label, and ``count_increasing_trees`` counts the forests under vertex 1 of
+that stream, as ``count_trees`` does.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import chain, product, repeat, starmap
 from math import comb
-from operator import add, itemgetter
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .polyring import Poly
@@ -211,24 +211,33 @@ def _really_fold(label: int, children: Sequence[PlaneTree]) -> tuple[int, int, i
     return young, reld_sub, rimp_sub, young if label == 1 else ry1
 
 
-def _census_fold(label: int, children: Sequence[PlaneTree]) -> tuple[int, int | None, int]:
-    """(imp_sub, young_at_1, eld_sub) of the tree label over children: the
-    loop of ``PlaneTree.__init__`` without building the node."""
-    eld_sub = imp_sub = young = 0
+def _forest_fold(forest: Sequence[PlaneTree], really: bool) -> tuple[int, int | None, int, int]:
+    """(imp, young_at_1, eld, mask) of a forest on [m]: its improper edges,
+    young(1) and elder vertices, elder top components included, and bit beta(c)
+    of mask set for each young top component c (the really-variant reads the
+    really-fields and the top root labels); labels must be small, as 1 << beta."""
+    imp = eld = mask = 0
     y1 = min_right = None
-    for c in reversed(children):
-        eld_sub += c.eld_sub
-        imp_sub += c.imp_sub
-        if c.young_at_1 is not None:
-            y1 = c.young_at_1
-        if min_right is not None and min_right < c.beta:
-            eld_sub += 1
+    for c in reversed(forest):
+        # the plain fields read straight into the sums: a tuple of them measured slower
+        if really:
+            _, c_eld, c_imp, c_y1 = c._really()
+            eld += c_eld
+            imp += c_imp
+            key = c.label
         else:
-            young += 1
-            if label > c.beta:
-                imp_sub += 1
-            min_right = c.beta
-    return imp_sub, young if label == 1 else y1, eld_sub
+            eld += c.eld_sub
+            imp += c.imp_sub
+            c_y1 = c.young_at_1
+            key = c.beta
+        if c_y1 is not None:
+            y1 = c_y1
+        if min_right is not None and min_right < key:
+            eld += 1
+        else:
+            mask |= 1 << c.beta
+            min_right = key
+    return imp, y1, eld, mask
 
 
 def node(label: int, *children: PlaneTree) -> PlaneTree:
@@ -450,8 +459,9 @@ class TreeEnumerator:
         return chain.from_iterable(self.forests(labels - {r}) for r in roots)
 
     def count_trees(self, labels: Iterable[int], root: int | None = None) -> int:
-        """How many trees ``trees(labels, root)`` streams, without building their roots."""
-        return sum(1 for _ in self.root_forests(labels, root))
+        """How many trees ``trees(labels, root)`` streams: roots times forests on [n - 1]."""
+        labels, roots = self._checked(labels, root)
+        return len(roots) * sum(1 for _ in self.forests(frozenset(range(1, len(labels)))))
 
     def unrank(self, labels: Iterable[int], rank: int, root: int | None = None) -> PlaneTree:
         """The tree at position ``rank`` of ``trees(labels, root)``, built from
@@ -517,10 +527,10 @@ def weight_census(labels: Iterable[int], root: int | None = None, *,
 
     Returns {k: {(young(1), eld): multiplicity}} over all trees on the label
     set (optionally root-constrained); the really-variant buckets by really
-    improper count and uses (ryoung(1), reld).  Each tree is folded from its
-    root label and the forest under it, without a root node, and the
-    (k, young(1), eld) triples are counted by one ``Counter``; keys keep the
-    order in which the stream first meets them.
+    improper count and uses (ryoung(1), reld).  Statistics compare labels
+    only, so each forest on [n - 1] is folded once (``_forest_fold``) and
+    counted by one ``Counter``, and each root expands the counts by its rank;
+    keys keep the order in which the stream of trees first meets them.
     """
     enum = enumerator or TreeEnumerator()
     # checked as ``trees`` checks before the vertex-1 test, so that a bad label
@@ -528,14 +538,17 @@ def weight_census(labels: Iterable[int], root: int | None = None, *,
     labels, roots = enum._checked(labels, root)
     if 1 not in labels:
         raise ValueError("weight census needs vertex 1 in the label set")
-    # each tree's fields folded from its root label and forest, no root node;
-    # the really fold is projected to the plain fold's (improper, young(1), eld)
-    fold = _really_fold if really else _census_fold
-    folds = chain.from_iterable(map(fold, repeat(r), enum.forests(labels - {r})) for r in roots)
-    counts = Counter(map(itemgetter(2, 3, 1), folds) if really else folds)
+    counts = Counter(map(_forest_fold, enum.forests(frozenset(range(1, len(labels)))),
+                         repeat(really)))
+    ranked = sorted(labels)
     census: dict[int, dict[tuple[int, int], int]] = {}
-    for (k, young1, eld), count in counts.items():
-        census.setdefault(k, {})[young1, eld] = count
+    for r in roots:
+        # a root of rank i is improper to the young top components of beta <= i
+        below = (2 << ranked.index(r)) - 1
+        for (imp, young1, eld, mask), count in counts.items():
+            cells = census.setdefault(imp + (mask & below).bit_count(), {})
+            key = (mask.bit_count() if r == 1 else young1, eld)
+            cells[key] = cells.get(key, 0) + count
     return census
 
 
@@ -596,17 +609,18 @@ def leaf_set_count(n: int, k: int) -> int:
 def leaf_profile(n: int, enumerator: TreeEnumerator | None = None) -> dict[int, int]:
     """Map leaf count -> number of labeled plane trees on [n] with that many leaves.
 
-    A tree's leaf count is read from the forest under its root, as
-    ``count_trees`` reads it, so no root node is built: the components' leaf
-    counts summed, or 1 for the single vertex (an empty forest)."""
+    A leaf count never reads the root, so the profile is n times that of the
+    forests on [n - 1], each forest's leaf count being its components' summed,
+    or 1 for the single vertex (an empty forest); no root node is built."""
     enum = enumerator or TreeEnumerator()
+    enum._checked(range(1, n + 1), None)
     profile: dict[int, int] = {}
-    for forest in enum.root_forests(range(1, n + 1)):
+    for forest in enum.forests(frozenset(range(1, n))):
         leaves = 0
         for c in forest:
             leaves += c.leaf_count
         leaves = leaves or 1
-        profile[leaves] = profile.get(leaves, 0) + 1
+        profile[leaves] = profile.get(leaves, 0) + n
     return dict(sorted(profile.items()))
 
 

@@ -26,12 +26,14 @@ def read_ledger(path: Path) -> set[str]:
 
 
 def failing_tests(summary: str) -> set[str]:
-    """Node ids from the FAILED/ERROR lines of pytest's short summary (-rfE)."""
+    """Node ids from the FAILED/ERROR lines of pytest's short summary (-rfE);
+    a module that fails to import is an ERROR line naming its path alone."""
     failing = set()
     for line in summary.splitlines():
         kind, _, rest = line.partition(" ")
-        if kind in ("FAILED", "ERROR") and "::" in rest:
-            failing.add(rest.split(" - ", 1)[0])
+        node = rest.split(" - ", 1)[0]
+        if kind in ("FAILED", "ERROR") and ("::" in node or node.endswith(".py")):
+            failing.add(node)
     return failing
 
 

@@ -159,20 +159,21 @@ def test_serial_run_skips_where_each_identity_alone_does(monkeypatch):
 
 
 @pytest.mark.parametrize("memo", [None, {}], ids=["alone", "serial-run-memo"])
-def test_free_census_merges_the_root_censuses(monkeypatch, memo):
-    # the merged census against one weight_census pass over every root, item
-    # for item and in the same key order at both levels; in the memo the root-1
-    # census is already there, as the rooted readers leave it
+def test_free_census_is_the_weight_census_of_every_root(monkeypatch, memo):
+    # the harness's free census against one weight_census pass over every
+    # root, item for item and in the same key order at both levels; in the
+    # memo the root-1 census is already there, as the rooted readers leave it,
+    # and must not stand in for the free one
     monkeypatch.setattr(harness, "_memo", memo)
     enum = treecore.TreeEnumerator()
     for n in range(1, 7):
         labels = range(1, n + 1)
         harness._census(labels, 1, enum)
-        merged = harness._census(labels, None, enum)
+        free = harness._census(labels, None, enum)
         direct = treecore.weight_census(labels)
-        assert list(merged) == list(direct)
+        assert list(free) == list(direct)
         for k, cells in direct.items():
-            assert list(merged[k].items()) == list(cells.items())
+            assert list(free[k].items()) == list(cells.items())
 
 
 def _snapshot(value):

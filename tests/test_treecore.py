@@ -437,9 +437,12 @@ def ordered(census):
 
 
 def assert_census_matches_per_tree_loop(enum, really):
-    # the free trees on [n] and the root-1 trees on [n+1]; keys in the same order
+    # the free trees on [n], the root-1 trees on [n+1] and the trees on [n]
+    # under each single root; keys in the same order
     for n in range(1, 7):
-        for lab, root in ((labels(n), None), (labels(n + 1), 1)):
+        cases = [(labels(n), None), (labels(n + 1), 1)]
+        cases += [(labels(n), root) for root in sorted(labels(n))]
+        for lab, root in cases:
             got = tc.weight_census(lab, root, really=really, enumerator=enum)
             assert ordered(got) == ordered(per_tree_census(enum, lab, root, really)), (n, root)
 
@@ -452,15 +455,29 @@ def test_plain_census_matches_per_tree_recount(enum):
     assert_census_matches_per_tree_loop(enum, really=False)
 
 
+def relabeled(tree, shift_from):
+    """The tree with every label >= shift_from raised by one."""
+    label = tree.label + (tree.label >= shift_from)
+    return tc.PlaneTree(label, [relabeled(c, shift_from) for c in tree.children])
+
+
+@pytest.mark.parametrize("really", [False, True], ids=["plain", "really"])
 @pytest.mark.parametrize("memo_limit", [tc.MEMO_LIMIT, 2])
-def test_census_fold_matches_plane_tree(monkeypatch, memo_limit):
+def test_forest_fold_matches_plane_tree(monkeypatch, memo_limit, really):
+    # each forest on [n - 1] under a root of every rank i: the labels above i
+    # move up by one and the root takes label i + 1
     monkeypatch.setattr(tc, "MEMO_LIMIT", memo_limit)
     enum = TreeEnumerator()
     for n in range(1, 7):
-        for r in labels(n):
-            for forest in enum.forests(labels(n) - {r}):
-                t = tc.PlaneTree(r, forest)
-                assert tc._census_fold(r, forest) == (t.imp_sub, t.young_at_1, t.eld_sub), t
+        for forest in enum.forests(labels(n - 1)):
+            imp, young1, eld, mask = tc._forest_fold(forest, really)
+            for i in range(n):
+                t = tc.PlaneTree(i + 1, [relabeled(c, i + 1) for c in forest])
+                want = ((t.rimp_sub, t.ryoung_at_1, t.reld_sub) if really
+                        else (t.imp_sub, t.young_at_1, t.eld_sub))
+                got = (imp + (mask & (2 << i) - 1).bit_count(),
+                       mask.bit_count() if i == 0 else young1, eld)
+                assert got == want, (t, really)
 
 
 def test_count_trees_matches_stream(enum):
