@@ -96,8 +96,8 @@ def cmd_enumerate(args) -> int:
             print(sum(census.get(k, {}).values()))
         return 0
     stream = (tree for tree in enum.trees(labels, args.root)
-              if args.improper in (None, tree.imp_sub)
-              and args.really_improper in (None, tree.rimp_sub))
+              if (args.improper is None or tree.imp_sub == args.improper)
+              and (args.really_improper is None or tree.rimp_sub == args.really_improper))
     for tree in stream:
         if args.format == "json":
             _emit(tree.to_obj())

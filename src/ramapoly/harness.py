@@ -119,11 +119,17 @@ def _census(labels: range, root: int | None,
                  lambda: treecore.weight_census(labels, root, enumerator=enum))
 
 
-def _rooted_polys(labels: frozenset[int], enum: treecore.TreeEnumerator) -> dict[int, Poly]:
-    """The multivariate sum of the trees on the label set rooted at r, by r,
-    once per serial run."""
-    return _once(("rooted-polys", labels),
-                 lambda: {r: treecore.generating_poly(labels, r, enum) for r in sorted(labels)})
+def _rooted_polys(n: int, enum: treecore.TreeEnumerator) -> dict[int, Poly]:
+    """The multivariate sums of the trees on [n] by root, once per serial run,
+    from one stream.  Every statistic compares labels only, so the trees rooted
+    at r are those rooted at n relabeled in order (n to r, b to b + 1 for
+    r <= b < n), and their sum is the root-n sum with its variables so renamed."""
+    def by_root() -> dict[int, Poly]:
+        top = treecore.generating_poly(range(1, n + 1), n, enum)
+        x = {i: Poly.var(top.universe, f"x{i}") for i in range(1, n + 1)}
+        return {r: top.substitute({f"x{n}": x[r], **{f"x{b}": x[b + 1] for b in range(r, n)}})
+                for r in range(1, n + 1)}
+    return _once(("rooted-polys", n), by_root)
 
 
 def _xt_in_t(poly: Poly) -> Poly:
@@ -346,12 +352,11 @@ def _symmetric_sum(uni: tuple[str, ...], n: int) -> Poly:
 def run_thm_4_3(max_n: int = 6) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
     for n in range(1, max_n + 1):
-        labels = frozenset(range(1, n + 1))
-        uni = treecore.multivar_universe(labels)
+        uni = treecore.multivar_universe(range(1, n + 1))
         s = _symmetric_sum(uni, n)
         t = Poly.var(uni, "t")
         # the free sum is the rooted sums added up: the same trees, split by root
-        lhs = reduce(add, _rooted_polys(labels, enum).values())
+        lhs = reduce(add, _rooted_polys(n, enum).values())
         rhs = poly_prod((s + t * k for k in range(n - 1)), uni)
         yield _cmp({"n": n}, lhs, rhs)
 
@@ -359,21 +364,19 @@ def run_thm_4_3(max_n: int = 6) -> Iterator[Outcome]:
 def run_thm_4_gen_on(max_n: int = 6) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
     for n in range(2, max_n + 1):
-        labels = frozenset(range(1, n + 1))
-        uni = treecore.multivar_universe(labels)
+        uni = treecore.multivar_universe(range(1, n + 1))
         s = _symmetric_sum(uni, n)
         t = Poly.var(uni, "t")
         tail = poly_prod((s + t * k for k in range(1, n - 1)), uni)
-        for r, lhs in _rooted_polys(labels, enum).items():
+        for r, lhs in _rooted_polys(n, enum).items():
             yield _cmp({"n": n, "r": r}, lhs, Poly.var(uni, f"x{r}") * tail)
 
 
 def run_cor_roots(max_n: int = 6) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
     for n in range(2, max_n + 1):
-        labels = frozenset(range(1, n + 1))
-        uni = treecore.multivar_universe(labels)
-        by_root = _rooted_polys(labels, enum)
+        uni = treecore.multivar_universe(range(1, n + 1))
+        by_root = _rooted_polys(n, enum)
         for r in range(1, n + 1):
             for s in range(r + 1, n + 1):
                 lhs = by_root[r] * Poly.var(uni, f"x{s}")
@@ -441,6 +444,7 @@ def _leaves_within(forest: tuple[treecore.PlaneTree, ...], k: int) -> bool:
 
 
 def run_cor_narayana(max_vertices: int = 7, leafset_max_vertices: int = 6) -> Iterator[Outcome]:
+    """Leaf profiles against Narayana numbers, exact leaf sets against leaf_set_count."""
     enum = treecore.TreeEnumerator()
     for m in range(2, max_vertices + 1):
         profile = treecore.leaf_profile(m, enum)
@@ -451,12 +455,15 @@ def run_cor_narayana(max_vertices: int = 7, leafset_max_vertices: int = 6) -> It
         if m <= leafset_max_vertices:
             # the trees whose leaf set is {1, ..., k}, by k: k distinct leaves,
             # none above k.  With m >= 2 the forest under the root is never
-            # empty, so its leaves are the tree's
+            # empty, so its leaves are the tree's.  A tree with leaf set
+            # {1, ..., k} has its root above k; relabeled in order, its forest
+            # is a forest on [m - 1] with that same leaf set, and exactly the
+            # m - k roots above k carry it
             exact = Counter()
-            for forest in enum.root_forests(range(1, m + 1)):
+            for forest in enum.forests(frozenset(range(1, m))):
                 leaves = sum([c.leaf_count for c in forest])
                 if _leaves_within(forest, leaves):
-                    exact[leaves] += 1
+                    exact[leaves] += m - leaves
         for k in range(1, n + 1):
             got = treecore.leaf_set_count(n, k)
             yield _cmp({"vertices": m, "k": k, "check": "inclusion-exclusion"},

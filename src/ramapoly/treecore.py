@@ -451,13 +451,6 @@ class TreeEnumerator:
         labels, roots = self._checked(labels, root)
         return chain.from_iterable(map(self.trees_rooted, repeat(labels), roots))
 
-    def root_forests(self, labels: Iterable[int],
-                     root: int | None = None) -> Iterator[tuple[PlaneTree, ...]]:
-        """The forest under the root of each tree ``trees(labels, root)``
-        streams, in the same order, without building the root nodes."""
-        labels, roots = self._checked(labels, root)
-        return chain.from_iterable(self.forests(labels - {r}) for r in roots)
-
     def count_trees(self, labels: Iterable[int], root: int | None = None) -> int:
         """How many trees ``trees(labels, root)`` streams: roots times forests on [n - 1]."""
         labels, roots = self._checked(labels, root)

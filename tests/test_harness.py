@@ -159,6 +159,19 @@ def test_serial_run_skips_where_each_identity_alone_does(monkeypatch):
 
 
 @pytest.mark.parametrize("memo", [None, {}], ids=["alone", "serial-run-memo"])
+def test_rooted_polys_are_the_per_root_streams(monkeypatch, memo):
+    # the root-n sum renamed per root against a fresh stream per root, keys in
+    # root order; read twice, so under the memo the second read is the kept one
+    monkeypatch.setattr(harness, "_memo", memo)
+    enum = treecore.TreeEnumerator()
+    for n in range(1, 7):
+        want = {r: treecore.generating_poly(range(1, n + 1), r) for r in range(1, n + 1)}
+        for _ in range(2):
+            got = harness._rooted_polys(n, enum)
+            assert list(got) == list(want) and got == want, n
+
+
+@pytest.mark.parametrize("memo", [None, {}], ids=["alone", "serial-run-memo"])
 def test_free_census_is_the_weight_census_of_every_root(monkeypatch, memo):
     # the harness's free census against one weight_census pass over every
     # root, item for item and in the same key order at both levels; in the

@@ -140,14 +140,14 @@ def test_leaf_profile(enum):
 
 
 def test_leaf_set_count_against_enumeration(enum):
-    for m in (3, 4, 5):
+    # up to cor-narayana's default leafset_max_vertices; each tree's leaf set
+    # is counted once and read for every k
+    for m in (3, 4, 5, 6):
         n = m - 1
+        leaf_sets = Counter(frozenset(v.label for v in t.walk() if not v.children)
+                            for t in enum.trees(labels(m)))
         for k in range(1, n + 1):
-            target = frozenset(range(1, k + 1))
-            direct = sum(1 for t in enum.trees(labels(m))
-                         if frozenset(v.label for v in t.walk()
-                                      if not v.children) == target)
-            assert direct == tc.leaf_set_count(n, k)
+            assert leaf_sets[labels(k)] == tc.leaf_set_count(n, k), (m, k)
 
 
 def test_increasing_generators():
@@ -541,6 +541,21 @@ def test_enumerate_text_output_is_pinned(capsys):
         "dd709b161ad17c2960aa2940f6807e3eed9b4ea32b942baa6d45f4d6ce79478d")
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["--n", "4"], "3c169cc39c3c3138dd4e1ab06297568261184969ef8ef4a31bc0df5144c88390"),
+    (["--n", "4", "--improper", "1"],
+     "f521c64eefb9c68fa774b19db051d00f496ad59763fb0c40035353aa2ede5304"),
+], ids=["every-tree", "improper-1"])
+def test_enumerate_reads_no_really_statistic_unasked(monkeypatch, capsys, argv, digest):
+    # without --really-improper the filter must not compute a tree's really
+    # fields; the digests pin the output
+    def refuse(*args):
+        raise AssertionError("really statistics computed")
+    monkeypatch.setattr(tc, "_really_fold", refuse)
+    assert cli.main(["enumerate", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def recount_leaf_profile(enum, m):
     profile = {}
     for t in enum.trees(labels(m)):
@@ -559,13 +574,6 @@ def test_leaf_profile_with_streamed_forests(monkeypatch):
     enum = TreeEnumerator()
     for m in range(1, 7):
         assert tc.leaf_profile(m, enum) == recount_leaf_profile(enum, m), m
-
-
-def test_root_forests_are_the_streamed_trees_children(enum):
-    for m in range(1, 6):
-        for root in (None, 1, m):
-            want = [t.children for t in enum.trees(labels(m), root)]
-            assert list(enum.root_forests(labels(m), root)) == want, (m, root)
 
 
 def test_enumerate_count_only_matches_stream(capsys):
