@@ -112,11 +112,10 @@ def _once(key: tuple, compute: Callable[[], object]):
     return _memo[key]
 
 
-def _census(labels: range, root: int | None,
+def _census(n: int, root: int | None,
             enum: treecore.TreeEnumerator) -> dict[int, dict[tuple[int, int], int]]:
-    """The plain weight census of the label set, once per serial run."""
-    return _once(("census", frozenset(labels), root),
-                 lambda: treecore.weight_census(labels, root, enumerator=enum))
+    """The plain weight census of the trees on [n], once per serial run."""
+    return _once(("census", n, root), lambda: treecore.weight_census(n, root, enumerator=enum))
 
 
 def _rooted_polys(n: int, enum: treecore.TreeEnumerator) -> dict[int, Poly]:
@@ -125,18 +124,11 @@ def _rooted_polys(n: int, enum: treecore.TreeEnumerator) -> dict[int, Poly]:
     at r are those rooted at n relabeled in order (n to r, b to b + 1 for
     r <= b < n), and their sum is the root-n sum with its variables so renamed."""
     def by_root() -> dict[int, Poly]:
-        top = treecore.generating_poly(range(1, n + 1), n, enum)
+        top = treecore.generating_poly(n, n, enum)
         x = {i: Poly.var(top.universe, f"x{i}") for i in range(1, n + 1)}
         return {r: top.substitute({f"x{n}": x[r], **{f"x{b}": x[b + 1] for b in range(r, n)}})
                 for r in range(1, n + 1)}
     return _once(("rooted-polys", n), by_root)
-
-
-def _xt_in_t(poly: Poly) -> Poly:
-    """Reinterpret an {x,t} polynomial with no x left in it as a {t} polynomial."""
-    if any(e[0] for e in poly.terms):
-        raise ValueError(f"unexpected x in {poly.render()}")
-    return Poly(("t",), {(e[1],): c for e, c in poly.terms.items()})
 
 
 # -- section 1 / 6 / 7 symbolic identities -------------------------------------
@@ -200,7 +192,7 @@ def run_eq_gs(max_n: int = 20, enum_max_n: int = 5) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
     for n in range(1, enum_max_n + 1):
         counts: Counter[tuple[int, int]] = Counter()   # pooled over the improper count
-        for cells in _census(range(1, n + 2), 1, enum).values():
+        for cells in _census(n + 1, 1, enum).values():
             counts.update(cells)
         total = Poly.zero(uni)
         for (y1, e), count in counts.items():
@@ -233,8 +225,8 @@ def run_eq_equiv(max_n: int = 6) -> Iterator[Outcome]:
     t = Poly.var(QK_VARS, "t")
     enum = treecore.TreeEnumerator()
     for n in range(1, max_n + 1):
-        left = _census(range(1, n + 2), 1, enum)
-        right = _census(range(1, n + 1), None, enum)
+        left = _census(n + 1, 1, enum)
+        right = _census(n, None, enum)
         witness = None
         for k in range(n):
             lhs = treecore.census_poly(left.get(k, {}), mode="o")
@@ -252,16 +244,16 @@ def _run_census_table(rooted: bool, max_n: int) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
     for n in range(1, max_n + 1):
         if rooted:
-            census, mode = _census(range(1, n + 2), 1, enum), "o"
+            census, mode = _census(n + 1, 1, enum), "o"
         else:
-            census, mode = _census(range(1, n + 1), None, enum), "p"
+            census, mode = _census(n, None, enum), "p"
         for k in sorted(set(census) | set(range(n))):
             yield _cmp({"n": n, "k": k}, treecore.census_poly(census.get(k, {}), mode),
                        qpolys.q_nk(n, k, shifted=not rooted))
 
 
 run_thm_2_2 = partial(_run_census_table, True, max_n=6)
-run_thm_2_3 = partial(_run_census_table, False, max_n=7)
+run_thm_2_3 = partial(_run_census_table, False, max_n=8)
 
 
 REFINED_CUTOFF_2_4 = 3   # the per-improper-count refinement is false above this
@@ -285,9 +277,8 @@ def run_cor_2_4(max_n: int = 6) -> Iterator[Outcome]:
     for n in range(1, max_n + 1):
         pooled_table = reduce(add, (qpolys.q_nk(n, k) for k in range(n)))
         sides = []
-        for side, labels, root, mode in (("root-1", range(1, n + 2), 1, "o"),
-                                         ("free", range(1, n + 1), None, "p")):
-            census = treecore.weight_census(labels, root, really=True, enumerator=enum)
+        for side, size, root, mode in (("root-1", n + 1, 1, "o"), ("free", n, None, "p")):
+            census = treecore.weight_census(size, root, really=True, enumerator=enum)
             rows = {k: treecore.census_poly(cells, mode) for k, cells in census.items()}
             if root is None:
                 rows = {k: row.substitute({"x": x + t + 1}) for k, row in rows.items()}
@@ -308,7 +299,7 @@ def run_cor_2_4(max_n: int = 6) -> Iterator[Outcome]:
                     yield ({"n": n, "k": k, "side": side, "check": "refined-reported"}, PASS, note)
 
 
-def run_prop_2_5(enum_max_n: int = 6, count_max_n: int = 8) -> Iterator[Outcome]:
+def run_prop_2_5(enum_max_n: int = 8, count_max_n: int = 8) -> Iterator[Outcome]:
     x = Poly.var(QK_VARS, "x")
     t = Poly.var(QK_VARS, "t")
     enum = treecore.TreeEnumerator()
@@ -317,7 +308,7 @@ def run_prop_2_5(enum_max_n: int = 6, count_max_n: int = 8) -> Iterator[Outcome]
         yield _cmp({"n": n, "check": "table-product"},
                    qpolys.q_nk(n, 0, shifted=True), product)
         if n <= enum_max_n:
-            census = _census(range(1, n + 1), None, enum)
+            census = _census(n, None, enum)
             yield _cmp({"n": n, "check": "enumeration"},
                        treecore.census_poly(census.get(0, {}), "p"), product)
         yield _cmp({"n": n, "check": "increasing-plane"},
@@ -349,10 +340,10 @@ def _symmetric_sum(uni: tuple[str, ...], n: int) -> Poly:
                   (Poly.var(uni, f"x{i}") for i in range(1, n + 1)))
 
 
-def run_thm_4_3(max_n: int = 6) -> Iterator[Outcome]:
+def run_thm_4_3(max_n: int = 7) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
     for n in range(1, max_n + 1):
-        uni = treecore.multivar_universe(range(1, n + 1))
+        uni = treecore.multivar_universe(n)
         s = _symmetric_sum(uni, n)
         t = Poly.var(uni, "t")
         # the free sum is the rooted sums added up: the same trees, split by root
@@ -361,10 +352,10 @@ def run_thm_4_3(max_n: int = 6) -> Iterator[Outcome]:
         yield _cmp({"n": n}, lhs, rhs)
 
 
-def run_thm_4_gen_on(max_n: int = 6) -> Iterator[Outcome]:
+def run_thm_4_gen_on(max_n: int = 7) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
     for n in range(2, max_n + 1):
-        uni = treecore.multivar_universe(range(1, n + 1))
+        uni = treecore.multivar_universe(n)
         s = _symmetric_sum(uni, n)
         t = Poly.var(uni, "t")
         tail = poly_prod((s + t * k for k in range(1, n - 1)), uni)
@@ -372,10 +363,10 @@ def run_thm_4_gen_on(max_n: int = 6) -> Iterator[Outcome]:
             yield _cmp({"n": n, "r": r}, lhs, Poly.var(uni, f"x{r}") * tail)
 
 
-def run_cor_roots(max_n: int = 6) -> Iterator[Outcome]:
+def run_cor_roots(max_n: int = 7) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
     for n in range(2, max_n + 1):
-        uni = treecore.multivar_universe(range(1, n + 1))
+        uni = treecore.multivar_universe(n)
         by_root = _rooted_polys(n, enum)
         for r in range(1, n + 1):
             for s in range(r + 1, n + 1):
@@ -397,10 +388,9 @@ def run_lemma_4_2(instances: int = 200, max_n: int = 8, seed: int = 20260811) ->
         n = rng.choice(sizes)
         tree = enum.unrank(range(1, n + 1), rng.randrange(n * treecore.forest_count(n - 1)))
         i, j = tree.edges()[rng.randrange(n - 1)]
-        uni = treecore.multivar_universe(range(1, n + 1))
-        pos = {lab: idx for idx, lab in enumerate(range(1, n + 1))}
+        uni = treecore.multivar_universe(n)
         t = Poly.var(uni, "t")
-        lhs = Poly(uni, Counter(treecore.multivar_exponents(member, pos)
+        lhs = Poly(uni, Counter(treecore.multivar_exponents(member, n)
                                 for member in bijections.ij_class(tree, i, j)))
         xi = Poly.var(uni, f"x{i}")
         base = xi + Poly.var(uni, f"x{j}") + t
@@ -410,19 +400,19 @@ def run_lemma_4_2(instances: int = 200, max_n: int = 8, seed: int = 20260811) ->
             eld_i = len(inode.children) - inode.young_self
             local = local + base ** inode.young_self * t ** eld_i
         # the rest: the tree's exponents with i's and j's young and eld taken off
-        exps = list(treecore.multivar_exponents(tree, pos))
+        exps = list(treecore.multivar_exponents(tree, n))
         for v in (tree.find(i), tree.find(j)):
-            exps[pos[v.label]] = 0
+            exps[v.label - 1] = 0
             exps[-1] -= len(v.children) - v.young_self
         rhs = xi * local * Poly(uni, {tuple(exps): 1})
         yield _cmp({"trial": trial, "n": n, "i": i, "j": j}, lhs, rhs)
 
 
-def run_cor_catalan(max_vertices: int = 7) -> Iterator[Outcome]:
+def run_cor_catalan(max_vertices: int = 8) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
     for m in range(1, max_vertices + 1):
         # the free census's cells count its trees; thm-2-3 holds it in a serial run
-        count = sum(sum(cells.values()) for cells in _census(range(1, m + 1), None, enum).values())
+        count = sum(sum(cells.values()) for cells in _census(m, None, enum).values())
         yield _cmp({"vertices": m, "check": "labeled"},
                    count, factorial(2 * m - 2) // factorial(m - 1))
         unlabeled = qpolys.catalan(m - 1)
@@ -560,13 +550,14 @@ def run_cor_plane(max_n: int = 6) -> Iterator[Outcome]:
 
 def run_thm_5_1(max_n: int = 7, max_r: int = 3) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
-    for r in range(1, max_r + 1):
+    # F^r_n needs n > r, so an r past max_n - 1 has no forest to check
+    for r in range(1, min(max_r, max_n - 1) + 1):
         for n in range(r + 1, max_n + 1):
             got = forests.forest_generating_poly(n, r, enum)
             for k in sorted(set(got) | set(range(n - r))):
-                expected = _xt_in_t(qpolys.q_nk(n - r, k).substitute({"x": r})) * r
                 yield _cmp({"n": n, "r": r, "k": k},
-                           got.get(k, Poly.zero(("t",))), expected)
+                           got.get(k, Poly.zero(("t",))).extend(QK_VARS),
+                           qpolys.q_nk(n - r, k).substitute({"x": r}) * r)
 
 
 # -- registry ------------------------------------------------------------------------

@@ -20,14 +20,15 @@ per-tree statistics in O(1).  ``TreeEnumerator`` produces every plane tree /
 ordered forest on a label set exactly once (first component's vertex subset
 in binary order, roots ascending) and memoizes small sub-forests.
 
-Two censuses read that stream: ``weight_census`` buckets (young(1), eld) by
-improper count (``census_poly`` turns a bucket into a polynomial in {x, t}),
-and ``generating_poly`` sums t^eld * prod_i x_i^young(i) (``multivar_exponents``).
-Statistics compare labels only, so the forest under any root is a forest on
-[n - 1] relabeled in order: ``count_trees``, ``leaf_profile`` and
-``weight_census`` (``_forest_fold``) read those forests once and build no
-root node.  ``TreeEnumerator.unrank`` builds the tree at any position of the
-stream from the forest counts ``forest_count``, without streaming.  The
+Two censuses read the trees on [n] = {1, ..., n} and take n:
+``weight_census`` buckets (young(1), eld) by improper count (``census_poly``
+turns a bucket into a polynomial in {x, t}), and ``generating_poly`` sums
+t^eld * prod_i x_i^young(i) (``multivar_exponents``).  Statistics compare
+labels only, so the forest under any root is a forest on [n - 1] relabeled
+in order: ``count_trees``, ``leaf_profile`` and ``weight_census``
+(``_forest_fold``) read those forests once and build no root node.
+``TreeEnumerator.unrank`` builds the tree at any position of the stream
+from the forest counts ``forest_count``, without streaming.  The
 increasing-tree generators read the same memoizing stream, narrowed by a
 private subclass to the forests whose every subtree is rooted at its smallest
 label, and ``count_increasing_trees`` counts the forests under vertex 1 of
@@ -513,31 +514,25 @@ def _unrank_forest(elems: list[int], rank: int) -> tuple[PlaneTree, ...]:
 # -- generating polynomials -----------------------------------------------------
 
 
-def weight_census(labels: Iterable[int], root: int | None = None, *,
+def weight_census(n: int, root: int | None = None, *,
                   really: bool = False,
                   enumerator: TreeEnumerator | None = None) -> dict[int, dict[tuple[int, int], int]]:
     """One enumeration pass, bucketed by improper count.
 
-    Returns {k: {(young(1), eld): multiplicity}} over all trees on the label
-    set (optionally root-constrained); the really-variant buckets by really
+    Returns {k: {(young(1), eld): multiplicity}} over all trees on [n]
+    (optionally root-constrained); the really-variant buckets by really
     improper count and uses (ryoung(1), reld).  Statistics compare labels
     only, so each forest on [n - 1] is folded once (``_forest_fold``) and
-    counted by one ``Counter``, and each root expands the counts by its rank;
-    keys keep the order in which the stream of trees first meets them.
+    counted by one ``Counter``, and each root expands the counts; keys keep
+    the order in which the stream of trees first meets them.
     """
     enum = enumerator or TreeEnumerator()
-    # checked as ``trees`` checks before the vertex-1 test, so that a bad label
-    # set gets the same message from every reader (``enumerate`` prints it)
-    labels, roots = enum._checked(labels, root)
-    if 1 not in labels:
-        raise ValueError("weight census needs vertex 1 in the label set")
-    counts = Counter(map(_forest_fold, enum.forests(frozenset(range(1, len(labels)))),
-                         repeat(really)))
-    ranked = sorted(labels)
+    _, roots = enum._checked(range(1, n + 1), root)
+    counts = Counter(map(_forest_fold, enum.forests(frozenset(range(1, n))), repeat(really)))
     census: dict[int, dict[tuple[int, int], int]] = {}
     for r in roots:
-        # a root of rank i is improper to the young top components of beta <= i
-        below = (2 << ranked.index(r)) - 1
+        # root r is improper to the young top components of beta below r
+        below = (1 << r) - 1
         for (imp, young1, eld, mask), count in counts.items():
             cells = census.setdefault(imp + (mask & below).bit_count(), {})
             key = (mask.bit_count() if r == 1 else young1, eld)
@@ -559,32 +554,29 @@ def census_poly(cells: Mapping[tuple[int, int], int], mode: str) -> Poly:
     return Poly(QK_VARS, terms)
 
 
-def multivar_universe(labels: Iterable[int]) -> tuple[str, ...]:
-    return tuple(f"x{i}" for i in sorted(labels)) + ("t",)
+def multivar_universe(n: int) -> tuple[str, ...]:
+    return tuple(f"x{i}" for i in range(1, n + 1)) + ("t",)
 
 
-def multivar_exponents(tree: PlaneTree, position: Mapping[int, int]) -> tuple[int, ...]:
-    """Exponent tuple of t^eld * prod_i x_i^young(i) in the multivariate
-    universe whose variable for label i sits at position[i]."""
-    exps = [0] * (len(position) + 1)
+def multivar_exponents(tree: PlaneTree, n: int) -> tuple[int, ...]:
+    """Exponent tuple of t^eld * prod_i x_i^young(i) in multivar_universe(n)."""
+    exps = [0] * (n + 1)
     stack = [tree]  # a plain stack loop: generating_poly reads every tree
     while stack:
         v = stack.pop()
-        exps[position[v.label]] = v.young_self
+        exps[v.label - 1] = v.young_self
         stack.extend(v.children)
     exps[-1] = tree.eld_sub
     return tuple(exps)
 
 
-def generating_poly(labels: Iterable[int], root: int | None = None,
+def generating_poly(n: int, root: int | None = None,
                     enumerator: TreeEnumerator | None = None) -> Poly:
-    """Sum of t^eld * prod_i x_i^young(i) over the plane trees on the label
-    set (optionally root-constrained), in multivar_universe(labels)."""
+    """Sum of t^eld * prod_i x_i^young(i) over the plane trees on [n]
+    (optionally root-constrained), in multivar_universe(n)."""
     enum = enumerator or TreeEnumerator()
-    labels = sorted(labels)
-    position = {lab: idx for idx, lab in enumerate(labels)}
-    terms = Counter(multivar_exponents(tree, position) for tree in enum.trees(labels, root))
-    return Poly(multivar_universe(labels), terms)
+    terms = Counter(multivar_exponents(tree, n) for tree in enum.trees(range(1, n + 1), root))
+    return Poly(multivar_universe(n), terms)
 
 
 def leaf_set_count(n: int, k: int) -> int:

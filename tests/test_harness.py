@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from concurrent.futures import Future
@@ -104,11 +105,13 @@ def _records(reports):
 def _counting(monkeypatch, module, name, calls):
     fn = getattr(module, name)
 
-    def counted(labels, *args, **kwargs):
-        # keyed by the label set and root, not by the runner's own enumerator
+    def counted(first, *args, **kwargs):
+        # keyed by the first argument as given (n for the census readers, the
+        # label set for plane_forests) and the root, not by the runner's own
+        # enumerator
         root = [a for a in args[:1] if not isinstance(a, treecore.TreeEnumerator)]
-        calls[name, frozenset(labels), *root] += 1
-        return fn(labels, *args, **kwargs)
+        calls[name, first, *root] += 1
+        return fn(first, *args, **kwargs)
     monkeypatch.setattr(module, name, counted)
 
 
@@ -165,7 +168,7 @@ def test_rooted_polys_are_the_per_root_streams(monkeypatch, memo):
     monkeypatch.setattr(harness, "_memo", memo)
     enum = treecore.TreeEnumerator()
     for n in range(1, 7):
-        want = {r: treecore.generating_poly(range(1, n + 1), r) for r in range(1, n + 1)}
+        want = {r: treecore.generating_poly(n, r) for r in range(1, n + 1)}
         for _ in range(2):
             got = harness._rooted_polys(n, enum)
             assert list(got) == list(want) and got == want, n
@@ -180,10 +183,9 @@ def test_free_census_is_the_weight_census_of_every_root(monkeypatch, memo):
     monkeypatch.setattr(harness, "_memo", memo)
     enum = treecore.TreeEnumerator()
     for n in range(1, 7):
-        labels = range(1, n + 1)
-        harness._census(labels, 1, enum)
-        free = harness._census(labels, None, enum)
-        direct = treecore.weight_census(labels)
+        harness._census(n, 1, enum)
+        free = harness._census(n, None, enum)
+        direct = treecore.weight_census(n)
         assert list(free) == list(direct)
         for k, cells in direct.items():
             assert list(free[k].items()) == list(cells.items())
@@ -424,6 +426,16 @@ def test_shared_runner_records_are_pinned(name, max_n, count, digest):
     assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest() == digest
 
 
+def test_thm_5_1_stops_at_the_largest_root_count():
+    # a forest on [n] has fewer than n roots, so a max_r past max_n - 1 adds
+    # no record and no work
+    start = time.perf_counter()
+    records = list(harness.run_thm_5_1(max_n=4, max_r=10**7))
+    assert time.perf_counter() - start < 1.0
+    assert records == list(harness.run_thm_5_1(max_n=4, max_r=3))
+    assert len(records) == 10 and {instance["r"] for instance, _, _ in records} == {1, 2, 3}
+
+
 def test_lemma_4_2_holds_only_drawn_trees():
     # holding every tree on [7] peaked at 168 MB under tracemalloc; the
     # streamed draw peaks at 14 MB
@@ -651,7 +663,7 @@ def test_cli_verify_list(capsys):
     # the names, descriptions and default bounds in registry order, byte for
     # byte: the registry reads each identity's bounds from its runner
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "212ca635cf45ad9ee6eee25fa508762e548be0eb0f2a4a72034db94a14592e45")
+            == "052ebb1d57096413c755670f066bc88c0fe01bc0354af766fa8189a52faa1436")
 
 
 @pytest.fixture
