@@ -98,12 +98,29 @@ def cmd_enumerate(args) -> int:
     stream = (tree for tree in enum.trees(labels, args.root)
               if (args.improper is None or tree.imp_sub == args.improper)
               and (args.really_improper is None or tree.rimp_sub == args.really_improper))
+    # the text of each memo-shared subtree (at most MEMO_LIMIT labels), by id;
+    # the node is kept with its text, so its id is not reused while the dict lives
+    shared: dict[int, tuple[treecore.PlaneTree, str]] = {}
     for tree in stream:
-        if args.format == "json":
-            _emit(tree.to_obj())
-        else:
-            print(repr(tree))
+        print(_render(tree, args.format == "json", shared))
     return 0
+
+
+def _render(tree: treecore.PlaneTree, as_json: bool,
+            shared: dict[int, tuple[treecore.PlaneTree, str]]) -> str:
+    """repr(tree), or the sorted-key JSON of tree.to_obj(), reading the text of
+    every subtree of at most MEMO_LIMIT labels from ``shared`` or adding it."""
+    kept = shared.get(id(tree))
+    if kept is not None:
+        return kept[1]
+    inner = [_render(c, as_json, shared) for c in tree.children]
+    if as_json:
+        text = f'{{"children": [{", ".join(inner)}], "label": {tree.label}}}'
+    else:
+        text = f"node({', '.join([str(tree.label), *inner])})"
+    if tree.size <= treecore.MEMO_LIMIT:
+        shared[id(tree)] = tree, text
+    return text
 
 
 def cmd_stats(args) -> int:

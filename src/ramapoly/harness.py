@@ -112,10 +112,22 @@ def _once(key: tuple, compute: Callable[[], object]):
     return _memo[key]
 
 
+def _folds(n: int, really: bool, enum: treecore.TreeEnumerator) -> Counter:
+    """The fold of the forests on [n - 1] that every census of the trees on
+    [n] expands, once per serial run: the root-1 census on [n] and the free
+    census on [n] read one fold.  [n] is checked against the label cap first,
+    so a census past the cap folds nothing."""
+    enum.check_bound(range(1, n + 1))
+    return _once(("folds", n - 1, really),
+                 lambda: treecore.forest_folds(n - 1, really=really, enumerator=enum))
+
+
 def _census(n: int, root: int | None,
             enum: treecore.TreeEnumerator) -> dict[int, dict[tuple[int, int], int]]:
-    """The plain weight census of the trees on [n], once per serial run."""
-    return _once(("census", n, root), lambda: treecore.weight_census(n, root, enumerator=enum))
+    """The plain weight census of the trees on [n], once per serial run,
+    expanded from the run's fold of the forests on [n - 1]."""
+    return _once(("census", n, root), lambda: treecore.weight_census(
+        n, root, enumerator=enum, folds=_folds(n, False, enum)))
 
 
 def _rooted_polys(n: int, enum: treecore.TreeEnumerator) -> dict[int, Poly]:
@@ -219,7 +231,7 @@ def run_eq_general(max_n: int = 7) -> Iterator[Outcome]:
         yield _cmp({"n": n}, lhs, rhs)
 
 
-def run_eq_equiv(max_n: int = 6) -> Iterator[Outcome]:
+def run_eq_equiv(max_n: int = 7) -> Iterator[Outcome]:
     """Per n, the first k at which the root-1 sum and the shifted free sum differ."""
     x = Poly.var(QK_VARS, "x")
     t = Poly.var(QK_VARS, "t")
@@ -252,7 +264,7 @@ def _run_census_table(rooted: bool, max_n: int) -> Iterator[Outcome]:
                        qpolys.q_nk(n, k, shifted=not rooted))
 
 
-run_thm_2_2 = partial(_run_census_table, True, max_n=6)
+run_thm_2_2 = partial(_run_census_table, True, max_n=7)
 run_thm_2_3 = partial(_run_census_table, False, max_n=8)
 
 
@@ -278,7 +290,8 @@ def run_cor_2_4(max_n: int = 6) -> Iterator[Outcome]:
         pooled_table = reduce(add, (qpolys.q_nk(n, k) for k in range(n)))
         sides = []
         for side, size, root, mode in (("root-1", n + 1, 1, "o"), ("free", n, None, "p")):
-            census = treecore.weight_census(size, root, really=True, enumerator=enum)
+            census = treecore.weight_census(size, root, really=True, enumerator=enum,
+                                            folds=_folds(size, True, enum))
             rows = {k: treecore.census_poly(cells, mode) for k, cells in census.items()}
             if root is None:
                 rows = {k: row.substitute({"x": x + t + 1}) for k, row in rows.items()}
@@ -699,12 +712,15 @@ def run_suite(names: list[str] | None = None,
 
     ``check_suite`` checks every name and bound, serial or pool, before any
     identity runs.  A serial run (``jobs`` 1, or clamped to 1 by the selection
-    or the CPU count) keeps a run-scoped memo through ``_once``: the plain
-    weight censuses, the rooted multivariate sums and the degree-sequence
-    census are enumerated once and re-read by every later identity that needs
-    them, so such an identity's seconds leave out work an earlier one did;
-    ``cor-catalan`` counts the trees from ``thm-2-3``'s free census.  The memo
-    is dropped when the run ends, however it ends.  Pool workers share nothing.
+    or the CPU count) keeps a run-scoped memo through ``_once``: the forest
+    folds (one per forest size and variant, which the root-1 and the free
+    census of one label set both expand), the plain weight censuses, the
+    rooted multivariate sums and the degree-sequence census are enumerated
+    once and re-read by every later identity that needs them, so such an
+    identity's seconds leave out work an earlier one did; ``thm-2-3`` expands
+    the folds that ``thm-2-2`` made, and ``cor-catalan`` counts the trees from
+    ``thm-2-3``'s free census.  The memo is dropped when the run ends, however
+    it ends.  Pool workers share nothing.
     """
     global _memo
     overrides = overrides or {}

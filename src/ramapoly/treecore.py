@@ -25,8 +25,11 @@ Two censuses read the trees on [n] = {1, ..., n} and take n:
 turns a bucket into a polynomial in {x, t}), and ``generating_poly`` sums
 t^eld * prod_i x_i^young(i) (``multivar_exponents``).  Statistics compare
 labels only, so the forest under any root is a forest on [n - 1] relabeled
-in order: ``count_trees``, ``leaf_profile`` and ``weight_census``
-(``_forest_fold``) read those forests once and build no root node.
+in order: ``count_trees``, ``leaf_profile`` and ``weight_census`` read those
+forests once and build no root node.  ``forest_folds`` counts the forests
+on [m] by ``_forest_fold``, and every census of the trees on [m + 1], root-1
+or free, expands that one ``Counter``; a serial ``harness.run_suite`` keeps
+it per (m, variant), so those censuses fold the forests once between them.
 ``TreeEnumerator.unrank`` builds the tree at any position of the stream
 from the forest counts ``forest_count``, without streaming.  The
 increasing-tree generators read the same memoizing stream, narrowed by a
@@ -514,21 +517,34 @@ def _unrank_forest(elems: list[int], rank: int) -> tuple[PlaneTree, ...]:
 # -- generating polynomials -----------------------------------------------------
 
 
+def forest_folds(m: int, *, really: bool = False,
+                 enumerator: TreeEnumerator | None = None) -> Counter:
+    """The forests on [m] counted by ``_forest_fold``: {(imp, young(1), eld,
+    mask): count}, keys in the order the stream first meets them.  The trees
+    on [m + 1] under any root are these forests relabeled, so every census of
+    them expands this one ``Counter``; the label cap is checked on [m]."""
+    enum = enumerator or TreeEnumerator()
+    return Counter(map(_forest_fold, enum.forests(enum.check_bound(range(1, m + 1))),
+                       repeat(really)))
+
+
 def weight_census(n: int, root: int | None = None, *,
                   really: bool = False,
-                  enumerator: TreeEnumerator | None = None) -> dict[int, dict[tuple[int, int], int]]:
+                  enumerator: TreeEnumerator | None = None,
+                  folds: Counter | None = None) -> dict[int, dict[tuple[int, int], int]]:
     """One enumeration pass, bucketed by improper count.
 
     Returns {k: {(young(1), eld): multiplicity}} over all trees on [n]
     (optionally root-constrained); the really-variant buckets by really
     improper count and uses (ryoung(1), reld).  Statistics compare labels
-    only, so each forest on [n - 1] is folded once (``_forest_fold``) and
-    counted by one ``Counter``, and each root expands the counts; keys keep
-    the order in which the stream of trees first meets them.
+    only, so each root expands the counts of the forests on [n - 1],
+    ``forest_folds(n - 1, really=really)``; a caller that holds those counts
+    passes them as ``folds``.  Keys keep the order in which the stream of
+    trees first meets them.
     """
     enum = enumerator or TreeEnumerator()
     _, roots = enum._checked(range(1, n + 1), root)
-    counts = Counter(map(_forest_fold, enum.forests(frozenset(range(1, n))), repeat(really)))
+    counts = forest_folds(n - 1, really=really, enumerator=enum) if folds is None else folds
     census: dict[int, dict[tuple[int, int], int]] = {}
     for r in roots:
         # root r is improper to the young top components of beta below r

@@ -212,9 +212,90 @@ def test_no_runner_mutates_a_shared_result(monkeypatch):
         return once(key, first)
     monkeypatch.setattr(harness, "_once", snapshotting)
     harness.run_suite(list(SHARED), SHARED)
-    assert {key[0] for key, _, _ in entered} == {"census", "rooted-polys", "degseq"}
+    assert {key[0] for key, _, _ in entered} == {"census", "folds", "rooted-polys", "degseq"}
     for key, value, snapshot in entered:
         assert _snapshot(value) == snapshot, key
+
+
+# every reader of the forest folds; cor-2-4 folds the really-variant
+FOLD_READERS = {"thm-2-2": {"max_n": 4}, "thm-2-3": {"max_n": 5}, "cor-2-4": {"max_n": 4},
+                "prop-2-5": {"enum_max_n": 5, "count_max_n": 5}, "cor-catalan": {"max_vertices": 5},
+                "eq-equiv": {"max_n": 4}}
+
+
+def _counting_folds(monkeypatch, fake=False):
+    """Count forest_folds calls by (m, really); a fake returns one forest whose
+    single young top component has beta 1, so every census stays well formed."""
+    calls = Counter()
+    fold = treecore.forest_folds
+
+    def counted(m, *, really=False, enumerator=None):
+        calls[m, really] += 1
+        if fake:
+            return Counter({(0, 1, 0, 1 << 1): 1})
+        return fold(m, really=really, enumerator=enumerator)
+    monkeypatch.setattr(treecore, "forest_folds", counted)
+    return calls
+
+
+def test_serial_run_folds_each_forest_set_once(monkeypatch):
+    # the root-1 census on [m + 1] and the free census on [m + 1] expand one
+    # fold of the forests on [m], per variant
+    calls = _counting_folds(monkeypatch)
+    serial = harness.run_suite(list(FOLD_READERS), FOLD_READERS)
+    assert calls == {(m, really): 1 for m in range(5) for really in (False, True)}
+    calls.clear()
+    alone = [harness.run_identity(name, params) for name, params in FOLD_READERS.items()]
+    assert max(calls.values()) > 1
+    assert _records(serial) == _records(alone)
+    assert {i.status for r in serial for i in r.instances} == {harness.PASS}
+
+
+@pytest.mark.parametrize("really", [False, True], ids=["plain", "really"])
+@pytest.mark.parametrize("memo", [None, {}], ids=["alone", "serial-run-memo"])
+def test_censuses_from_the_shared_fold_are_fresh_censuses(monkeypatch, memo, really):
+    # the root-1 and then the free census on [n], which read one fold under
+    # the memo, read the way the runners read them, against fresh
+    # weight_census calls, in key order at both levels
+    monkeypatch.setattr(harness, "_memo", memo)
+    enum = treecore.TreeEnumerator()
+    for n in range(1, 7):
+        for root in (1, None):
+            if really:
+                got = treecore.weight_census(n, root, really=True, enumerator=enum,
+                                             folds=harness._folds(n, True, enum))
+            else:
+                got = harness._census(n, root, enum)
+            want = treecore.weight_census(n, root, really=really)
+            assert [(k, list(cells.items())) for k, cells in got.items()] \
+                == [(k, list(cells.items())) for k, cells in want.items()], (n, root)
+
+
+@pytest.mark.parametrize("cap", [4, None], ids=["cap-4", "default-cap"])
+def test_census_past_the_cap_folds_nothing(monkeypatch, cap):
+    # the fold read for [n] is of [n - 1], which fits the cap when [n] does
+    # not; the runners' folds are faked, so only the call pattern is checked
+    if cap is not None:
+        monkeypatch.setenv("RAMAPOLY_MAX_LABELS", str(cap))
+    cap = treecore.label_cap()
+    calls = _counting_folds(monkeypatch, fake=True)
+    # each runner's largest census is on [cap + 1]
+    past = {"thm-2-2": {"max_n": cap}, "thm-2-3": {"max_n": cap + 1},
+            "eq-equiv": {"max_n": cap}, "cor-2-4": {"max_n": cap}}
+    for run in (lambda: harness.run_suite(list(past), past),
+                lambda: [harness.run_identity(name, params) for name, params in past.items()]):
+        reports = run()
+        assert [r.instances[-1].status for r in reports] == [harness.SKIP] * len(past)
+        assert calls and max(m for m, _ in calls) == cap - 1
+        calls.clear()
+    enum = treecore.TreeEnumerator()
+    for read in (lambda: harness._census(cap + 1, 1, enum),
+                 lambda: harness._census(cap + 1, None, enum),
+                 lambda: harness._folds(cap + 1, True, enum),
+                 lambda: treecore.weight_census(cap + 1, really=True)):
+        with pytest.raises(treecore.BoundExceeded):
+            read()
+    assert not calls
 
 
 def test_same_records_ignores_only_seconds(tmp_path, capsys):
@@ -663,7 +744,7 @@ def test_cli_verify_list(capsys):
     # the names, descriptions and default bounds in registry order, byte for
     # byte: the registry reads each identity's bounds from its runner
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "052ebb1d57096413c755670f066bc88c0fe01bc0354af766fa8189a52faa1436")
+            == "76499239a2ed5dd995b7efb7d15fa199a5330c26ed872a0a19b637c793e296da")
 
 
 @pytest.fixture

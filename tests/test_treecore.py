@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from collections import Counter
 from itertools import combinations
@@ -534,6 +535,22 @@ def test_enumerate_text_output_is_pinned(capsys):
     assert out.count("\n") == 30240
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "dd709b161ad17c2960aa2940f6807e3eed9b4ea32b942baa6d45f4d6ce79478d")
+
+
+@pytest.mark.parametrize("memo_limit", [tc.MEMO_LIMIT, 2])
+def test_enumerate_renders_every_tree_as_repr_and_json(monkeypatch, capsys, memo_limit):
+    # the text held per shared subtree against each tree rendered on its own
+    monkeypatch.setattr(tc, "MEMO_LIMIT", memo_limit)
+    for argv in (["--n", "1"], ["--n", "5"], ["--n", "6", "--root", "4"],
+                 ["--n", "5", "--improper", "2"]):
+        root = int(argv[3]) if "--root" in argv else None
+        trees = [t for t in TreeEnumerator().trees(labels(int(argv[1])), root)
+                 if "--improper" not in argv or t.imp_sub == 2]
+        assert cli.main(["enumerate", *argv, "--format", "text"]) == 0
+        assert capsys.readouterr().out.splitlines() == [repr(t) for t in trees]
+        assert cli.main(["enumerate", *argv, "--format", "json"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            json.dumps(t.to_obj(), sort_keys=True) for t in trees]
 
 
 @pytest.mark.parametrize("argv, digest", [
