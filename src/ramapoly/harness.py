@@ -97,13 +97,19 @@ def _cmp(instance: dict, lhs: Poly | int, rhs: Poly | int, info: Payload = None)
     return _check(instance, qpolys.mismatch(lhs, rhs), info)
 
 
-# Results that a second identity re-reads, kept while a serial run_suite runs;
-# None otherwise, so a lone runner, run_identity or a pool worker computes
+# The enumerations a suite run shares, in its own process or in each pool
+# worker; None otherwise, so a lone runner or run_identity computes them
 _memo: dict | None = None
 
 
+def _open_memo() -> None:
+    """Open an empty run memo here: a serial run's, or a pool worker's for its life."""
+    global _memo
+    _memo = {}
+
+
 def _once(key: tuple, compute: Callable[[], object]):
-    """compute(), or the value it gave for key earlier in the same serial run.
+    """compute(), or the value it gave for key earlier in the same suite run.
     An exception (BoundExceeded) propagates and is not kept."""
     if _memo is None:
         return compute()
@@ -112,26 +118,20 @@ def _once(key: tuple, compute: Callable[[], object]):
     return _memo[key]
 
 
-def _folds(n: int, really: bool, enum: treecore.TreeEnumerator) -> Counter:
-    """The fold of the forests on [n - 1] that every census of the trees on
-    [n] expands, once per serial run: the root-1 census on [n] and the free
-    census on [n] read one fold.  [n] is checked against the label cap first,
-    so a census past the cap folds nothing."""
+def _census(n: int, root: int | None, enum: treecore.TreeEnumerator,
+            really: bool = False) -> dict[int, dict[tuple[int, int], int]]:
+    """The weight census of the trees on [n], expanded from the fold of the
+    forests on [n - 1], which a suite run folds once per variant: the root-1
+    and the free census on [n] read one fold.  [n] is checked against the
+    label cap first, so a census past the cap folds nothing."""
     enum.check_bound(range(1, n + 1))
-    return _once(("folds", n - 1, really),
-                 lambda: treecore.forest_folds(n - 1, really=really, enumerator=enum))
-
-
-def _census(n: int, root: int | None,
-            enum: treecore.TreeEnumerator) -> dict[int, dict[tuple[int, int], int]]:
-    """The plain weight census of the trees on [n], once per serial run,
-    expanded from the run's fold of the forests on [n - 1]."""
-    return _once(("census", n, root), lambda: treecore.weight_census(
-        n, root, enumerator=enum, folds=_folds(n, False, enum)))
+    folds = _once(("folds", n - 1, really),
+                  lambda: treecore.forest_folds(n - 1, really=really, enumerator=enum))
+    return treecore.weight_census(n, root, really=really, enumerator=enum, folds=folds)
 
 
 def _rooted_polys(n: int, enum: treecore.TreeEnumerator) -> dict[int, Poly]:
-    """The multivariate sums of the trees on [n] by root, once per serial run,
+    """The multivariate sums of the trees on [n] by root, once per run memo,
     from one stream.  Every statistic compares labels only, so the trees rooted
     at r are those rooted at n relabeled in order (n to r, b to b + 1 for
     r <= b < n), and their sum is the root-n sum with its variables so renamed."""
@@ -290,8 +290,7 @@ def run_cor_2_4(max_n: int = 6) -> Iterator[Outcome]:
         pooled_table = reduce(add, (qpolys.q_nk(n, k) for k in range(n)))
         sides = []
         for side, size, root, mode in (("root-1", n + 1, 1, "o"), ("free", n, None, "p")):
-            census = treecore.weight_census(size, root, really=True, enumerator=enum,
-                                            folds=_folds(size, True, enum))
+            census = _census(size, root, enum, really=True)
             rows = {k: treecore.census_poly(cells, mode) for k, cells in census.items()}
             if root is None:
                 rows = {k: row.substitute({"x": x + t + 1}) for k, row in rows.items()}
@@ -424,7 +423,7 @@ def run_lemma_4_2(instances: int = 200, max_n: int = 8, seed: int = 20260811) ->
 def run_cor_catalan(max_vertices: int = 8) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
     for m in range(1, max_vertices + 1):
-        # the free census's cells count its trees; thm-2-3 holds it in a serial run
+        # the free census's cells count its trees; a suite run expands it from a kept fold
         count = sum(sum(cells.values()) for cells in _census(m, None, enum).values())
         yield _cmp({"vertices": m, "check": "labeled"},
                    count, factorial(2 * m - 2) // factorial(m - 1))
@@ -486,7 +485,7 @@ def _degree_sequences(n: int, total: int) -> Iterator[tuple[int, ...]]:
 
 
 def _degseq_census(n: int, enum: treecore.TreeEnumerator) -> Counter[tuple[int, ...]]:
-    """The plane forests on [n] counted by ordered degree sequence, once per serial run."""
+    """The plane forests on [n] counted by ordered degree sequence, once per run memo."""
     return _once(("degseq", n), lambda: Counter(map(
         forests.ordered_degree_sequence, forests.plane_forests(range(1, n + 1), enum), repeat(n))))
 
@@ -690,18 +689,21 @@ def run_identity(name: str, overrides: dict | None = None) -> VerificationReport
     return report
 
 
-def check_suite(names: list[str] | None, overrides: dict[str, dict], jobs: int) -> list[str]:
-    """The canonical names of the selection (all for None) once every name,
-    override, bound, the label cap and ``jobs`` pass: checked before any run."""
+def check_suite(names: list[str] | None, overrides: dict[str, dict],
+                jobs: int) -> tuple[list[str], dict[str, dict]]:
+    """The canonical names of the selection (all for None) and the overrides by
+    canonical name, an alias's and its identity's merged in the order given,
+    once every name, override, bound, the label cap and ``jobs`` pass."""
     targets = [resolve(name).name for name in (list(REGISTRY) if names is None else names)]
-    for name in overrides:
-        resolve(name)
+    canonical: dict[str, dict] = {}
+    for name, params in overrides.items():
+        canonical.setdefault(resolve(name).name, {}).update(params)
     for name in targets:
-        identity_params(name, overrides.get(name))
+        identity_params(name, canonical.get(name))
     treecore.label_cap()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return targets
+    return targets, canonical
 
 
 def run_suite(names: list[str] | None = None,
@@ -711,28 +713,25 @@ def run_suite(names: list[str] | None = None,
     updated by its overrides, on up to ``jobs`` processes.
 
     ``check_suite`` checks every name and bound, serial or pool, before any
-    identity runs.  A serial run (``jobs`` 1, or clamped to 1 by the selection
-    or the CPU count) keeps a run-scoped memo through ``_once``: the forest
-    folds (one per forest size and variant, which the root-1 and the free
-    census of one label set both expand), the plain weight censuses, the
-    rooted multivariate sums and the degree-sequence census are enumerated
-    once and re-read by every later identity that needs them, so such an
-    identity's seconds leave out work an earlier one did; ``thm-2-3`` expands
-    the folds that ``thm-2-2`` made, and ``cor-catalan`` counts the trees from
-    ``thm-2-3``'s free census.  The memo is dropped when the run ends, however
-    it ends.  Pool workers share nothing.
+    identity runs.  A suite run shares enumerations through ``_once``: the
+    forest folds (one per forest size and variant, which every census of one
+    label set expands), the rooted multivariate sums and the degree-sequence
+    census are enumerated once and re-read by every later identity that needs
+    them, so such an identity's seconds leave out work an earlier one did.  A
+    serial run (``jobs`` 1, or clamped to 1 by the selection or the CPU count)
+    keeps the memo until it ends, however it ends; each pool worker keeps its
+    own for the pool's life, and shares with the identities it runs itself.
     """
     global _memo
-    overrides = overrides or {}
-    targets = check_suite(names, overrides, jobs)
+    targets, overrides = check_suite(names, overrides or {}, jobs)
     jobs = min(jobs, len(targets), os.cpu_count() or 1)
     if jobs <= 1:
-        _memo = {}
+        _open_memo()
         try:
             return [run_identity(name, overrides.get(name)) for name in targets]
         finally:
             _memo = None
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_open_memo) as pool:
         futures = [pool.submit(run_identity, name, overrides.get(name))
                    for name in targets]
         return [f.result() for f in futures]

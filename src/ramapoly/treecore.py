@@ -532,15 +532,15 @@ def weight_census(n: int, root: int | None = None, *,
                   really: bool = False,
                   enumerator: TreeEnumerator | None = None,
                   folds: Counter | None = None) -> dict[int, dict[tuple[int, int], int]]:
-    """One enumeration pass, bucketed by improper count.
+    """The fold of the forests on [n - 1] expanded per root, bucketed by improper count.
 
     Returns {k: {(young(1), eld): multiplicity}} over all trees on [n]
     (optionally root-constrained); the really-variant buckets by really
     improper count and uses (ryoung(1), reld).  Statistics compare labels
     only, so each root expands the counts of the forests on [n - 1],
-    ``forest_folds(n - 1, really=really)``; a caller that holds those counts
-    passes them as ``folds``.  Keys keep the order in which the stream of
-    trees first meets them.
+    ``forest_folds(n - 1, really=really)``, which this folds unless the
+    caller passes them as ``folds``.  Keys keep the order in which the stream
+    of trees first meets them.
     """
     enum = enumerator or TreeEnumerator()
     _, roots = enum._checked(range(1, n + 1), root)

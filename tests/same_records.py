@@ -5,8 +5,9 @@ Usage: python3 tests/same_records.py REPORT_A REPORT_B
 Exits 0 when the two files hold the same records in the same order once the
 ``seconds`` field is removed from each, and 1 otherwise, naming the first
 record that differs.  A serial run, which re-reads the enumerations that
-identities share, and a ``--jobs 2`` run, whose workers share nothing, must
-agree.  Uses only the stdlib.
+identities share, a ``--jobs 2`` run, whose workers each keep their own, and
+one run of each identity alone, which shares nothing, must agree.  Uses only
+the stdlib.
 """
 
 from __future__ import annotations

@@ -47,17 +47,24 @@ def test_run_suite_subset_and_jobs():
     assert harness.suite_status(serial) == 0
 
 
-def test_run_suite_clamps_pool_to_selection(monkeypatch):
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Run the pool in this process as its one worker: the initializer runs as
+    the pool opens, each task at submit, and the worker's memo goes as the
+    pool closes.  Yields the sizes of the pools asked for."""
     sizes = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             sizes.append(max_workers)
+            if initializer is not None:
+                initializer()
 
         def __enter__(self):
             return self
 
         def __exit__(self, *exc):
+            harness._memo = None
             return False
 
         def submit(self, fn, *args):
@@ -66,6 +73,11 @@ def test_run_suite_clamps_pool_to_selection(monkeypatch):
             return future
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    yield sizes
+
+
+def test_run_suite_clamps_pool_to_selection(monkeypatch, inline_pool):
+    sizes = inline_pool
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
     names = ["eq-general", "lemma-6-2"]
     small = {name: {"max_n": 3} for name in names + ["lemma-6-1", "eq-special2"]}
@@ -84,11 +96,28 @@ def test_run_suite_clamps_pool_to_selection(monkeypatch):
     assert [r.identity for r in reports] == four
     with pytest.raises(ValueError):
         harness.run_suite(names, jobs=0)
+    assert harness._memo is None
+
+
+def test_run_suite_reads_an_override_keyed_by_an_alias():
+    # lemma-6-1 checks two recurrences per n from 2, so 4 instances at max_n 3
+    report, = harness.run_suite(["eq-rec2"], {"eq-rec2": {"max_n": 3}})
+    assert (report.identity, report.params, len(report.instances)) \
+        == ("lemma-6-1", {"max_n": 3}, 4)
+    # an alias's entry and its identity's merge in the order given, as
+    # verify --config merges them
+    both = [("lemma-6-1", {"max_n": 5}), ("eq-rec2", {"max_n": 3})]
+    for entries, max_n in ((both, 3), (both[::-1], 5)):
+        report, = harness.run_suite(["lemma-6-1"], dict(entries))
+        assert report.params == {"max_n": max_n}
+    assert harness.check_suite(["eq-rec2"], dict(both), 1) \
+        == (["lemma-6-1"], {"lemma-6-1": {"max_n": 3}})
 
 
 # the identities that re-read an enumeration another one made, at n <= 5;
-# thm-2-2 and eq-equiv meet on root-1 [5], thm-2-3, prop-2-5 and cor-catalan
-# on free [5], which merges the root censuses
+# the census readers meet on the fold of the forests on [4], thm-2-2 and
+# eq-equiv through the root-1 census on [5], thm-2-3, prop-2-5 and
+# cor-catalan through the free one
 SHARED = {"thm-2-2": {"max_n": 4}, "thm-2-3": {"max_n": 5},
           "prop-2-5": {"enum_max_n": 5, "count_max_n": 5}, "eq-equiv": {"max_n": 4},
           "eq-gs": {"max_n": 4, "enum_max_n": 4}, "thm-4-3": {"max_n": 5},
@@ -117,7 +146,7 @@ def _counting(monkeypatch, module, name, calls):
 
 def test_serial_run_enumerates_each_shared_result_once(monkeypatch):
     calls = Counter()
-    for module, name in ((treecore, "weight_census"), (treecore, "generating_poly"),
+    for module, name in ((treecore, "forest_folds"), (treecore, "generating_poly"),
                          (forests, "plane_forests")):
         _counting(monkeypatch, module, name, calls)
     serial = harness.run_suite(list(SHARED), SHARED)
@@ -125,7 +154,7 @@ def test_serial_run_enumerates_each_shared_result_once(monkeypatch):
     calls.clear()
     alone = [harness.run_identity(name, params) for name, params in SHARED.items()]
     repeated = {key[0] for key, count in calls.items() if count > 1}
-    assert repeated == {"weight_census", "generating_poly", "plane_forests"}
+    assert repeated == {"forest_folds", "generating_poly", "plane_forests"}
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     pooled = harness.run_suite(list(SHARED), SHARED, jobs=2)
     assert _records(serial) == _records(alone) == _records(pooled)
@@ -145,9 +174,9 @@ def test_run_memo_is_dropped_however_the_run_ends(monkeypatch):
     monkeypatch.setitem(harness.REGISTRY, "eq-equiv", entry)
     with pytest.raises(RuntimeError):
         harness.run_suite(["thm-2-2", "eq-equiv"], SHARED)
-    assert seen and seen[0]   # the memo was open, holding thm-2-2's censuses
+    assert seen and seen[0]   # the memo was open, holding thm-2-2's folds
     assert harness._memo is None
-    # outside a serial run nothing is kept
+    # outside a suite run nothing is kept
     harness.run_identity("thm-2-2", SHARED["thm-2-2"])
     assert harness._memo is None
 
@@ -178,8 +207,8 @@ def test_rooted_polys_are_the_per_root_streams(monkeypatch, memo):
 def test_free_census_is_the_weight_census_of_every_root(monkeypatch, memo):
     # the harness's free census against one weight_census pass over every
     # root, item for item and in the same key order at both levels; in the
-    # memo the root-1 census is already there, as the rooted readers leave it,
-    # and must not stand in for the free one
+    # memo the fold is already there, as the root-1 read leaves it, and the
+    # free census must expand it over every root
     monkeypatch.setattr(harness, "_memo", memo)
     enum = treecore.TreeEnumerator()
     for n in range(1, 7):
@@ -212,7 +241,7 @@ def test_no_runner_mutates_a_shared_result(monkeypatch):
         return once(key, first)
     monkeypatch.setattr(harness, "_once", snapshotting)
     harness.run_suite(list(SHARED), SHARED)
-    assert {key[0] for key, _, _ in entered} == {"census", "folds", "rooted-polys", "degseq"}
+    assert {key[0] for key, _, _ in entered} == {"folds", "rooted-polys", "degseq"}
     for key, value, snapshot in entered:
         assert _snapshot(value) == snapshot, key
 
@@ -251,6 +280,17 @@ def test_serial_run_folds_each_forest_set_once(monkeypatch):
     assert {i.status for r in serial for i in r.instances} == {harness.PASS}
 
 
+def test_pool_worker_folds_each_forest_set_once(monkeypatch, inline_pool):
+    # a worker keeps its memo for the pool's life, so the one inline worker
+    # folds as the serial run does
+    calls = _counting_folds(monkeypatch)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    pooled = harness.run_suite(list(FOLD_READERS), FOLD_READERS, jobs=2)
+    assert inline_pool == [2] and harness._memo is None
+    assert calls == {(m, really): 1 for m in range(5) for really in (False, True)}
+    assert {i.status for r in pooled for i in r.instances} == {harness.PASS}
+
+
 @pytest.mark.parametrize("really", [False, True], ids=["plain", "really"])
 @pytest.mark.parametrize("memo", [None, {}], ids=["alone", "serial-run-memo"])
 def test_censuses_from_the_shared_fold_are_fresh_censuses(monkeypatch, memo, really):
@@ -261,11 +301,7 @@ def test_censuses_from_the_shared_fold_are_fresh_censuses(monkeypatch, memo, rea
     enum = treecore.TreeEnumerator()
     for n in range(1, 7):
         for root in (1, None):
-            if really:
-                got = treecore.weight_census(n, root, really=True, enumerator=enum,
-                                             folds=harness._folds(n, True, enum))
-            else:
-                got = harness._census(n, root, enum)
+            got = harness._census(n, root, enum, really=really)
             want = treecore.weight_census(n, root, really=really)
             assert [(k, list(cells.items())) for k, cells in got.items()] \
                 == [(k, list(cells.items())) for k, cells in want.items()], (n, root)
@@ -291,7 +327,7 @@ def test_census_past_the_cap_folds_nothing(monkeypatch, cap):
     enum = treecore.TreeEnumerator()
     for read in (lambda: harness._census(cap + 1, 1, enum),
                  lambda: harness._census(cap + 1, None, enum),
-                 lambda: harness._folds(cap + 1, True, enum),
+                 lambda: harness._census(cap + 1, None, enum, really=True),
                  lambda: treecore.weight_census(cap + 1, really=True)):
         with pytest.raises(treecore.BoundExceeded):
             read()
