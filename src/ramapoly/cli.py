@@ -178,7 +178,9 @@ def cmd_bijection(args) -> int:
 
 
 def parse_config(path: str) -> dict[str, dict[str, int]]:
-    """key=value lines of the form identity.param=value; '#' starts a comment."""
+    """key=value lines of the form identity.param=value; '#' starts a comment.
+    The keys stay as written (``harness.check_suite`` merges and checks them);
+    a malformed line, a non-integer value or an unknown identity names its line."""
     overrides: dict[str, dict[str, int]] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -191,46 +193,37 @@ def parse_config(path: str) -> dict[str, dict[str, int]]:
         if not ident or not param:
             raise ValueError(f"{path}:{lineno}: expected identity.param=value")
         try:
+            harness.resolve(ident)
             overrides.setdefault(ident, {})[param] = int(value.strip())
+        except KeyError:
+            raise ValueError(f"{path}:{lineno}: unknown identity {ident!r}") from None
         except ValueError:
             raise ValueError(f"{path}:{lineno}: value must be an integer") from None
     return overrides
 
 
 def cmd_verify(args) -> int:
+    """Run the selection at its defaults updated by the config, merged and
+    checked by ``harness.check_suite``, then by ``--max-n``, which beats any
+    config entry and is checked before the report file is opened."""
     if args.list:
         for name, entry in harness.REGISTRY.items():
             defaults = " ".join(f"{k}={v}" for k, v in entry.defaults.items())
             print(f"{name:18s} {defaults:34s} {entry.description}")
         return 0
-    if args.identity == "all":
-        names = list(harness.REGISTRY)
-    else:
-        names = args.identity.split(",")
-        for name in names:
-            try:
-                harness.resolve(name)
-            except KeyError:
-                raise ValueError(f"unknown identity {name!r} "
-                                 f"(see `verify --list` for the registry)")
-    overrides: dict[str, dict] = {}
-    if args.config:
-        for ident, params in parse_config(args.config).items():
-            try:
-                canonical = harness.resolve(ident).name
-            except KeyError:
-                raise ValueError(f"{args.config}: unknown identity {ident!r}")
-            overrides.setdefault(canonical, {}).update(params)
-    for name in names:
-        entry = harness.resolve(name)
-        main_bound = [key for key in ("max_n", "max_vertices") if key in entry.defaults]
-        if args.max_n is not None and main_bound:
-            overrides.setdefault(entry.name, {})[main_bound[0]] = args.max_n
-    # bad bounds, caps and report paths stop the run before any identity starts
-    harness.check_suite(names, overrides, args.jobs)
+    names = None if args.identity == "all" else args.identity.split(",")
+    config = parse_config(args.config) if args.config else {}
+    targets, overrides = harness.check_suite(names, config, args.jobs)
+    if args.max_n is not None:
+        for name in targets:
+            defaults = harness.REGISTRY[name].defaults
+            main_bound = [key for key in ("max_n", "max_vertices") if key in defaults]
+            if main_bound:
+                overrides.setdefault(name, {})[main_bound[0]] = args.max_n
+        harness.check_suite(targets, overrides, args.jobs)
     report_file = open(args.report, "a") if args.report else None
     try:
-        reports = harness.run_suite(names, overrides, jobs=args.jobs)
+        reports = harness.run_suite(targets, overrides, jobs=args.jobs)
         for report in reports:
             for inst in report.instances:
                 if report_file:

@@ -628,9 +628,10 @@ _register("eq-gs", "product with improper-style weights, symbolic and enumerated
 
 
 def resolve(name: str) -> IdentityEntry:
+    """The registry entry of a name or alias; a KeyError names anything else."""
     canonical = ALIASES.get(name, name)
     if canonical not in REGISTRY:
-        raise KeyError(f"unknown identity {name!r}")
+        raise KeyError(f"unknown identity {name!r} (see `verify --list` for the registry)")
     return REGISTRY[canonical]
 
 
@@ -644,12 +645,14 @@ def _outcomes(runner: Callable[..., Iterator[Outcome]], params: dict) -> Iterato
 
 def identity_params(name: str, overrides: dict | None = None) -> dict:
     """The identity's defaults updated by the overrides, each of which must be
-    a known parameter and, except ``seed``, at least 1."""
+    a known parameter and an ``int`` (no ``bool``), at least 1 unless ``seed``."""
     entry = resolve(name)
     params = dict(entry.defaults)
     for key, value in (overrides or {}).items():
         if key not in params:
             raise KeyError(f"unknown parameter {entry.name}.{key}")
+        if type(value) is not int:
+            raise ValueError(f"{entry.name}.{key} must be an integer, got {value!r}")
         # lemma-4-2 draws its random trees from pools that start at n = 4
         low = 4 if (entry.name, key) == ("lemma-4-2", "max_n") else 1
         if key != "seed" and value < low:
@@ -693,13 +696,14 @@ def check_suite(names: list[str] | None, overrides: dict[str, dict],
                 jobs: int) -> tuple[list[str], dict[str, dict]]:
     """The canonical names of the selection (all for None) and the overrides by
     canonical name, an alias's and its identity's merged in the order given,
-    once every name, override, bound, the label cap and ``jobs`` pass."""
+    once every name, every override entry (its identity selected or not), the
+    label cap and ``jobs`` pass.  The CLI and ``run_suite`` resolve through it."""
     targets = [resolve(name).name for name in (list(REGISTRY) if names is None else names)]
     canonical: dict[str, dict] = {}
     for name, params in overrides.items():
         canonical.setdefault(resolve(name).name, {}).update(params)
-    for name in targets:
-        identity_params(name, canonical.get(name))
+    for name, params in canonical.items():
+        identity_params(name, params)
     treecore.label_cap()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -712,15 +716,16 @@ def run_suite(names: list[str] | None = None,
     """Run the named identities (all by default) in order, each at its defaults
     updated by its overrides, on up to ``jobs`` processes.
 
-    ``check_suite`` checks every name and bound, serial or pool, before any
-    identity runs.  A suite run shares enumerations through ``_once``: the
-    forest folds (one per forest size and variant, which every census of one
-    label set expands), the rooted multivariate sums and the degree-sequence
-    census are enumerated once and re-read by every later identity that needs
-    them, so such an identity's seconds leave out work an earlier one did.  A
-    serial run (``jobs`` 1, or clamped to 1 by the selection or the CPU count)
-    keeps the memo until it ends, however it ends; each pool worker keeps its
-    own for the pool's life, and shares with the identities it runs itself.
+    ``check_suite`` resolves the names, merges the overrides and checks every
+    one of them, serial or pool, before any identity runs.  A suite run shares
+    enumerations through ``_once``: the forest folds (one per forest size and
+    variant, which every census of one label set expands), the rooted
+    multivariate sums and the degree-sequence census are enumerated once and
+    re-read by every later identity that needs them, so such an identity's
+    seconds leave out work an earlier one did.  A serial run (``jobs`` 1, or
+    clamped to 1 by the selection or the CPU count) keeps the memo until it
+    ends, however it ends; each pool worker keeps its own for the pool's life,
+    and shares with the identities it runs itself.
     """
     global _memo
     targets, overrides = check_suite(names, overrides or {}, jobs)

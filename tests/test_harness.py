@@ -479,6 +479,7 @@ def test_cli_verify_unknown_identity_exits_2(capsys):
     assert cli.main(["verify", "--identity", "nonexistent"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: unknown identity 'nonexistent'") and err.count("\n") == 1
+    assert "(see `verify --list` for the registry)" in err
 
 
 def test_cli_bad_jobs_creates_no_report(tmp_path, capsys):
@@ -486,6 +487,16 @@ def test_cli_bad_jobs_creates_no_report(tmp_path, capsys):
     argv = ["verify", "--identity", "eq-general", "--jobs", "0", "--report", str(report)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
+    assert not report.exists()
+
+
+def test_cli_bad_max_n_creates_no_report(tmp_path, capsys):
+    # --max-n is applied after check_suite merges the config, and checked again
+    # before the report file is opened
+    report = tmp_path / "r.jsonl"
+    argv = ["verify", "--identity", "eq-general", "--max-n", "0", "--report", str(report)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: eq-general.max_n must be >= 1, got 0\n"
     assert not report.exists()
 
 
@@ -714,7 +725,11 @@ def test_cli_rejects_bad_input(tmp_path, capsys, argv, content):
     (["verify", "--max-n", "-3"], None, None, "thm-1-1.max_n"),
     (["verify"], "lemma-4-2.instances=-1", None, "lemma-4-2.instances"),
     (["verify"], "thm-2-3.bogus=1", None, "error: unknown parameter thm-2-3.bogus\n"),
-    (["verify"], "nonexistent.max_n=3", None, "unknown identity 'nonexistent'"),
+    (["verify"], "nonexistent.max_n=3", None, ":1: unknown identity 'nonexistent'"),
+    (["verify", "--identity", "thm-2-2", "--max-n", "2"], "thm-2-3.bogus=1", None,
+     "error: unknown parameter thm-2-3.bogus\n"),
+    (["verify", "--identity", "thm-2-2", "--max-n", "2"], "thm-2-3.max_n=0", None,
+     "thm-2-3.max_n"),
     (["verify"], None, "0", "RAMAPOLY_MAX_LABELS"),
     (["verify"], None, "abc", "RAMAPOLY_MAX_LABELS"),
     (["verify", "--report", "{tmp}/missing/r.jsonl"], None, None, "r.jsonl"),
@@ -723,7 +738,8 @@ def test_cli_rejects_bad_input(tmp_path, capsys, argv, content):
     (["enumerate", "--n", "3", "--max-labels", "0"], None, None, "--max-labels"),
     (["enumerate", "--n", "3", "--max-labels", "-5"], None, None, "--max-labels"),
 ], ids=["max-n-below-lemma-4-2-pools", "max-n-zero", "max-n-negative",
-        "config-negative", "config-unknown-param", "config-unknown-identity", "env-cap-zero", "env-cap-not-int",
+        "config-negative", "config-unknown-param", "config-unknown-identity",
+        "config-unselected-unknown-param", "config-unselected-zero", "env-cap-zero", "env-cap-not-int",
         "report-dir-missing", "enum-env-cap-zero", "enum-env-cap-not-int",
         "enum-max-labels-zero", "enum-max-labels-negative"])
 def test_cli_rejects_bad_bounds_before_running(tmp_path, capsys, monkeypatch,
@@ -753,6 +769,17 @@ def test_run_suite_checks_every_bound_first(monkeypatch):
         harness.run_suite(["eq-general", "lemma-4-2"], {"lemma-4-2": {"max_n": 3}})
     with pytest.raises(KeyError, match="thm-2-3.bogus"):
         harness.run_suite(["eq-general", "thm-2-3"], {"thm-2-3": {"bogus": 1}})
+    # an override is checked whether or not its identity is selected
+    with pytest.raises(KeyError, match="thm-2-3.bogus"):
+        harness.check_suite(["thm-2-2"], {"thm-2-3": {"bogus": 1}}, 1)
+    with pytest.raises(KeyError, match="thm-2-3.bogus"):
+        harness.run_suite(["thm-2-2"], {"thm-2-3": {"bogus": 1}})
+    with pytest.raises(ValueError, match="thm-2-3.max_n"):
+        harness.run_suite(["thm-2-2"], {"thm-2-3": {"max_n": 0}})
+    # a value must be an int, and a bool is not one
+    for value in (2.5, "3", None, True):
+        with pytest.raises(ValueError, match="thm-2-2.max_n"):
+            harness.run_suite(["thm-2-2"], {"thm-2-2": {"max_n": value}})
     # a bad label cap stops the run before its first identity, serial or pool
     monkeypatch.setenv("RAMAPOLY_MAX_LABELS", "abc")
     for jobs in (1, 2):
@@ -770,6 +797,17 @@ def test_cli_verify_config_override(tmp_path, capsys):
                      "--config", str(cfg), "--verbose"]) == 0
     out = capsys.readouterr().out
     assert out.count("pass eq-general") == 3
+
+
+@pytest.mark.parametrize("config", ["eq-rec2.max_n=3\nlemma-6-1.max_n=5\n",
+                                    "lemma-6-1.max_n=5\neq-rec2.max_n=3\n"],
+                         ids=["alias-first", "canonical-first"])
+def test_cli_max_n_beats_every_config_spelling(tmp_path, capsys, config):
+    cfg = tmp_path / "bounds.cfg"
+    cfg.write_text(config)
+    assert cli.main(["verify", "--identity", "eq-rec2", "--max-n", "4",
+                     "--config", str(cfg), "--verbose"]) == 0
+    assert capsys.readouterr().out.count("pass lemma-6-1") == 6
 
 
 def test_cli_verify_list(capsys):
