@@ -179,8 +179,9 @@ def cmd_bijection(args) -> int:
 
 def parse_config(path: str) -> dict[str, dict[str, int]]:
     """key=value lines of the form identity.param=value; '#' starts a comment.
-    The keys stay as written (``harness.check_suite`` merges and checks them);
-    a malformed line, a non-integer value or an unknown identity names its line."""
+    Keys are canonical names, so the last line for an (identity, param) wins
+    however it names the identity; a malformed line, a non-integer value or an
+    unknown identity names its line (``harness.check_suite`` checks the rest)."""
     overrides: dict[str, dict[str, int]] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -193,8 +194,8 @@ def parse_config(path: str) -> dict[str, dict[str, int]]:
         if not ident or not param:
             raise ValueError(f"{path}:{lineno}: expected identity.param=value")
         try:
-            harness.resolve(ident)
-            overrides.setdefault(ident, {})[param] = int(value.strip())
+            name = harness.resolve(ident).name
+            overrides.setdefault(name, {})[param] = int(value.strip())
         except KeyError:
             raise ValueError(f"{path}:{lineno}: unknown identity {ident!r}") from None
         except ValueError:

@@ -27,9 +27,10 @@ t^eld * prod_i x_i^young(i) (``multivar_exponents``).  Statistics compare
 labels only, so the forest under any root is a forest on [n - 1] relabeled
 in order: ``count_trees``, ``leaf_profile`` and ``weight_census`` read those
 forests once and build no root node.  ``forest_folds`` counts the forests
-on [m] by ``_forest_fold``, and every census of the trees on [m + 1], root-1
-or free, expands that one ``Counter``; a serial ``harness.run_suite`` keeps
-it per (m, variant), so those censuses fold the forests once between them.
+on [m] by their fold, a DP over label subsets that builds no forest, and
+every census of the trees on [m + 1], root-1 or free, expands that one
+``Counter``; a serial ``harness.run_suite`` keeps it per (m, variant), so
+those censuses fold the forests once between them.
 ``TreeEnumerator.unrank`` builds the tree at any position of the stream
 from the forest counts ``forest_count``, without streaming.  The
 increasing-tree generators read the same memoizing stream, narrowed by a
@@ -213,35 +214,6 @@ def _really_fold(label: int, children: Sequence[PlaneTree]) -> tuple[int, int, i
                 rimp_sub += 1
             min_right = c.label
     return young, reld_sub, rimp_sub, young if label == 1 else ry1
-
-
-def _forest_fold(forest: Sequence[PlaneTree], really: bool) -> tuple[int, int | None, int, int]:
-    """(imp, young_at_1, eld, mask) of a forest on [m]: its improper edges,
-    young(1) and elder vertices, elder top components included, and bit beta(c)
-    of mask set for each young top component c (the really-variant reads the
-    really-fields and the top root labels); labels must be small, as 1 << beta."""
-    imp = eld = mask = 0
-    y1 = min_right = None
-    for c in reversed(forest):
-        # the plain fields read straight into the sums: a tuple of them measured slower
-        if really:
-            _, c_eld, c_imp, c_y1 = c._really()
-            eld += c_eld
-            imp += c_imp
-            key = c.label
-        else:
-            eld += c.eld_sub
-            imp += c.imp_sub
-            c_y1 = c.young_at_1
-            key = c.beta
-        if c_y1 is not None:
-            y1 = c_y1
-        if min_right is not None and min_right < key:
-            eld += 1
-        else:
-            mask |= 1 << c.beta
-            min_right = key
-    return imp, y1, eld, mask
 
 
 def node(label: int, *children: PlaneTree) -> PlaneTree:
@@ -519,13 +491,53 @@ def _unrank_forest(elems: list[int], rank: int) -> tuple[PlaneTree, ...]:
 
 def forest_folds(m: int, *, really: bool = False,
                  enumerator: TreeEnumerator | None = None) -> Counter:
-    """The forests on [m] counted by ``_forest_fold``: {(imp, young(1), eld,
-    mask): count}, keys in the order the stream first meets them.  The trees
-    on [m + 1] under any root are these forests relabeled, so every census of
-    them expands this one ``Counter``; the label cap is checked on [m]."""
-    enum = enumerator or TreeEnumerator()
-    return Counter(map(_forest_fold, enum.forests(enum.check_bound(range(1, m + 1))),
-                       repeat(really)))
+    """The ordered forests on [m] counted by their fold {(imp, young(1), eld,
+    mask): count}: improper edges, young(1) and elder vertices, elder top
+    components included, and bit beta(c) of mask set for each young top
+    component c (the really-variant reads the really-statistics, and the top
+    root labels in place of beta in the elder test).  The trees on [m + 1]
+    under any root are these forests relabeled, so every census of them
+    expands this one ``Counter``; the label cap is checked on [m] first.
+
+    No forest is built.  A forest on S is a tree T on a subset A rooted at r,
+    followed by a forest F on S - A: T's fields expand the fold under r as
+    ``weight_census`` expands a root, and T is elder when F's smallest top key
+    (beta, or the root label) is below T's.  So a DP over label bitmasks keeps
+    per subset the fold with that key as a fifth field.  A and r ascend as in
+    ``TreeEnumerator``'s stream, T's keys outermost, so keys come in the order
+    the stream first meets them."""
+    (enumerator or TreeEnumerator()).check_bound(range(1, m + 1))
+    folds = {0: {(0, None, 0, 0, None): 1}}  # bit l of a subset is label l
+    for labels in range(2, 2 << m, 2):
+        fold: dict[tuple, int] = {}
+        first = 0
+        while first := (first - labels) & labels:  # the subsets A in ascending order
+            rest = folds[labels ^ first].items()
+            low = first & -first
+            for r in range(low.bit_length() - 1, first.bit_length()):
+                if not first >> r & 1:
+                    continue
+                # T's keys: the fold under r expanded as weight_census expands a root
+                below = (1 << r) - 1
+                trees = Counter()
+                for (imp, y1, eld, mask, _), count in folds[first ^ 1 << r].items():
+                    trees[imp + (mask & below).bit_count(),
+                          mask.bit_count() if r == 1 else y1, eld] += count
+                key = r if really else low.bit_length() - 1
+                for (t_imp, t_y1, t_eld), count in trees.items():
+                    for (imp, y1, eld, mask, top), rest_count in rest:
+                        if t_y1 is not None:  # 1 is in A
+                            y1 = t_y1
+                        if top is not None and top < key:  # T is elder
+                            k = (t_imp + imp, y1, t_eld + eld + 1, mask, top)
+                        else:
+                            k = (t_imp + imp, y1, t_eld + eld, mask | low, key)
+                        fold[k] = fold.get(k, 0) + count * rest_count
+        folds[labels] = fold
+    out = Counter()
+    for (imp, y1, eld, mask, _), count in folds[(2 << m) - 2].items():
+        out[imp, y1, eld, mask] += count
+    return out
 
 
 def weight_census(n: int, root: int | None = None, *,
@@ -538,9 +550,9 @@ def weight_census(n: int, root: int | None = None, *,
     (optionally root-constrained); the really-variant buckets by really
     improper count and uses (ryoung(1), reld).  Statistics compare labels
     only, so each root expands the counts of the forests on [n - 1],
-    ``forest_folds(n - 1, really=really)``, which this folds unless the
-    caller passes them as ``folds``.  Keys keep the order in which the stream
-    of trees first meets them.
+    ``forest_folds(n - 1, really=really)``, which this computes unless the
+    caller passes them as ``folds``; no tree is built.  Keys keep the order
+    in which the stream of trees first meets them.
     """
     enum = enumerator or TreeEnumerator()
     _, roots = enum._checked(range(1, n + 1), root)

@@ -810,6 +810,28 @@ def test_cli_max_n_beats_every_config_spelling(tmp_path, capsys, config):
     assert capsys.readouterr().out.count("pass lemma-6-1") == 6
 
 
+LAST_LINE_WINS = [("eq-rec2.max_n=3\nlemma-6-1.max_n=5\neq-rec2.max_n=7\n", 7),
+                  ("lemma-6-1.max_n=3\neq-rec2.max_n=5\nlemma-6-1.max_n=4\n", 4)]
+
+
+@pytest.mark.parametrize("config,max_n", LAST_LINE_WINS, ids=["alias-last", "canonical-last"])
+def test_cli_last_config_line_wins_whatever_the_spelling(tmp_path, capsys, config, max_n):
+    # lemma-6-1 checks two recurrences per n from 2
+    cfg = tmp_path / "bounds.cfg"
+    cfg.write_text(config)
+    assert cli.main(["verify", "--identity", "lemma-6-1", "--config", str(cfg),
+                     "--verbose"]) == 0
+    assert capsys.readouterr().out.count("pass lemma-6-1") == 2 * (max_n - 1)
+
+
+@pytest.mark.parametrize("config,max_n", LAST_LINE_WINS, ids=["alias-last", "canonical-last"])
+def test_check_suite_reads_the_last_config_line_whatever_the_spelling(tmp_path, config, max_n):
+    cfg = tmp_path / "bounds.cfg"
+    cfg.write_text(config)
+    assert harness.check_suite(["eq-rec2"], cli.parse_config(str(cfg)), 1) \
+        == (["lemma-6-1"], {"lemma-6-1": {"max_n": max_n}})
+
+
 def test_cli_verify_list(capsys):
     assert cli.main(["verify", "--list"]) == 0
     out = capsys.readouterr().out

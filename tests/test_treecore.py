@@ -6,6 +6,7 @@ from itertools import combinations
 from math import comb, factorial
 
 import pytest
+from stream_fold import _forest_fold, stream_folds
 
 from ramapoly import cli, fixtures
 from ramapoly import treecore as tc
@@ -466,7 +467,7 @@ def test_forest_fold_matches_plane_tree(monkeypatch, memo_limit, really):
     enum = TreeEnumerator()
     for n in range(1, 7):
         for forest in enum.forests(labels(n - 1)):
-            imp, young1, eld, mask = tc._forest_fold(forest, really)
+            imp, young1, eld, mask = _forest_fold(forest, really)
             for i in range(n):
                 t = tc.PlaneTree(i + 1, [relabeled(c, i + 1) for c in forest])
                 want = ((t.rimp_sub, t.ryoung_at_1, t.reld_sub) if really
@@ -474,6 +475,15 @@ def test_forest_fold_matches_plane_tree(monkeypatch, memo_limit, really):
                 got = (imp + (mask & (2 << i) - 1).bit_count(),
                        mask.bit_count() if i == 0 else young1, eld)
                 assert got == want, (t, really)
+
+
+@pytest.mark.parametrize("really", [False, True], ids=["plain", "really"])
+def test_forest_folds_match_the_stream_fold(enum, really):
+    # the subset DP meets each key where the stream first does, so the items
+    # agree in order, not only as counts
+    for m in range(7):
+        assert (list(tc.forest_folds(m, really=really).items())
+                == list(stream_folds(m, really, enum).items())), m
 
 
 def test_count_trees_matches_stream(enum):
