@@ -271,7 +271,7 @@ run_thm_2_3 = partial(_run_census_table, False, max_n=8)
 REFINED_CUTOFF_2_4 = 3   # the per-improper-count refinement is false above this
 
 
-def run_cor_2_4(max_n: int = 6) -> Iterator[Outcome]:
+def run_cor_2_4(max_n: int = 7) -> Iterator[Outcome]:
     """The really-elder variant sums.
 
     What is asserted: the sums pooled over all improper counts equal the

@@ -840,7 +840,7 @@ def test_cli_verify_list(capsys):
     # the names, descriptions and default bounds in registry order, byte for
     # byte: the registry reads each identity's bounds from its runner
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "76499239a2ed5dd995b7efb7d15fa199a5330c26ed872a0a19b637c793e296da")
+            == "0b42affd0ebea5c6ef85b0e903a456a9bed46683e597bd79e6f65c0eafb424cf")
 
 
 @pytest.fixture
