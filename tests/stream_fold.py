@@ -6,8 +6,8 @@ Usage: PYTHONPATH=src python3 tests/stream_fold.py M [M ...]
 ``stream_folds`` counts the folds of every forest that ``TreeEnumerator``
 streams on [m].  The script exits 0 when ``forest_folds(m)`` equals
 ``stream_folds(m)`` as an ordered list of items, for each M given, in both
-variants, and 1 otherwise, naming the first that differs.  The stream takes
-about 13 s for both variants at M = 7.  Uses only the stdlib and ramapoly.
+variants, and 1 otherwise, naming the first that differs.  At M = 7 the
+stream folds 2,162,160 forests per variant.  Uses only the stdlib and ramapoly.
 """
 
 from __future__ import annotations

@@ -486,6 +486,20 @@ def test_forest_folds_match_the_stream_fold(enum, really):
                 == list(stream_folds(m, really, enum).items())), m
 
 
+def test_forest_folds_build_no_forest_and_check_the_cap_first(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tree or forest was built")
+    capped = TreeEnumerator(max_labels=4)
+    monkeypatch.setattr(TreeEnumerator, "forests", refuse)
+    monkeypatch.setattr(tc.PlaneTree, "__init__", refuse)
+    for really in (False, True):
+        assert sum(tc.forest_folds(6, really=really).values()) == tc.forest_count(6)
+        assert (sum(tc.forest_folds(4, really=really, enumerator=capped).values())
+                == tc.forest_count(4))
+        with pytest.raises(BoundExceeded):
+            tc.forest_folds(5, really=really, enumerator=capped)
+
+
 def test_count_trees_matches_stream(enum):
     for m in range(1, 7):
         assert enum.count_trees(labels(m)) == len(list(enum.trees(labels(m))))
