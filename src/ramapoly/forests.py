@@ -15,21 +15,30 @@ Counting formulas:
   (n-k)!/prod(i!^r_i) * n!/prod(r_i!)
 * unlabeled plane forests of type r: (k/n) * n!/prod(r_i!)
 
-``fixed_root_forests`` yields each forest as the tuple of its components,
-picking one tree per component recursively; a component too large for the
-enumerator's memo is streamed anew per choice of the components before it.
+The two censuses build no forest.  ``forest_generating_poly`` reads F^r_n
+off the root-1 weight censuses of its component sizes (each component is
+rooted at its smallest label), and ``degree_census`` counts the plane
+forests on [n] by ordered degree sequence by a DP over label subsets.  The
+streams they are checked against stay: ``fixed_root_forests`` yields each
+forest as the tuple of its components, picking one tree per component
+recursively (a component too large for the enumerator's memo is streamed
+anew per choice of the components before it), and ``plane_forests`` yields
+the enumerator's ordered forests.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 from math import comb, factorial
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
+from . import treecore
 from .polyring import Poly
 from .treecore import PlaneTree, TreeEnumerator
 
 T_VARS = ("t",)
+IMP_T_VARS = ("u", "t")  # u marks an improper edge
 
 
 def fixed_root_forests(n: int, r: int,
@@ -65,21 +74,44 @@ def _choices(enum: TreeEnumerator,
             for tail in _choices(enum, rest))
 
 
-def forest_generating_poly(n: int, r: int,
-                           enumerator: TreeEnumerator | None = None) -> dict[int, Poly]:
-    """For each improper count k: the sum of t^eld over F^r_{n,k}."""
-    if r >= n:
-        raise ValueError("forest generating polynomial needs r < n")
-    census: dict[int, dict[tuple[int], int]] = {}
-    for forest in fixed_root_forests(n, r, enumerator):
-        imp = eld = 0
-        for c in forest:
-            imp += c.imp_sub
-            eld += c.eld_sub
-        cells = census.setdefault(imp, {})
-        key = (eld,)
-        cells[key] = cells.get(key, 0) + 1
-    return {k: Poly(T_VARS, cells) for k, cells in sorted(census.items())}
+def forest_generating_poly(n: int, r: int, enumerator: TreeEnumerator | None = None,
+                           census: Callable[[int], Mapping[int, Mapping[tuple[int, int], int]]]
+                           | None = None) -> dict[int, Poly]:
+    """For each improper count k: the sum of t^eld over F^r_{n,k}.
+
+    No forest is built.  Every free label is above r, so each component is
+    rooted at its smallest label: relabeled in order it is a tree on [size]
+    rooted at 1, with the same improper and elder counts.  So each assignment
+    of the free labels, looped as ``fixed_root_forests`` loops them, adds the
+    product of its components' root-1 censuses by (imp, eld), which
+    ``census(size)`` gives ({imp: {(young(1), eld): count}}, default
+    ``treecore.weight_census(size, 1)``).  The label cap is checked on [n] first.
+    """
+    if not 1 <= r < n:
+        raise ValueError(f"need 1 <= r < n, got r={r}, n={n}")
+    enum = enumerator or TreeEnumerator()
+    enum.check_bound(range(1, n + 1))
+    read = census or (lambda size: treecore.weight_census(size, 1, enumerator=enum))
+    by_size = {}
+    for size in range(1, n - r + 2):
+        terms: dict[tuple[int, int], int] = {}
+        for imp, cells in read(size).items():
+            for (_, eld), count in cells.items():
+                terms[imp, eld] = terms.get((imp, eld), 0) + count
+        by_size[size] = Poly(IMP_T_VARS, terms)
+    # an assignment's product depends only on its component sizes
+    shapes = Counter(tuple(1 + assignment.count(b) for b in range(r))
+                     for assignment in product(range(r), repeat=n - r))
+    total = Poly.zero(IMP_T_VARS)
+    for shape, ways in shapes.items():
+        forest = Poly.const(IMP_T_VARS, ways)
+        for size in shape:
+            forest = forest * by_size[size]
+        total = total + forest
+    cells: dict[int, dict[tuple[int], int]] = {}
+    for (imp, eld), count in total.terms.items():
+        cells.setdefault(imp, {})[eld,] = count
+    return {k: Poly(T_VARS, cells[k]) for k in sorted(cells)}
 
 
 def plane_forests(labels: Sequence[int],
@@ -87,6 +119,45 @@ def plane_forests(labels: Sequence[int],
     """Ordered forests of plane trees partitioning the label set."""
     enum = enumerator or TreeEnumerator()
     yield from enum.forests(enum.check_bound(labels))
+
+
+def degree_census(n: int, enumerator: TreeEnumerator | None = None) -> Counter[tuple[int, ...]]:
+    """The plane forests on [n] counted by ordered degree sequence (entry i
+    the number of children of label i + 1).
+
+    No forest is built.  A forest on S is a tree on a subset A rooted at r
+    followed by a forest on S - A, and the tree is r over a forest on
+    A - {r}, whose component count is deg(r).  So a DP over label bitmasks
+    keeps per subset the forests on it counted by (packed degrees, component
+    count), and per subset its trees, any root, by packed degrees.  A packed
+    vector holds label l's degree at bits width * (l - 1) on, the width
+    fitting n - 1, so disjoint vectors add by ``|``.  The label cap is
+    checked on [n] first.
+    """
+    (enumerator or TreeEnumerator()).check_bound(range(1, n + 1))
+    width = n.bit_length()
+    forests: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}  # bit i is label i + 1
+    trees: dict[int, dict[int, int]] = {}
+    for labels in range(1, 1 << n):
+        tree: dict[int, int] = {}
+        for r in range(labels.bit_length()):
+            if labels >> r & 1:
+                for (packed, k), count in forests[labels ^ 1 << r].items():
+                    key = packed | k << width * r
+                    tree[key] = tree.get(key, 0) + count
+        trees[labels] = tree
+        forest: dict[tuple[int, int], int] = {}
+        first = 0
+        while first := (first - labels) & labels:  # the nonempty subsets A
+            rest = forests[labels ^ first].items()
+            for degrees, count in trees[first].items():
+                for (packed, k), rest_count in rest:
+                    key = (degrees | packed, k + 1)
+                    forest[key] = forest.get(key, 0) + count * rest_count
+        forests[labels] = forest
+    low = (1 << width) - 1
+    return Counter({tuple(packed >> width * i & low for i in range(n)): count
+                    for (packed, _), count in forests[(1 << n) - 1].items()})
 
 
 # -- counting formulas --------------------------------------------------------
@@ -146,13 +217,3 @@ def degree_type(degrees: Sequence[int]) -> tuple[int, ...]:
     for d in degrees:
         counts[d] += 1
     return tuple(counts)
-
-
-def ordered_degree_sequence(forest: Sequence[PlaneTree], n: int) -> tuple[int, ...]:
-    degs = [0] * n
-    stack = list(forest)  # a plain stack loop: cor-planted reads every forest
-    while stack:
-        v = stack.pop()
-        degs[v.label - 1] = len(v.children)
-        stack.extend(v.children)
-    return tuple(degs)

@@ -26,7 +26,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import combinations_with_replacement, permutations as iter_permutations, repeat
+from itertools import combinations_with_replacement, permutations as iter_permutations
 from math import comb, factorial
 from operator import add, sub
 from typing import Callable, Iterator
@@ -485,9 +485,10 @@ def _degree_sequences(n: int, total: int) -> Iterator[tuple[int, ...]]:
 
 
 def _degseq_census(n: int, enum: treecore.TreeEnumerator) -> Counter[tuple[int, ...]]:
-    """The plane forests on [n] counted by ordered degree sequence, once per run memo."""
-    return _once(("degseq", n), lambda: Counter(map(
-        forests.ordered_degree_sequence, forests.plane_forests(range(1, n + 1), enum), repeat(n))))
+    """The plane forests on [n] counted by ordered degree sequence, once per
+    run memo; [n] is checked against the label cap first."""
+    enum.check_bound(range(1, n + 1))
+    return _once(("degseq", n), lambda: forests.degree_census(n, enum))
 
 
 def _type_table(n: int) -> Counter[tuple[int, ...]]:
@@ -536,8 +537,7 @@ def run_cor_type_planted(max_n: int = 6) -> Iterator[Outcome]:
 def run_cor_plane(max_n: int = 6) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
     for n in range(2, max_n + 1):
-        # the 95,040 forests on [6] have 462 degree sequences: count each
-        # sequence, then type each one once
+        # the 95,040 forests on [6] have 462 degree sequences: type each one once
         by_type: Counter[tuple[int, ...]] = Counter()
         for d, count in _degseq_census(n, enum).items():
             by_type[forests.degree_type(d)] += count
@@ -562,10 +562,11 @@ def run_cor_plane(max_n: int = 6) -> Iterator[Outcome]:
 
 def run_thm_5_1(max_n: int = 7, max_r: int = 3) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
+    census = partial(_census, root=1, enum=enum)   # the root-1 censuses thm-2-2 reads
     # F^r_n needs n > r, so an r past max_n - 1 has no forest to check
     for r in range(1, min(max_r, max_n - 1) + 1):
         for n in range(r + 1, max_n + 1):
-            got = forests.forest_generating_poly(n, r, enum)
+            got = forests.forest_generating_poly(n, r, enum, census)
             for k in sorted(set(got) | set(range(n - r))):
                 yield _cmp({"n": n, "r": r, "k": k},
                            got.get(k, Poly.zero(("t",))).extend(QK_VARS),

@@ -3,12 +3,14 @@ from itertools import product
 from math import factorial
 
 import pytest
+from stream_forests import ordered_degree_sequence, stream_degree_census, stream_generating_poly
 
 from ramapoly import forests as fo
 from ramapoly import harness
 from ramapoly import qpolys as qp
 from ramapoly import treecore as tc
 from ramapoly.polyring import Poly
+from ramapoly.qpolys import BoundExceeded
 
 
 def expected_row(n, r, k):
@@ -38,7 +40,6 @@ def test_fixed_root_count_and_partition(enum):
 def test_generating_poly_small(enum):
     polys = fo.forest_generating_poly(3, 2, enum)
     assert polys[0] == Poly(("t",), {(0,): 2})
-    # from n = 6 on a component can exceed MEMO_LIMIT labels and is streamed
     for r, n in [(1, 4), (2, 5), (1, 5), (1, 6), (1, 7), (2, 7)]:
         got = fo.forest_generating_poly(n, r, enum)
         for k in range(n - r):
@@ -48,6 +49,8 @@ def test_generating_poly_small(enum):
 def test_generating_poly_rejects_r_equal_n(enum):
     with pytest.raises(ValueError):
         fo.forest_generating_poly(3, 3, enum)
+    with pytest.raises(ValueError):
+        fo.forest_generating_poly(3, 0, enum)
     with pytest.raises(ValueError):
         list(fo.fixed_root_forests(3, 4, enum))
 
@@ -94,8 +97,8 @@ def test_type_count_examples():
 
 def test_type_helpers(enum):
     forest = next(fo.plane_forests([1, 2, 3], enum))
-    assert sum(fo.ordered_degree_sequence(forest, 3)) == 3 - len(forest)
-    t = fo.degree_type(fo.ordered_degree_sequence(forest, 3))
+    assert sum(ordered_degree_sequence(forest, 3)) == 3 - len(forest)
+    t = fo.degree_type(ordered_degree_sequence(forest, 3))
     assert sum(t) == 3
     assert fo.type_components(t) == len(forest)
 
@@ -139,11 +142,50 @@ def test_streamed_component_is_not_held(monkeypatch):
     for n, r in [(6, 1), (7, 2)]:
         tracemalloc.start()
         try:
-            fo.forest_generating_poly(n, r)
+            for _ in fo.fixed_root_forests(n, r):
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 500_000, (n, r, peak)
+
+
+def test_degree_census_matches_the_stream(enum):
+    for n in range(7):
+        assert fo.degree_census(n) == stream_degree_census(n, enum), n
+
+
+@pytest.mark.parametrize("memo_limit", [tc.MEMO_LIMIT, 2])
+def test_generating_poly_matches_the_stream(monkeypatch, memo_limit):
+    monkeypatch.setattr(tc, "MEMO_LIMIT", memo_limit)
+    enum = tc.TreeEnumerator()
+    for n in range(2, 7):
+        for r in range(1, n):
+            assert fo.forest_generating_poly(n, r, enum) == stream_generating_poly(n, r, enum), \
+                (n, r)
+
+
+def test_forest_censuses_build_no_forest_and_check_the_cap_first(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tree or forest was built")
+    capped = tc.TreeEnumerator(max_labels=4)
+    monkeypatch.setattr(tc.TreeEnumerator, "forests", refuse)
+    monkeypatch.setattr(tc.PlaneTree, "__init__", refuse)
+    assert sum(fo.degree_census(6).values()) == tc.forest_count(6)
+    assert sum(fo.degree_census(4, capped).values()) == tc.forest_count(4)
+    for r in range(1, 6):
+        got = fo.forest_generating_poly(6, r)
+        assert [got.get(k, Poly.zero(("t",))) for k in range(6 - r)] \
+            == [expected_row(6, r, k) for k in range(6 - r)], r
+    assert fo.forest_generating_poly(4, 2, capped) == fo.forest_generating_poly(4, 2)
+    with pytest.raises(BoundExceeded):
+        fo.degree_census(5, capped)
+    # [5] is refused before any component's census is asked for, though
+    # every component of F^2_5 has at most 4 labels
+    with pytest.raises(BoundExceeded):
+        fo.forest_generating_poly(5, 2, capped, census=refuse)
+    with pytest.raises(ValueError):
+        fo.forest_generating_poly(5, 0, census=refuse)
 
 
 def reference_degree_type(degrees):

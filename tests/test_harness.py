@@ -135,9 +135,8 @@ def _counting(monkeypatch, module, name, calls):
     fn = getattr(module, name)
 
     def counted(first, *args, **kwargs):
-        # keyed by the first argument as given (n for the census readers, the
-        # label set for plane_forests) and the root, not by the runner's own
-        # enumerator
+        # keyed by the first argument, n, and the root, not by the runner's
+        # own enumerator
         root = [a for a in args[:1] if not isinstance(a, treecore.TreeEnumerator)]
         calls[name, first, *root] += 1
         return fn(first, *args, **kwargs)
@@ -147,14 +146,14 @@ def _counting(monkeypatch, module, name, calls):
 def test_serial_run_enumerates_each_shared_result_once(monkeypatch):
     calls = Counter()
     for module, name in ((treecore, "forest_folds"), (treecore, "generating_poly"),
-                         (forests, "plane_forests")):
+                         (forests, "degree_census")):
         _counting(monkeypatch, module, name, calls)
     serial = harness.run_suite(list(SHARED), SHARED)
     assert calls and max(calls.values()) == 1
     calls.clear()
     alone = [harness.run_identity(name, params) for name, params in SHARED.items()]
     repeated = {key[0] for key, count in calls.items() if count > 1}
-    assert repeated == {"forest_folds", "generating_poly", "plane_forests"}
+    assert repeated == {"forest_folds", "generating_poly", "degree_census"}
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     pooled = harness.run_suite(list(SHARED), SHARED, jobs=2)
     assert _records(serial) == _records(alone) == _records(pooled)
