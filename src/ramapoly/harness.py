@@ -501,7 +501,7 @@ def _type_table(n: int) -> Counter[tuple[int, ...]]:
     return table
 
 
-def run_cor_planted(enum_max_n: int = 6, cayley_max_n: int = 7) -> Iterator[Outcome]:
+def run_cor_planted(enum_max_n: int = 8, cayley_max_n: int = 7) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
     for n in range(2, enum_max_n + 1):
         witness = _first_planted_mismatch(n, _degseq_census(n, enum))
@@ -534,7 +534,7 @@ def run_cor_type_planted(max_n: int = 6) -> Iterator[Outcome]:
             yield _cmp({"n": n, "type": list(r)}, forests.type_count(r, "planted"), total)
 
 
-def run_cor_plane(max_n: int = 6) -> Iterator[Outcome]:
+def run_cor_plane(max_n: int = 8) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
     for n in range(2, max_n + 1):
         # the 95,040 forests on [6] have 462 degree sequences: type each one once
@@ -560,7 +560,7 @@ def run_cor_plane(max_n: int = 6) -> Iterator[Outcome]:
         yield _cmp({"n": n, "check": "catalan-telescope"}, by_k, ballot)
 
 
-def run_thm_5_1(max_n: int = 7, max_r: int = 3) -> Iterator[Outcome]:
+def run_thm_5_1(max_n: int = 8, max_r: int = 3) -> Iterator[Outcome]:
     enum = treecore.TreeEnumerator()
     census = partial(_census, root=1, enum=enum)   # the root-1 censuses thm-2-2 reads
     # F^r_n needs n > r, so an r past max_n - 1 has no forest to check
