@@ -33,12 +33,11 @@ from itertools import product
 from math import comb, factorial
 from typing import Callable, Iterator, Mapping, Sequence
 
-from . import treecore
-from .polyring import Poly
-from .treecore import PlaneTree, TreeEnumerator
+from .polyring import Poly, poly_prod
+from .treecore import PlaneTree, TreeEnumerator, weight_census
 
 T_VARS = ("t",)
-IMP_T_VARS = ("u", "t")  # u marks an improper edge
+_IMP_T_VARS = ("u", "t")  # u marks an improper edge
 
 
 def fixed_root_forests(n: int, r: int,
@@ -75,8 +74,7 @@ def _choices(enum: TreeEnumerator,
 
 
 def forest_generating_poly(n: int, r: int, enumerator: TreeEnumerator | None = None,
-                           census: Callable[[int], Mapping[int, Mapping[tuple[int, int], int]]]
-                           | None = None) -> dict[int, Poly]:
+                           census: Callable[[int], Mapping] | None = None) -> dict[int, Poly]:
     """For each improper count k: the sum of t^eld over F^r_{n,k}.
 
     No forest is built.  Every free label is above r, so each component is
@@ -91,23 +89,20 @@ def forest_generating_poly(n: int, r: int, enumerator: TreeEnumerator | None = N
         raise ValueError(f"need 1 <= r < n, got r={r}, n={n}")
     enum = enumerator or TreeEnumerator()
     enum.check_bound(range(1, n + 1))
-    read = census or (lambda size: treecore.weight_census(size, 1, enumerator=enum))
+    read = census or (lambda size: weight_census(size, 1, enumerator=enum))
     by_size = {}
     for size in range(1, n - r + 2):
         terms: dict[tuple[int, int], int] = {}
         for imp, cells in read(size).items():
             for (_, eld), count in cells.items():
                 terms[imp, eld] = terms.get((imp, eld), 0) + count
-        by_size[size] = Poly(IMP_T_VARS, terms)
+        by_size[size] = Poly(_IMP_T_VARS, terms)
     # an assignment's product depends only on its component sizes
     shapes = Counter(tuple(1 + assignment.count(b) for b in range(r))
                      for assignment in product(range(r), repeat=n - r))
-    total = Poly.zero(IMP_T_VARS)
+    total = Poly.zero(_IMP_T_VARS)
     for shape, ways in shapes.items():
-        forest = Poly.const(IMP_T_VARS, ways)
-        for size in shape:
-            forest = forest * by_size[size]
-        total = total + forest
+        total = total + poly_prod([by_size[size] for size in shape], _IMP_T_VARS) * ways
     cells: dict[int, dict[tuple[int], int]] = {}
     for (imp, eld), count in total.terms.items():
         cells.setdefault(imp, {})[eld,] = count
