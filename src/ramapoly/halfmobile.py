@@ -35,12 +35,18 @@ not with a set of every forest: an image entering the memo must expand, as
 must be the images of the tree's children, matched by identity.
 
 ``hm_generating_poly`` is the one half-mobile census, x^(tree-1) y^imp t^bdeg
-summed over those forests; ``thm-3-4`` reads it once per n, its per-k rows too.
+summed over the forests on [n]; ``thm-3-4`` reads it once per n, its per-k rows
+too.  It is a DP over the definitions above, decomposing at the block that
+holds the smallest label, so it builds no forest, reads no theta image and
+checks Theorem 3.4 apart from theta; the sum over ``enumerate_hm``'s stream,
+which converts every root-1 plane tree on [n+1], is the reference it is
+tested against.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import comb
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .polyring import Poly
@@ -401,14 +407,51 @@ def enumerate_hm_direct(n: int) -> Iterator[HmForest]:
         yield from product(*map(hm_trees, part))
 
 
-def hm_generating_poly(n: int, enumerator: TreeEnumerator | None = None) -> Poly:
-    """Sum of x^(tree-1) y^imp t^bdeg over all half-mobile forests on [n]."""
-    terms: dict[tuple[int, int, int], int] = {}
-    for forest in enumerate_hm(n, enumerator=enumerator):
-        st = hm_stats(forest)
-        key = (st.tree - 1, st.imp, st.bdeg)
-        terms[key] = terms.get(key, 0) + 1
-    return Poly(HM_VARS, terms)
+def hm_generating_poly(n: int) -> Poly:
+    """Sum of x^(tree-1) y^imp t^bdeg over all half-mobile forests on [n],
+    by a DP over the definitions: no forest is built and no theta image read.
+
+    Every statistic compares labels only, so each family below counts the
+    structures on any m labels by their relative order (Chen & Guo,
+    "Bijections behind the Ramanujan polynomials", Adv. Appl. Math. 27, 2001):
+
+    * Kids(m, j): the children of a white parent p on m labels, j of them
+      below p, as a set of blocks (white trees and black vertices).  The block
+      holding the smallest label mu has its edge to p improper iff j >= 1; the
+      other s - 1 labels of that block and the m - s of the rest are drawn from
+      the small labels (below p, mu aside) and the large ones;
+    * White(s) = sum over the root's rank r of Kids(s - 1, r);
+    * Black(s): the child holding the smallest label is stored last, the others
+      are an ordered sequence Seq of at least one white tree, each with t;
+    * the forest: the component holding the smallest label, then the rest,
+      with x per component after the first.
+    """
+    if n < 1:
+        raise ValueError(f"hm_generating_poly needs n >= 1, got {n}")
+    zero, one = Poly.zero(HM_VARS), Poly.const(HM_VARS, 1)
+    x, y, t = (Poly.var(HM_VARS, v) for v in HM_VARS)
+    kids = [[one]]                          # kids[m][j]
+    whites, blocks, seqs = [zero], [zero], [one]   # by size
+
+    def kid_sets(m: int, j: int) -> Poly:
+        small, large = (j - 1, m - j) if j else (0, m - 1)
+        total = sum((blocks[s] * sum((kids[m - s][jr] * (comb(small, jr) * comb(large, m - s - jr))
+                                      for jr in range(m - s + 1)), zero)
+                     for s in range(1, m + 1)), zero)
+        return y * total if j else total
+
+    for s in range(1, n + 1):
+        whites.append(sum(kids[s - 1], zero))
+        blocks.append(whites[s] + sum((whites[s1] * seqs[s - s1] * comb(s - 1, s1 - 1)
+                                       for s1 in range(1, s)), zero))
+        seqs.append(t * sum((whites[k] * seqs[s - k] * comb(s, k) for k in range(1, s + 1)), zero))
+        if s < n:
+            kids.append([kid_sets(s, j) for j in range(s + 1)])
+    forests = [one]         # forests[m]: x^(tree-1) summed over the forests on m labels
+    for m in range(1, n + 1):
+        forests.append(sum((blocks[s] * (x * forests[m - s] if s < m else one) * comb(m - 1, s - 1)
+                            for s in range(1, m + 1)), zero))
+    return forests[n]
 
 
 # -- JSON ---------------------------------------------------------------------------

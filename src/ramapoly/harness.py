@@ -334,9 +334,12 @@ def run_prop_2_5(enum_max_n: int = 8, count_max_n: int = 8) -> Iterator[Outcome]
 
 
 def run_thm_3_4(max_n: int = 6) -> Iterator[Outcome]:
-    enum = treecore.TreeEnumerator()
+    """The half-mobile census by its DP, per improper count and in three
+    variables.  The forests on [n] are the theta images of the root-1 plane
+    trees on [n + 1], so [n + 1] is checked against the label cap first."""
     for n in range(1, max_n + 1):
-        family = halfmobile.hm_generating_poly(n, enum)
+        treecore.check_label_count(n + 1)
+        family = halfmobile.hm_generating_poly(n)
         for k in sorted({e[1] for e in family.terms} | set(range(n))):
             row = Poly(QK_VARS, {(e[0], e[2]): c for e, c in family.terms.items() if e[1] == k})
             yield _cmp({"n": n, "k": k}, row, qpolys.q_nk(n, k))

@@ -339,6 +339,14 @@ def label_cap(max_labels: int | None = None, name: str = "max_labels") -> int:
     return cap
 
 
+def check_label_count(size: int, cap: int | None = None) -> None:
+    """BoundExceeded when a label set of size labels is past cap, the label cap by default."""
+    cap = label_cap() if cap is None else cap
+    if size > cap:
+        raise BoundExceeded(f"label set of size {size} exceeds cap {cap} "
+                            f"(override via {ENV_MAX_LABELS} or max_labels)")
+
+
 class TreeEnumerator:
     """Streams every plane tree / ordered forest on a label set exactly once.
 
@@ -362,10 +370,7 @@ class TreeEnumerator:
 
     def check_bound(self, labels: Iterable[int]) -> frozenset[int]:
         labels = frozenset(labels)
-        if len(labels) > self.max_labels:
-            raise BoundExceeded(
-                f"label set of size {len(labels)} exceeds cap {self.max_labels} "
-                f"(override via {ENV_MAX_LABELS} or max_labels)")
+        check_label_count(len(labels), self.max_labels)
         return labels
 
     # ordered forests ---------------------------------------------------------

@@ -6,7 +6,9 @@ import tracemalloc
 
 import pytest
 
-from ramapoly import fixtures
+from stream_hm import hm_poly, stream_hm_poly
+
+from ramapoly import fixtures, harness, treecore
 from ramapoly import halfmobile as hm
 from ramapoly import qpolys as qp
 from ramapoly.treecore import MEMO_LIMIT, node, tree_from_obj
@@ -136,10 +138,41 @@ def test_forests_are_plain_tuples(enum, example_pair):
             assert all(type(comp) is hm.HmNode for comp in forest)
 
 
-def test_generating_poly_matches_family(enum):
-    for n in range(1, 6):
-        got = hm.hm_generating_poly(n, enum).extend(qp.Q_VARS)
+def test_generating_poly_matches_family():
+    for n in range(1, 9):
+        got = hm.hm_generating_poly(n).extend(qp.Q_VARS)
         assert got == qp.q_n(n).substitute({"z": 1}), n
+    with pytest.raises(ValueError, match="n >= 1"):
+        hm.hm_generating_poly(0)
+
+
+def test_generating_poly_matches_the_theta_stream(enum):
+    for n in range(1, 7):
+        assert hm.hm_generating_poly(n) == stream_hm_poly(n, enum), n
+
+
+def test_generating_poly_matches_the_direct_generator():
+    # the theta-free generator: the DP and the direct forests share no code
+    for n in range(1, 6):
+        assert hm.hm_generating_poly(n) == hm_poly(hm.enumerate_hm_direct(n)), n
+
+
+def test_generating_poly_reads_no_theta_image_and_no_table(monkeypatch):
+    want = {n: hm.hm_generating_poly(n) for n in range(1, 7)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the half-mobile DP read a theta image or the table")
+
+    for owner, name in ((hm, "theta"), (hm, "enumerate_hm"), (hm, "hm_stats"),
+                        (treecore.TreeEnumerator, "__init__"), (treecore.PlaneTree, "__init__"),
+                        (qp, "q_n"), (qp, "q_nk")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert {n: hm.hm_generating_poly(n) for n in range(1, 7)} == want
+    monkeypatch.undo()
+    # the runner reads the table for its comparison, and builds no enumerator
+    monkeypatch.setattr(treecore.TreeEnumerator, "__init__", refuse)
+    records = list(harness.run_thm_3_4(max_n=6))
+    assert len(records) == 27 and {status for _, status, _ in records} == {harness.PASS}
 
 
 def test_direct_enumerator_agrees(enum):
@@ -429,7 +462,7 @@ def test_enumerate_hm_holds_no_forest_set():
     # left inverse check peaks at about 10 MB
     tracemalloc.start()
     try:
-        hm.hm_generating_poly(6)
+        stream_hm_poly(6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -557,6 +557,19 @@ def test_forest_records_are_pinned_at_default(name, count, digest):
     assert _forest_records(name) == (count, digest)
 
 
+@pytest.mark.parametrize("max_n,count,digest", [
+    (6, 27, "e9f278a95a27fce8c3f38355ecf5bf907afdc84ba43958687a4bb6594d01ad01"),
+    (7, 35, "aa373a19784beeaaf904785154bd1828d30ee0d5d71a468832610452e797536c"),
+])
+def test_thm_3_4_records_are_pinned(max_n, count, digest):
+    # the whole records that the census of theta images gave, n = 7 taking
+    # 15 s streamed; the DP gives them in milliseconds
+    report = harness.run_identity("thm-3-4", {"max_n": max_n})
+    records = [[r.instance, r.status, r.witness, r.info] for r in report.instances]
+    assert len(records) == count
+    assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("name,max_n,count,digest", [
     ("thm-1-1", 8, 16, "7c66f35567eea763069fcc0539c4ce91ce12e5e651eed09fdd7945e5116be4bb"),
     ("lemma-6-1", 8, 14, "f05cfdab62c2693dce942c8347aba1f4f03d716ca3d2037f69a94d528b63c1cd"),
@@ -663,6 +676,25 @@ def test_lemma_4_2_past_the_cap_is_skipped(monkeypatch):
     monkeypatch.setenv("RAMAPOLY_MAX_LABELS", "5")
     report = harness.run_identity("lemma-4-2", {"max_n": 6})
     assert [r.status for r in report.instances] == [harness.SKIP]
+
+
+def test_thm_3_4_past_the_cap_is_skipped(monkeypatch, capsys):
+    # the DP builds no forest, but thm-3-4's forests on [n] are the theta
+    # images of the trees on [n + 1], which the label cap bounds: with the cap
+    # at 4 the records are those the theta stream gave, n <= 3 passing and one
+    # skipped instance at n = 4
+    monkeypatch.setenv("RAMAPOLY_MAX_LABELS", "4")
+    for max_n in (4, 5):
+        report = harness.run_identity("thm-3-4", {"max_n": max_n})
+        records = [[r.instance, r.status, r.witness, r.info] for r in report.instances]
+        assert records[-1] == [{}, harness.SKIP, None, {"reason": (
+            "label set of size 5 exceeds cap 4 (override via RAMAPOLY_MAX_LABELS or max_labels)")}]
+        assert len(records) == 10
+        assert (hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+                == "82dcf82ccead18feecf7a1a645055fb80c660b25fca46957390bba06a6828b9a")
+    assert cli.main(["verify", "--identity", "thm-3-4", "--max-n", "5"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("BOUND-EXCEEDED thm-3-4 {}") for line in out) == 1
 
 
 @pytest.mark.parametrize("name,overrides,cap,reason", [
