@@ -333,7 +333,7 @@ def run_prop_2_5(enum_max_n: int = 8, count_max_n: int = 8) -> Iterator[Outcome]
 # -- section 3: half-mobile forests ------------------------------------------------
 
 
-def run_thm_3_4(max_n: int = 6) -> Iterator[Outcome]:
+def run_thm_3_4(max_n: int = 7) -> Iterator[Outcome]:
     """The half-mobile census by its DP, per improper count and in three
     variables.  The forests on [n] are the theta images of the root-1 plane
     trees on [n + 1], so [n + 1] is checked against the label cap first."""

@@ -893,7 +893,7 @@ def test_cli_verify_list(capsys):
     # the names, descriptions and default bounds in registry order, byte for
     # byte: the registry reads each identity's bounds from its runner
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "36125cf93fa607541382d64ccdf56d3e588cd0ed2c442656fe0b665e55fbcb6c")
+            == "fdc8c72aea0e7b759b31325ca55d76a622f85dcd776ee39b3c4123cef455aefb")
 
 
 @pytest.fixture
