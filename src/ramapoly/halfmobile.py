@@ -430,8 +430,8 @@ def hm_generating_poly(n: int) -> Poly:
         raise ValueError(f"hm_generating_poly needs n >= 1, got {n}")
     zero, one = Poly.zero(HM_VARS), Poly.const(HM_VARS, 1)
     x, y, t = (Poly.var(HM_VARS, v) for v in HM_VARS)
-    kids = [[one]]                          # kids[m][j]
-    whites, blocks, seqs = [zero], [zero], [one]   # by size
+    # by size: kids[m][j], whites[s], blocks[s] (white or black) and seqs[a]
+    kids, whites, blocks, seqs = [[one]], [zero], [zero], [one]
 
     def kid_sets(m: int, j: int) -> Poly:
         small, large = (j - 1, m - j) if j else (0, m - 1)
