@@ -16,10 +16,21 @@ The parser accepts the canonical form plus relaxed input: implicit
 multiplication (``3x``, ``(x+1)t``), parentheses with integer powers, and
 arbitrary whitespace.
 
+``substitute`` folds every value with at most one term (an int, zero, or
+c * monomial) into each term directly, and groups the terms by their
+exponents of the remaining values only.  Inside it, exponent vectors are
+packed into one int each (Kronecker's substitution): one slot per universe
+variable, ``(deg(self) * max(1, D)).bit_length()`` bits wide for D the
+largest total degree among the values, which bounds every exponent of every
+partial product, so multiplying two monomials is adding two ints with no
+carry between slots.  Products outside ``substitute`` keep tuple keys:
+their operands are small, and packing each one costs more than it saves.
+
 Invariant: every ``Poly`` has a universe of distinct names, and its term map
-holds only nonzero coefficients keyed by tuples of universe arity with
-nonnegative entries.  ``__eq__`` and ``__hash__`` compare term maps directly,
-so they rely on it.  The public constructor ``Poly(...)`` checks all of this;
+holds only nonzero ``int`` coefficients keyed by tuples of universe arity
+with nonnegative ``int`` entries.  ``__eq__`` and ``__hash__`` compare term
+maps directly, and ``substitute``'s packing needs int exponents, so they rely
+on it.  The public constructor ``Poly(...)`` checks all of this;
 arithmetic, ``derivative``, ``shifted_derivative``, ``extend`` and
 ``substitute`` build their results with the private ``Poly._trusted``, which
 only drops zero coefficients: exponent tuples made from valid operands by
@@ -29,7 +40,7 @@ adding, copying or lowering a positive entry are valid already.
 from __future__ import annotations
 
 import re
-from operator import add, mul
+from operator import add, index
 from typing import Iterable, Iterator, Mapping, Union
 
 
@@ -63,12 +74,16 @@ class Poly:
         if terms:
             arity = len(uni)
             for exps, coeff in terms.items():
-                if coeff == 0:
-                    continue
-                exps = tuple(exps)
-                if len(exps) != arity or any(e < 0 for e in exps):
+                try:  # index() refuses floats and turns int subclasses into ints
+                    exps = tuple(map(index, exps))
+                    coeff = index(coeff)
+                except TypeError:
+                    raise PolyError(f"term {coeff!r} at {exps!r}: exponents and "
+                                    "coefficients must be ints") from None
+                if len(exps) != arity or (exps and min(exps) < 0):
                     raise PolyError(f"bad exponent vector {exps} for universe {uni}")
-                clean[exps] = clean.get(exps, 0) + coeff
+                if coeff:
+                    clean[exps] = clean.get(exps, 0) + coeff
         object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c != 0})
 
     @classmethod
@@ -217,56 +232,90 @@ class Poly:
     def substitute(self, assignment: Mapping[str, Union["Poly", int]]) -> "Poly":
         """Simultaneous substitution; unassigned variables map to themselves.
 
-        One pass over the terms: an integer value folds into the coefficient,
-        an unassigned variable keeps its exponent, and the terms are grouped
-        by their exponents of the polynomial-valued variables, so each
-        group's product of powers is computed once.
+        One pass over the terms.  A value with at most one term (an int, the
+        zero polynomial or c * monomial) folds into each term: the
+        coefficient is multiplied by c^e and e times the monomial's exponents
+        are added to the kept ones.  An unassigned variable keeps its
+        exponent.  The terms are grouped by their exponents of the values
+        with two or more terms, so each group's product of powers is
+        computed once.
+
+        Every exponent vector is packed into one int, with a slot of
+        ``(deg(self) * max(1, D)).bit_length()`` bits per universe variable,
+        D the largest total degree among the values.  No exponent of the
+        result, nor of any partial product, exceeds deg(self) * max(1, D), so
+        adding two keys adds their vectors slot by slot without a carry.  The
+        group rests, the powers of each value and the result are all keyed
+        by these ints, and the result is unpacked once, at the end.
         """
         uni = self.universe
         for name in assignment:
             if name not in uni:
                 raise UniverseMismatch(
                     f"cannot substitute unknown variable {name!r} in universe {uni}")
-        ints: list[tuple[int, int]] = []
-        polys: list[tuple[int, Poly]] = []
-        kept = [1] * len(uni)  # 1 for each unassigned variable
+        kept: list[int] = []  # indexes of the unassigned variables
+        folds: list[tuple[int, int, Exponents]] = []  # (idx, c, monomial)
+        polys: list[tuple[int, Poly]] = []  # values with two or more terms
+        degree = 0  # the largest total degree among the values
+        constant = (0,) * len(uni)
         for idx, name in enumerate(uni):
             value = assignment.get(name, None)
             if value is None:
-                continue
-            kept[idx] = 0
-            if isinstance(value, int):
-                ints.append((idx, value))
+                kept.append(idx)
+            elif isinstance(value, int):
+                folds.append((idx, value, constant))
             else:
                 if value.universe != uni:
                     raise UniverseMismatch(
                         f"substituted value for {name!r} lives in {value.universe}, "
                         f"expected {uni}")
-                polys.append((idx, value))
+                degree = max(degree, max(map(sum, value.terms), default=0))
+                if len(value.terms) > 1:
+                    polys.append((idx, value))
+                else:
+                    (mono, c), = value.terms.items() or [(constant, 0)]
+                    folds.append((idx, c, mono))
+        if not self.terms:
+            return Poly._trusted(uni, {})
+        width = (max(map(sum, self.terms)) * max(1, degree)).bit_length()
+        shifts = [width * idx for idx in range(len(uni))]
+
+        def pack(exps: Exponents) -> int:
+            return sum([e << s for e, s in zip(exps, shifts)])
+
+        kept_shifts = [(idx, shifts[idx]) for idx in kept]
+        folds_packed = [(idx, c, pack(mono)) for idx, c, mono in folds]
         # group key: exponents of the polynomial-valued variables;
-        # group value: {exponents of the unassigned variables: coefficient}
-        groups: dict[Exponents, dict[Exponents, int]] = {}
+        # group value: {packed exponents of the rest: coefficient}
+        groups: dict[Exponents, dict[int, int]] = {}
         for exps, coeff in self.terms.items():
-            for idx, value in ints:
-                if exps[idx]:
-                    coeff *= value ** exps[idx]
+            key = 0
+            for idx, c, mono in folds_packed:
+                e = exps[idx]
+                if e:
+                    coeff *= c ** e
+                    key += e * mono
             if not coeff:
                 continue
-            rest = tuple(map(mul, exps, kept))
+            for idx, s in kept_shifts:
+                key += exps[idx] << s
             group = groups.setdefault(tuple([exps[idx] for idx, _ in polys]), {})
-            group[rest] = group.get(rest, 0) + coeff
-        one = {(0,) * len(uni): 1}
-        powers = [[one] for _ in polys]  # powers[pos][e] = terms of value^e
-        out: dict[Exponents, int] = {}
-        for key, group in groups.items():
+            group[key] = group.get(key, 0) + coeff
+        one = {0: 1}
+        # powers[pos][e] = packed terms of value^e
+        powers = [[one, {pack(e): c for e, c in value.terms.items()}] for _, value in polys]
+        out: dict[int, int] = {}
+        for exps, group in groups.items():
             product = one
-            for (_, value), chain, e in zip(polys, powers, key):
+            for chain, e in zip(powers, exps):
                 while len(chain) <= e:
-                    chain.append(_mul_terms(chain[-1], value.terms))
+                    chain.append(_mul_packed(chain[-1], chain[1]))
                 if e:
-                    product = chain[e] if product is one else _mul_terms(product, chain[e])
-            _mul_terms(group, product, out)
-        return Poly._trusted(uni, out)
+                    product = chain[e] if product is one else _mul_packed(product, chain[e])
+            _mul_packed(group, product, out)
+        mask = (1 << width) - 1
+        return Poly._trusted(uni, {tuple([key >> s & mask for s in shifts]): c
+                                   for key, c in out.items() if c})
 
     def evaluate(self, point: Mapping[str, int]) -> int:
         """Exact integer evaluation; every variable appearing in p must be assigned."""
@@ -362,6 +411,21 @@ def _mul_terms(left: Mapping[Exponents, int], right: Mapping[Exponents, int],
         for e2, c2 in right.items():
             key = tuple(map(add, e1, e2))
             out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def _mul_packed(left: Mapping[int, int], right: Mapping[int, int],
+                out: dict[int, int] | None = None) -> dict[int, int]:
+    """``_mul_terms`` for term maps keyed by packed exponents, where adding
+    two keys multiplies their monomials."""
+    if out is None:
+        out = {}
+    get = out.get
+    right_items = list(right.items())
+    for k1, c1 in left.items():
+        for k2, c2 in right_items:
+            key = k1 + k2
+            out[key] = get(key, 0) + c1 * c2
     return out
 
 

@@ -197,12 +197,16 @@ def _each_k(check: Callable[[int, int], Witness]) -> Callable[[int], Witness]:
     return run
 
 
-@_each_k
-def _rec2(n: int, k: int) -> Witness:
+def _rec2(n: int) -> Witness:
+    # Q_{n,k} = (x - k + t + 1) Q_{n-1,k}(x + t + 1) + (n + k - 2) Q_{n-1,k-1}(x + t + 1);
+    # row[j + 1] = Q_{n-1,j}(x + t + 1, t) serves both k = j and k = j + 1.
     shift = {"x": _KX + _KT + 1}
-    rhs = (_KX - k + _KT + 1) * q_nk(n - 1, k).substitute(shift) \
-        + q_nk(n - 1, k - 1).substitute(shift) * (n + k - 2)
-    return mismatch(q_nk(n, k), rhs)
+    zero = Poly.zero(QK_VARS)
+    row = [zero] + [q_nk(n - 1, j).substitute(shift) for j in range(n - 1)] + [zero]
+
+    def at_k(n: int, k: int) -> Witness:
+        return mismatch(q_nk(n, k), (_KX - k + _KT + 1) * row[k + 1] + row[k] * (n + k - 2))
+    return _each_k(at_k)(n)
 
 
 @_each_k
@@ -218,24 +222,25 @@ def _diff(n: int, k: int) -> Witness:
     return mismatch(lhs, rhs)
 
 
+def _mainconj_image(p: Poly, n: int, d: int) -> Poly:
+    """p(-(x+n+nt)/t, 1/t) * (-t)^d with the powers of t cleared, for p of
+    degree at most d: c x^a t^b goes to c (-1)^d x^a t^(d-a-b), and then
+    x -> -(x+n+nt) supplies (-1)^a (x+n+nt)^a."""
+    sign = -1 if d % 2 else 1
+    cleared = Poly(QK_VARS, {(a, d - a - b): sign * c for (a, b), c in p.terms.items()})
+    return cleared.substitute({"x": -(_KX + n + _KT * n)})
+
+
 @_each_k
 def _mainconj(n: int, k: int) -> Witness:
-    # Q_{n,k}(-(x+n+nt)/t, 1/t) * (-t)^(n-k-1) with the powers of t cleared
-    # monomial by monomial; polynomial because deg Q_{n,k} <= n-k-1.
+    # Q_{n,k} is its own image with d = n-k-1; polynomial because
+    # deg Q_{n,k} <= d.
     p = q_nk(n, k)
     d = n - k - 1
-    base = _KX + n + _KT * n
-    base_powers = [Poly.const(QK_VARS, 1)]  # base_powers[a] = base ** a
-    for _ in range(d):
-        base_powers.append(base_powers[-1] * base)
-    rhs = Poly.zero(QK_VARS)
-    for (a, b), coeff in p.terms.items():
-        residue = d - a - b
-        if residue < 0:
+    for a, b in p.terms:
+        if a + b > d:
             return {"reason": f"monomial x^{a}*t^{b} exceeds degree {d}"}
-        sign = -1 if (a + d) % 2 else 1
-        rhs = rhs + base_powers[a] * Poly.var(QK_VARS, "t", residue) * (sign * coeff)
-    return mismatch(p, rhs)
+    return mismatch(p, _mainconj_image(p, n, d))
 
 
 def _operator_remark(n: int) -> Witness:

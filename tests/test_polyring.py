@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +130,15 @@ def test_public_constructor_validates():
     with pytest.raises(PolyError):
         parse("x", XT).extend(("x", "t", "x"))
     assert Poly(XT, {(1, 0): 2, (0, 1): 0}).terms == {(1, 0): 2}
+    # exact arithmetic only: a float coefficient or exponent is refused, as
+    # is a key that is no exponent vector, even with a zero coefficient
+    for terms in ({(1, 0): 1.5}, {(1.5, 0): 2}, {(1, 0.0): 0}, {1: 1}, {(1, "0"): 1}):
+        with pytest.raises(PolyError):
+            Poly(XT, terms)
+    # exponents and coefficients are stored as plain ints
+    p = Poly(XT, {(True, 0): True})
+    assert p.terms == {(1, 0): 1} and type(next(iter(p.terms))[0]) is int
+    assert_canonical(p)
 
 
 def test_pow_and_neg():
@@ -237,6 +248,37 @@ def test_duality_substitution_matches_reference():
         dual = {"x": x + z * n + t * n, "z": -t, "t": -z}
         fast = q.substitute(dual)
         assert fast == reference_substitute(q, dual) == q
+
+
+def test_substitute_folds_and_packs():
+    x, y, z, t = (V(name) for name in XYZT)
+    p = parse("x^3*y^2 - 2x*z^2*t + 5y^3*t^2 - 7z^4 + 3", XYZT)
+    cases = [
+        # one-term values with |c| > 1 and exponents >= 2
+        {"x": -3 * y ** 2 * z, "t": 2 * x ** 3},
+        {"y": 5 * z ** 2 * t, "z": -2 * x * y ** 3, "t": -4},
+        # the zero Poly and the int 0 as values
+        {"x": Poly.zero(XYZT), "z": 0},
+        {"y": Poly.zero(XYZT), "t": x + y},
+        # monomial and multi-term values mixed
+        {"x": x + z * 3 + t * 3, "y": -2 * t ** 2, "z": -t, "t": z - y},
+        {"x": 7, "y": y * y - 1, "z": 2 * x * t},
+    ]
+    for assignment in cases:
+        fast = p.substitute(assignment)
+        assert fast == reference_substitute(p, assignment)
+        assert_canonical(fast)
+    # the zero polynomial substituted into
+    zero = Poly.zero(XYZT)
+    for assignment in cases + [{}]:
+        assert zero.substitute(assignment).terms == {}
+    # slots wider than 8 bits: deg 301 times value degree 2 needs 10
+    big = Poly(XYZT, {(300, 1, 0, 0): 1})
+    assignment = {"x": x + y, "y": 3 * z ** 2}
+    fast = big.substitute(assignment)
+    assert fast == reference_substitute(big, assignment)
+    assert_canonical(fast)
+    assert fast.coefficient((150, 150, 2, 0)) == 3 * comb(300, 150)
 
 
 @given(polys4, polys4, assignments, st.integers(0, 3))

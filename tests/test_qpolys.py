@@ -164,6 +164,49 @@ def test_table_identities_check_every_k():
     assert qp._each_k(check)(1) is None
 
 
+def mainconj_reference(p, n, d):
+    """The cleared image of p term by term: (-1)^(a+d) (x+n+nt)^a t^(d-a-b)
+    for each c x^a t^b, summed in order."""
+    x, t = (Poly.var(QK_VARS, v) for v in QK_VARS)
+    rhs = Poly.zero(QK_VARS)
+    for (a, b), coeff in p.terms.items():
+        sign = -1 if (a + d) % 2 else 1
+        rhs = rhs + (x + n + t * n) ** a * t ** (d - a - b) * (sign * coeff)
+    return rhs
+
+
+def test_mainconj_image_matches_reference():
+    x = Poly.var(QK_VARS, "x")
+    for n in range(2, 9):
+        for k in range(n):
+            d = n - k - 1
+            cell = qp.q_nk(n, k)
+            assert qp._mainconj_image(cell, n, d) == mainconj_reference(cell, n, d) == cell
+            # off the identity too: a cell that is not its own image
+            bent = cell + x ** d * 2 - 3
+            assert qp._mainconj_image(bent, n, d) == mainconj_reference(bent, n, d)
+        assert qp.verify_identity("mainconj", n) is None
+
+
+def test_mainconj_catches_a_changed_table_cell(monkeypatch):
+    # 22x -> 23x in Q_{4,1}; x is not its own image, so k = 1 must fail
+    true_q_nk = qp.q_nk
+    bent = true_q_nk(4, 1) + Poly.var(QK_VARS, "x")
+    monkeypatch.setattr(qp, "q_nk", lambda n, k, shifted=False:
+                        bent if (n, k, shifted) == (4, 1, False) else true_q_nk(n, k, shifted))
+    witness = qp.verify_identity("mainconj", 4)
+    assert witness is not None and witness["lhs"] == str(bent)
+    assert qp.verify_identity("mainconj", 5) is None
+
+
+def test_duality_needs_the_sign_of_z():
+    x, z, t = (Poly.var(Q_VARS, v) for v in ("x", "z", "t"))
+    for n in range(2, 8):
+        q = qp.q_n(n)
+        assert q.substitute({"x": x + z * n + t * n, "z": -t, "t": -z}) == q
+        assert q.substitute({"x": x + z * n + t * n, "z": t, "t": -z}) != q
+
+
 def test_verify_identity_bound_exceeded():
     with pytest.raises(BoundExceeded):
         qp.verify_identity("duality", qp.MAX_SYMBOLIC_N + 1)
