@@ -285,7 +285,7 @@ class Poly:
 
         kept_shifts = [(idx, shifts[idx]) for idx in kept]
         folds_packed = [(idx, c, pack(mono)) for idx, c, mono in folds]
-        # group key: exponents of the polynomial-valued variables;
+        # group key: exponents of the variables whose values have two or more terms;
         # group value: {packed exponents of the rest: coefficient}
         groups: dict[Exponents, dict[int, int]] = {}
         for exps, coeff in self.terms.items():
