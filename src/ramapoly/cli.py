@@ -91,7 +91,8 @@ def cmd_enumerate(args) -> int:
             print(enum.count_trees(labels, args.root))
         else:
             really = args.really_improper is not None
-            census = treecore.weight_census(args.n, args.root, really=really, enumerator=enum)
+            census = treecore.weight_census(args.n, args.root, really=really,
+                                            max_labels=enum.max_labels)
             k = args.really_improper if really else args.improper
             print(sum(census.get(k, {}).values()))
         return 0

@@ -34,7 +34,7 @@ from math import comb, factorial
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .polyring import Poly, poly_prod
-from .treecore import PlaneTree, TreeEnumerator, weight_census
+from .treecore import PlaneTree, TreeEnumerator, check_label_count, weight_census
 
 T_VARS = ("t",)
 _IMP_T_VARS = ("u", "t")  # u marks an improper edge
@@ -73,7 +73,7 @@ def _choices(enum: TreeEnumerator,
             for tail in _choices(enum, rest))
 
 
-def forest_generating_poly(n: int, r: int, enumerator: TreeEnumerator | None = None,
+def forest_generating_poly(n: int, r: int,
                            census: Callable[[int], Mapping] | None = None) -> dict[int, Poly]:
     """For each improper count k: the sum of t^eld over F^r_{n,k}.
 
@@ -87,9 +87,8 @@ def forest_generating_poly(n: int, r: int, enumerator: TreeEnumerator | None = N
     """
     if not 1 <= r < n:
         raise ValueError(f"need 1 <= r < n, got r={r}, n={n}")
-    enum = enumerator or TreeEnumerator()
-    enum.check_bound(range(1, n + 1))
-    read = census or (lambda size: weight_census(size, 1, enumerator=enum))
+    check_label_count(n)
+    read = census or (lambda size: weight_census(size, 1))
     by_size = {}
     for size in range(1, n - r + 2):
         terms: dict[tuple[int, int], int] = {}
@@ -116,7 +115,7 @@ def plane_forests(labels: Sequence[int],
     yield from enum.forests(enum.check_bound(labels))
 
 
-def degree_census(n: int, enumerator: TreeEnumerator | None = None) -> Counter[tuple[int, ...]]:
+def degree_census(n: int) -> Counter[tuple[int, ...]]:
     """The plane forests on [n] counted by ordered degree sequence (entry i
     the number of children of label i + 1).
 
@@ -129,7 +128,7 @@ def degree_census(n: int, enumerator: TreeEnumerator | None = None) -> Counter[t
     fitting n - 1, so disjoint vectors add by ``|``.  The label cap is
     checked on [n] first.
     """
-    (enumerator or TreeEnumerator()).check_bound(range(1, n + 1))
+    check_label_count(n)
     width = n.bit_length()
     forests: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}  # bit i is label i + 1
     trees: dict[int, dict[int, int]] = {}

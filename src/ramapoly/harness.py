@@ -118,16 +118,15 @@ def _once(key: tuple, compute: Callable[[], object]):
     return _memo[key]
 
 
-def _census(n: int, root: int | None, enum: treecore.TreeEnumerator,
+def _census(n: int, root: int | None, *,
             really: bool = False) -> dict[int, dict[tuple[int, int], int]]:
     """The weight census of the trees on [n], expanded from the fold of the
     forests on [n - 1], which a suite run folds once per variant: the root-1
     and the free census on [n] read one fold.  [n] is checked against the
     label cap first, so a census past the cap folds nothing."""
-    enum.check_bound(range(1, n + 1))
-    folds = _once(("folds", n - 1, really),
-                  lambda: treecore.forest_folds(n - 1, really=really, enumerator=enum))
-    return treecore.weight_census(n, root, really=really, enumerator=enum, folds=folds)
+    treecore.check_label_count(n)
+    folds = _once(("folds", n - 1, really), lambda: treecore.forest_folds(n - 1, really=really))
+    return treecore.weight_census(n, root, really=really, folds=folds)
 
 
 def _rooted_polys(n: int, enum: treecore.TreeEnumerator) -> dict[int, Poly]:
@@ -201,10 +200,9 @@ def run_eq_gs(max_n: int = 20, enum_max_n: int = 5) -> Iterator[Outcome]:
     yield from _run_symbolic((("gessel-seo", "product"),), 1, max_n)
     uni = ("x", "z", "t")
     x, z, t = (Poly.var(uni, v) for v in uni)
-    enum = treecore.TreeEnumerator()
     for n in range(1, enum_max_n + 1):
         counts: Counter[tuple[int, int]] = Counter()   # pooled over the improper count
-        for cells in _census(n + 1, 1, enum).values():
+        for cells in _census(n + 1, 1).values():
             counts.update(cells)
         total = Poly.zero(uni)
         for (y1, e), count in counts.items():
@@ -219,9 +217,8 @@ def run_eq_gs(max_n: int = 20, enum_max_n: int = 5) -> Iterator[Outcome]:
 def run_eq_general(max_n: int = 7) -> Iterator[Outcome]:
     uni = ("t",)
     t = Poly.var(uni, "t")
-    enum = treecore.TreeEnumerator()   # n! permutations: the label cap bounds n
     for n in range(1, max_n + 1):
-        enum.check_bound(range(1, n + 1))
+        treecore.check_label_count(n)   # n! permutations: the label cap bounds n
         counts: dict[int, int] = {}
         for perm in iter_permutations(range(1, n + 1)):
             g = treecore.gdes(perm)
@@ -235,10 +232,9 @@ def run_eq_equiv(max_n: int = 7) -> Iterator[Outcome]:
     """Per n, the first k at which the root-1 sum and the shifted free sum differ."""
     x = Poly.var(QK_VARS, "x")
     t = Poly.var(QK_VARS, "t")
-    enum = treecore.TreeEnumerator()
     for n in range(1, max_n + 1):
-        left = _census(n + 1, 1, enum)
-        right = _census(n, None, enum)
+        left = _census(n + 1, 1)
+        right = _census(n, None)
         witness = None
         for k in range(n):
             lhs = treecore.census_poly(left.get(k, {}), mode="o")
@@ -253,12 +249,11 @@ def run_eq_equiv(max_n: int = 7) -> Iterator[Outcome]:
 def _run_census_table(rooted: bool, max_n: int) -> Iterator[Outcome]:
     """The rows Q_{n,k} read off the root-1 trees on [n+1] (mode "o") or off
     the free trees on [n] (mode "p", against the shifted row)."""
-    enum = treecore.TreeEnumerator()
     for n in range(1, max_n + 1):
         if rooted:
-            census, mode = _census(n + 1, 1, enum), "o"
+            census, mode = _census(n + 1, 1), "o"
         else:
-            census, mode = _census(n, None, enum), "p"
+            census, mode = _census(n, None), "p"
         for k in sorted(set(census) | set(range(n))):
             yield _cmp({"n": n, "k": k}, treecore.census_poly(census.get(k, {}), mode),
                        qpolys.q_nk(n, k, shifted=not rooted))
@@ -283,14 +278,13 @@ def run_cor_2_4(max_n: int = 7) -> Iterator[Outcome]:
     per n instead of asserted, as is the cleared comparison for the printed
     P-side exponent (the "-1" that contradicts the shifted-table theorem).
     """
-    enum = treecore.TreeEnumerator()
     x = Poly.var(QK_VARS, "x")
     t = Poly.var(QK_VARS, "t")
     for n in range(1, max_n + 1):
         pooled_table = reduce(add, (qpolys.q_nk(n, k) for k in range(n)))
         sides = []
         for side, size, root, mode in (("root-1", n + 1, 1, "o"), ("free", n, None, "p")):
-            census = _census(size, root, enum, really=True)
+            census = _census(size, root, really=True)
             rows = {k: treecore.census_poly(cells, mode) for k, cells in census.items()}
             if root is None:
                 rows = {k: row.substitute({"x": x + t + 1}) for k, row in rows.items()}
@@ -314,13 +308,12 @@ def run_cor_2_4(max_n: int = 7) -> Iterator[Outcome]:
 def run_prop_2_5(enum_max_n: int = 8, count_max_n: int = 8) -> Iterator[Outcome]:
     x = Poly.var(QK_VARS, "x")
     t = Poly.var(QK_VARS, "t")
-    enum = treecore.TreeEnumerator()
     for n in range(1, count_max_n + 1):
         product = poly_prod((x + k + t * k for k in range(n - 1)), QK_VARS)
         yield _cmp({"n": n, "check": "table-product"},
                    qpolys.q_nk(n, 0, shifted=True), product)
         if n <= enum_max_n:
-            census = _census(n, None, enum)
+            census = _census(n, None)
             yield _cmp({"n": n, "check": "enumeration"},
                        treecore.census_poly(census.get(0, {}), "p"), product)
         yield _cmp({"n": n, "check": "increasing-plane"},
@@ -392,9 +385,9 @@ def run_cor_roots(max_n: int = 7) -> Iterator[Outcome]:
 
 def run_lemma_4_2(instances: int = 200, max_n: int = 8, seed: int = 20260811) -> Iterator[Outcome]:
     rng = random.Random(seed)
-    enum = treecore.TreeEnumerator()
     # unranking needs no cap, but max_n is an enumeration bound like any other
-    enum.check_bound(range(1, max_n + 1))
+    treecore.check_label_count(max_n)
+    enum = treecore.TreeEnumerator()
     sizes = list(range(4, max_n + 1))
     # each trial makes the random calls that choosing from the list of every
     # tree on [n], then from the drawn tree's n - 1 edges, made, and unranks
@@ -424,10 +417,9 @@ def run_lemma_4_2(instances: int = 200, max_n: int = 8, seed: int = 20260811) ->
 
 
 def run_cor_catalan(max_vertices: int = 8) -> Iterator[Outcome]:
-    enum = treecore.TreeEnumerator()
     for m in range(1, max_vertices + 1):
         # the free census's cells count its trees; a suite run expands it from a kept fold
-        count = sum(sum(cells.values()) for cells in _census(m, None, enum).values())
+        count = sum(sum(cells.values()) for cells in _census(m, None).values())
         yield _cmp({"vertices": m, "check": "labeled"},
                    count, factorial(2 * m - 2) // factorial(m - 1))
         unlabeled = qpolys.catalan(m - 1)
@@ -487,11 +479,11 @@ def _degree_sequences(n: int, total: int) -> Iterator[tuple[int, ...]]:
             for cuts in combinations_with_replacement(range(total + 1), n - 1))
 
 
-def _degseq_census(n: int, enum: treecore.TreeEnumerator) -> Counter[tuple[int, ...]]:
+def _degseq_census(n: int) -> Counter[tuple[int, ...]]:
     """The plane forests on [n] counted by ordered degree sequence, once per
     run memo; [n] is checked against the label cap first."""
-    enum.check_bound(range(1, n + 1))
-    return _once(("degseq", n), lambda: forests.degree_census(n, enum))
+    treecore.check_label_count(n)
+    return _once(("degseq", n), lambda: forests.degree_census(n))
 
 
 def _type_table(n: int) -> Counter[tuple[int, ...]]:
@@ -505,12 +497,11 @@ def _type_table(n: int) -> Counter[tuple[int, ...]]:
 
 
 def run_cor_planted(enum_max_n: int = 8, cayley_max_n: int = 7) -> Iterator[Outcome]:
-    enum = treecore.TreeEnumerator()
     for n in range(2, enum_max_n + 1):
-        witness = _first_planted_mismatch(n, _degseq_census(n, enum))
+        witness = _first_planted_mismatch(n, _degseq_census(n))
         yield _check({"n": n, "check": "plane-enumeration"}, witness)
     for n in range(1, cayley_max_n + 1):
-        enum.check_bound(range(1, n + 1))
+        treecore.check_label_count(n)
         total = sum(forests.planted_count(d) for d in _degree_sequences(n, n - 1))
         yield _cmp({"n": n, "check": "cayley-sum"}, total, n ** (n - 1))
 
@@ -530,19 +521,17 @@ def _first_planted_mismatch(n: int, by_degseq: dict[tuple[int, ...], int]) -> Pa
 
 
 def run_cor_type_planted(max_n: int = 6) -> Iterator[Outcome]:
-    enum = treecore.TreeEnumerator()   # about 4^n degree sequences: the label cap bounds n
     for n in range(1, max_n + 1):
-        enum.check_bound(range(1, n + 1))
+        treecore.check_label_count(n)   # about 4^n degree sequences: the label cap bounds n
         for r, total in _type_table(n).items():
             yield _cmp({"n": n, "type": list(r)}, forests.type_count(r, "planted"), total)
 
 
 def run_cor_plane(max_n: int = 8) -> Iterator[Outcome]:
-    enum = treecore.TreeEnumerator()
     for n in range(2, max_n + 1):
         # the 57,657,600 forests on [8] have 6,435 degree sequences: type each one once
         by_type: Counter[tuple[int, ...]] = Counter()
-        for d, count in _degseq_census(n, enum).items():
+        for d, count in _degseq_census(n).items():
             by_type[forests.degree_type(d)] += count
         types = list(_type_table(n))
         witness = None
@@ -564,12 +553,11 @@ def run_cor_plane(max_n: int = 8) -> Iterator[Outcome]:
 
 
 def run_thm_5_1(max_n: int = 8, max_r: int = 3) -> Iterator[Outcome]:
-    enum = treecore.TreeEnumerator()
-    census = partial(_census, root=1, enum=enum)   # the root-1 censuses thm-2-2 reads
+    census = partial(_census, root=1)   # the root-1 censuses thm-2-2 reads
     # F^r_n needs n > r, so an r past max_n - 1 has no forest to check
     for r in range(1, min(max_r, max_n - 1) + 1):
         for n in range(r + 1, max_n + 1):
-            got = forests.forest_generating_poly(n, r, enum, census)
+            got = forests.forest_generating_poly(n, r, census)
             for k in sorted(set(got) | set(range(n - r))):
                 yield _cmp({"n": n, "r": r, "k": k},
                            got.get(k, Poly.zero(("t",))).extend(QK_VARS),

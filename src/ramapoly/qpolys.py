@@ -37,7 +37,7 @@ _KX, _KT = (Poly.var(QK_VARS, v) for v in QK_VARS)
 
 class BoundExceeded(RuntimeError):
     """A request exceeded a hard cap: the symbolic n cap here, or the
-    enumeration label cap of :class:`treecore.TreeEnumerator`."""
+    label cap that :func:`treecore.check_label_count` checks."""
 
 
 def check_symbolic_n(n: int) -> None:

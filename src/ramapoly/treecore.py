@@ -339,9 +339,9 @@ def label_cap(max_labels: int | None = None, name: str = "max_labels") -> int:
     return cap
 
 
-def check_label_count(size: int, cap: int | None = None) -> None:
-    """BoundExceeded when a label set of size labels is past cap, the label cap by default."""
-    cap = label_cap() if cap is None else cap
+def check_label_count(size: int, max_labels: int | None = None) -> None:
+    """BoundExceeded when a label set of size labels is past ``label_cap(max_labels)``."""
+    cap = label_cap(max_labels)
     if size > cap:
         raise BoundExceeded(f"label set of size {size} exceeds cap {cap} "
                             f"(override via {ENV_MAX_LABELS} or max_labels)")
@@ -494,15 +494,15 @@ def _unrank_forest(elems: list[int], rank: int) -> tuple[PlaneTree, ...]:
 # -- generating polynomials -----------------------------------------------------
 
 
-def forest_folds(m: int, *, really: bool = False,
-                 enumerator: TreeEnumerator | None = None) -> Counter:
+def forest_folds(m: int, *, really: bool = False, max_labels: int | None = None) -> Counter:
     """The ordered forests on [m] counted by their fold {(imp, young(1), eld,
     mask): count}: improper edges, young(1) and elder vertices, elder top
     components included, and bit beta(c) of mask set for each young top
     component c (the really-variant reads the really-statistics, and the top
     root labels in place of beta in the elder test).  The trees on [m + 1]
     under any root are these forests relabeled, so every census of them
-    expands this one ``Counter``; the label cap is checked on [m] first.
+    expands this one ``Counter``; [m] is checked against
+    ``label_cap(max_labels)`` first.
 
     No forest is built.  A forest on S is a tree T on a subset A rooted at r,
     followed by a forest F on S - A: T's fields expand the fold under r as
@@ -511,7 +511,7 @@ def forest_folds(m: int, *, really: bool = False,
     per subset the fold with that key as a fifth field.  A and r ascend as in
     ``TreeEnumerator``'s stream, T's keys outermost, so keys come in the order
     the stream first meets them."""
-    (enumerator or TreeEnumerator()).check_bound(range(1, m + 1))
+    check_label_count(m, max_labels)
     folds = {0: {(0, None, 0, 0, None): 1}}  # bit l of a subset is label l
     for labels in range(2, 2 << m, 2):
         fold: dict[tuple, int] = {}
@@ -547,7 +547,7 @@ def forest_folds(m: int, *, really: bool = False,
 
 def weight_census(n: int, root: int | None = None, *,
                   really: bool = False,
-                  enumerator: TreeEnumerator | None = None,
+                  max_labels: int | None = None,
                   folds: Counter | None = None) -> dict[int, dict[tuple[int, int], int]]:
     """The fold of the forests on [n - 1] expanded per root, bucketed by improper count.
 
@@ -557,13 +557,17 @@ def weight_census(n: int, root: int | None = None, *,
     only, so each root expands the counts of the forests on [n - 1],
     ``forest_folds(n - 1, really=really)``, which this computes unless the
     caller passes them as ``folds``; no tree is built.  Keys keep the order
-    in which the stream of trees first meets them.
+    in which the stream of trees first meets them.  [n] must be non-empty,
+    hold root and fit ``label_cap(max_labels)``.
     """
-    enum = enumerator or TreeEnumerator()
-    _, roots = enum._checked(range(1, n + 1), root)
-    counts = forest_folds(n - 1, really=really, enumerator=enum) if folds is None else folds
+    if n < 1:
+        raise ValueError("empty label set")
+    if root is not None and root not in range(1, n + 1):
+        raise ValueError(f"root {root} not in label set")
+    check_label_count(n, max_labels)
+    counts = forest_folds(n - 1, really=really, max_labels=max_labels) if folds is None else folds
     census: dict[int, dict[tuple[int, int], int]] = {}
-    for r in roots:
+    for r in range(1, n + 1) if root is None else (root,):
         # root r is improper to the young top components of beta below r
         below = (1 << r) - 1
         for (imp, young1, eld, mask), count in counts.items():

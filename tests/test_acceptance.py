@@ -106,7 +106,7 @@ def test_c04_root1_interpretation(enum):
     with criterion(4, "root-1 tree sums, n <= 6"):
         start = time.perf_counter()
         for n in range(1, 7):
-            census = tc.weight_census(n + 1, root=1, enumerator=enum)
+            census = tc.weight_census(n + 1, root=1)
             for k in sorted(set(census) | set(range(n))):
                 assert tc.census_poly(census.get(k, {}), "o") == qp.q_nk(n, k), (n, k)
         assert time.perf_counter() - start < 60.0
@@ -116,7 +116,7 @@ def test_c05_free_interpretation(enum):
     with criterion(5, "free tree sums vs shifted table, n <= 7"):
         start = time.perf_counter()
         for n in range(1, 8):
-            census = tc.weight_census(n, enumerator=enum)
+            census = tc.weight_census(n)
             for k in sorted(set(census) | set(range(n))):
                 assert tc.census_poly(census.get(k, {}), "p") == \
                     qp.q_nk(n, k, shifted=True), (n, k)
@@ -170,7 +170,7 @@ def test_c06_printed_corollary_refined_by_improper_count(enum):
         x = Poly.var(QK_VARS, "x")
         t = Poly.var(QK_VARS, "t")
         for n in range(1, 7):
-            census = tc.weight_census(n, really=True, enumerator=enum)
+            census = tc.weight_census(n, really=True)
             for k in sorted(set(census) | set(range(n))):
                 lhs = tc.census_poly(census.get(k, {}), "p").substitute(
                     {"x": x + t + 1})

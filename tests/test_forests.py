@@ -38,19 +38,19 @@ def test_fixed_root_count_and_partition(enum):
 
 
 def test_generating_poly_small(enum):
-    polys = fo.forest_generating_poly(3, 2, enum)
+    polys = fo.forest_generating_poly(3, 2)
     assert polys[0] == Poly(("t",), {(0,): 2})
     for r, n in [(1, 4), (2, 5), (1, 5), (1, 6), (1, 7), (2, 7)]:
-        got = fo.forest_generating_poly(n, r, enum)
+        got = fo.forest_generating_poly(n, r)
         for k in range(n - r):
             assert got.get(k, Poly.zero(("t",))) == expected_row(n, r, k)
 
 
 def test_generating_poly_rejects_r_equal_n(enum):
     with pytest.raises(ValueError):
-        fo.forest_generating_poly(3, 3, enum)
+        fo.forest_generating_poly(3, 3)
     with pytest.raises(ValueError):
-        fo.forest_generating_poly(3, 0, enum)
+        fo.forest_generating_poly(3, 0)
     with pytest.raises(ValueError):
         list(fo.fixed_root_forests(3, 4, enum))
 
@@ -161,29 +161,30 @@ def test_generating_poly_matches_the_stream(monkeypatch, memo_limit):
     enum = tc.TreeEnumerator()
     for n in range(2, 7):
         for r in range(1, n):
-            assert fo.forest_generating_poly(n, r, enum) == stream_generating_poly(n, r, enum), \
+            assert fo.forest_generating_poly(n, r) == stream_generating_poly(n, r, enum), \
                 (n, r)
 
 
 def test_forest_censuses_build_no_forest_and_check_the_cap_first(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a tree or forest was built")
-    capped = tc.TreeEnumerator(max_labels=4)
     monkeypatch.setattr(tc.TreeEnumerator, "forests", refuse)
     monkeypatch.setattr(tc.PlaneTree, "__init__", refuse)
     assert sum(fo.degree_census(6).values()) == tc.forest_count(6)
-    assert sum(fo.degree_census(4, capped).values()) == tc.forest_count(4)
     for r in range(1, 6):
         got = fo.forest_generating_poly(6, r)
         assert [got.get(k, Poly.zero(("t",))) for k in range(6 - r)] \
             == [expected_row(6, r, k) for k in range(6 - r)], r
-    assert fo.forest_generating_poly(4, 2, capped) == fo.forest_generating_poly(4, 2)
+    uncapped = fo.forest_generating_poly(4, 2)
+    monkeypatch.setenv(tc.ENV_MAX_LABELS, "4")
+    assert sum(fo.degree_census(4).values()) == tc.forest_count(4)
+    assert fo.forest_generating_poly(4, 2) == uncapped
     with pytest.raises(BoundExceeded):
-        fo.degree_census(5, capped)
+        fo.degree_census(5)
     # [5] is refused before any component's census is asked for, though
     # every component of F^2_5 has at most 4 labels
     with pytest.raises(BoundExceeded):
-        fo.forest_generating_poly(5, 2, capped, census=refuse)
+        fo.forest_generating_poly(5, 2, census=refuse)
     with pytest.raises(ValueError):
         fo.forest_generating_poly(5, 0, census=refuse)
 

@@ -137,8 +137,7 @@ def _counting(monkeypatch, module, name, calls):
     def counted(first, *args, **kwargs):
         # keyed by the first argument, n, and the root, not by the runner's
         # own enumerator
-        root = [a for a in args[:1] if not isinstance(a, treecore.TreeEnumerator)]
-        calls[name, first, *root] += 1
+        calls[name, first, *args[:1]] += 1
         return fn(first, *args, **kwargs)
     monkeypatch.setattr(module, name, counted)
 
@@ -209,10 +208,9 @@ def test_free_census_is_the_weight_census_of_every_root(monkeypatch, memo):
     # memo the fold is already there, as the root-1 read leaves it, and the
     # free census must expand it over every root
     monkeypatch.setattr(harness, "_memo", memo)
-    enum = treecore.TreeEnumerator()
     for n in range(1, 7):
-        harness._census(n, 1, enum)
-        free = harness._census(n, None, enum)
+        harness._census(n, 1)
+        free = harness._census(n, None)
         direct = treecore.weight_census(n)
         assert list(free) == list(direct)
         for k, cells in direct.items():
@@ -257,11 +255,11 @@ def _counting_folds(monkeypatch, fake=False):
     calls = Counter()
     fold = treecore.forest_folds
 
-    def counted(m, *, really=False, enumerator=None):
+    def counted(m, *, really=False, max_labels=None):
         calls[m, really] += 1
         if fake:
             return Counter({(0, 1, 0, 1 << 1): 1})
-        return fold(m, really=really, enumerator=enumerator)
+        return fold(m, really=really, max_labels=max_labels)
     monkeypatch.setattr(treecore, "forest_folds", counted)
     return calls
 
@@ -297,10 +295,9 @@ def test_censuses_from_the_shared_fold_are_fresh_censuses(monkeypatch, memo, rea
     # the memo, read the way the runners read them, against fresh
     # weight_census calls, in key order at both levels
     monkeypatch.setattr(harness, "_memo", memo)
-    enum = treecore.TreeEnumerator()
     for n in range(1, 7):
         for root in (1, None):
-            got = harness._census(n, root, enum, really=really)
+            got = harness._census(n, root, really=really)
             want = treecore.weight_census(n, root, really=really)
             assert [(k, list(cells.items())) for k, cells in got.items()] \
                 == [(k, list(cells.items())) for k, cells in want.items()], (n, root)
@@ -323,14 +320,33 @@ def test_census_past_the_cap_folds_nothing(monkeypatch, cap):
         assert [r.instances[-1].status for r in reports] == [harness.SKIP] * len(past)
         assert calls and max(m for m, _ in calls) == cap - 1
         calls.clear()
-    enum = treecore.TreeEnumerator()
-    for read in (lambda: harness._census(cap + 1, 1, enum),
-                 lambda: harness._census(cap + 1, None, enum),
-                 lambda: harness._census(cap + 1, None, enum, really=True),
+    for read in (lambda: harness._census(cap + 1, 1),
+                 lambda: harness._census(cap + 1, None),
+                 lambda: harness._census(cap + 1, None, really=True),
                  lambda: treecore.weight_census(cap + 1, really=True)):
         with pytest.raises(treecore.BoundExceeded):
             read()
     assert not calls
+
+
+# the runners whose every tree and forest check reads a DP, at small bounds;
+# prop-2-5 is left out, as its increasing-tree counts come from a
+# TreeEnumerator subclass
+DP_READERS = {"eq-gs": {"max_n": 3, "enum_max_n": 4}, "eq-general": {"max_n": 5},
+              "eq-equiv": {"max_n": 4}, "thm-2-2": {"max_n": 4}, "thm-2-3": {"max_n": 5},
+              "cor-2-4": {"max_n": 4}, "cor-catalan": {"max_vertices": 5},
+              "cor-planted": {"enum_max_n": 5, "cayley_max_n": 5},
+              "cor-type-planted": {"max_n": 5}, "cor-plane": {"max_n": 5},
+              "thm-5-1": {"max_n": 5, "max_r": 3}}
+
+
+def test_dp_readers_build_no_enumerator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a TreeEnumerator was built")
+    monkeypatch.setattr(treecore.TreeEnumerator, "__init__", refuse)
+    for name, params in DP_READERS.items():
+        report = harness.run_identity(name, params)
+        assert report.instances and {i.status for i in report.instances} == {harness.PASS}, name
 
 
 def test_same_records_ignores_only_seconds(tmp_path, capsys):
@@ -426,6 +442,18 @@ def test_cli_bound_exceeded_exit(capsys, monkeypatch):
     assert "bound exceeded" in capsys.readouterr().err
     assert cli.main(["enumerate", "--n", "9", "--count-only",
                      "--max-labels", "4"]) == 1
+
+
+def test_cli_max_labels_reaches_the_census(capsys, monkeypatch):
+    # the improper-count census folds the forests on [8] under a cap of 9;
+    # the increasing plane trees on [9] number 15!!
+    monkeypatch.delenv(treecore.ENV_MAX_LABELS, raising=False)
+    argv = ["enumerate", "--n", "9", "--count-only", "--improper", "0"]
+    assert cli.main(argv + ["--max-labels", "9"]) == 0
+    assert capsys.readouterr().out == "2027025\n"
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == ("bound exceeded: label set of size 9 exceeds cap 8 "
+                                       "(override via RAMAPOLY_MAX_LABELS or max_labels)\n")
 
 
 def test_cli_stats_and_bijections(tmp_path, capsys):

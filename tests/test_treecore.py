@@ -99,9 +99,9 @@ def test_eld_equals_gdes_of_beta_word(enum):
 
 
 def test_generating_poly_examples(enum):
-    o41 = tc.census_poly(tc.weight_census(4, root=1, enumerator=enum)[1], "o")
+    o41 = tc.census_poly(tc.weight_census(4, root=1)[1], "o")
     assert o41 == parse("3x+4+5t", tc.QK_VARS)
-    p31 = tc.census_poly(tc.weight_census(3, enumerator=enum)[1], "p")
+    p31 = tc.census_poly(tc.weight_census(3)[1], "p")
     assert p31 == parse("3x+1+2t", tc.QK_VARS)
     with pytest.raises(ValueError):
         tc.census_poly({(1, 0): 1}, "q")
@@ -112,7 +112,7 @@ def test_generating_poly_examples(enum):
 
 def test_census_matches_generating_poly(enum):
     for n, root in ((4, 1), (4, None), (5, 2)):
-        census = tc.weight_census(n, root=root, enumerator=enum)
+        census = tc.weight_census(n, root=root)
         trees = list(enum.trees(labels(n), root))
         # each improper-count bucket equals a recount of the filtered trees
         assert set(census) <= set(range(n))
@@ -440,7 +440,7 @@ def assert_census_matches_per_tree_loop(enum, really):
         cases = [(n, None), (n + 1, 1)]
         cases += [(n, root) for root in range(1, n + 1)]
         for size, root in cases:
-            got = tc.weight_census(size, root, really=really, enumerator=enum)
+            got = tc.weight_census(size, root, really=really)
             assert ordered(got) == ordered(per_tree_census(enum, size, root, really)), (n, root)
 
 
@@ -489,15 +489,25 @@ def test_forest_folds_match_the_stream_fold(enum, really):
 def test_forest_folds_build_no_forest_and_check_the_cap_first(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a tree or forest was built")
-    capped = TreeEnumerator(max_labels=4)
     monkeypatch.setattr(TreeEnumerator, "forests", refuse)
     monkeypatch.setattr(tc.PlaneTree, "__init__", refuse)
     for really in (False, True):
         assert sum(tc.forest_folds(6, really=really).values()) == tc.forest_count(6)
-        assert (sum(tc.forest_folds(4, really=really, enumerator=capped).values())
+        assert (sum(tc.forest_folds(4, really=really, max_labels=4).values())
                 == tc.forest_count(4))
         with pytest.raises(BoundExceeded):
-            tc.forest_folds(5, really=really, enumerator=capped)
+            tc.forest_folds(5, really=really, max_labels=4)
+
+
+def test_census_dps_check_their_input_and_cap():
+    for read in (lambda: tc.weight_census(3, max_labels=0),
+                 lambda: tc.forest_folds(2, max_labels=0)):
+        with pytest.raises(ValueError, match="max_labels"):
+            read()
+    with pytest.raises(ValueError, match="^empty label set$"):
+        tc.weight_census(0)
+    with pytest.raises(ValueError, match="^root 4 not in label set$"):
+        tc.weight_census(3, 4)
 
 
 def test_count_trees_matches_stream(enum):
@@ -543,7 +553,7 @@ def test_stream_readers_check_input_on_call():
     small = TreeEnumerator(max_labels=4)
     readers = (small.trees, small.count_trees,
                lambda lab, root=None: tc.weight_census(len(lab), root, really=True,
-                                                       enumerator=small))
+                                                       max_labels=4))
     for read in readers:
         with pytest.raises(ValueError):
             read([])
