@@ -23,7 +23,6 @@ import os
 import random
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import combinations_with_replacement, permutations as iter_permutations
@@ -129,13 +128,15 @@ def _census(n: int, root: int | None, *,
     return treecore.weight_census(n, root, really=really, folds=folds)
 
 
-def _rooted_polys(n: int, enum: treecore.TreeEnumerator) -> dict[int, Poly]:
+def _rooted_polys(n: int) -> dict[int, Poly]:
     """The multivariate sums of the trees on [n] by root, once per run memo,
-    from one stream.  Every statistic compares labels only, so the trees rooted
-    at r are those rooted at n relabeled in order (n to r, b to b + 1 for
-    r <= b < n), and their sum is the root-n sum with its variables so renamed."""
+    from one DP, ``treecore.rooted_generating_poly``, which checks [n] against
+    the label cap first and builds no tree.  Every statistic compares labels
+    only, so the trees rooted at r are those rooted at n relabeled in order
+    (n to r, b to b + 1 for r <= b < n), and their sum is the root-n sum with
+    its variables so renamed."""
     def by_root() -> dict[int, Poly]:
-        top = treecore.generating_poly(n, n, enum)
+        top = treecore.rooted_generating_poly(n)
         x = {i: Poly.var(top.universe, f"x{i}") for i in range(1, n + 1)}
         return {r: top.substitute({f"x{n}": x[r], **{f"x{b}": x[b + 1] for b in range(r, n)}})
                 for r in range(1, n + 1)}
@@ -349,33 +350,30 @@ def _symmetric_sum(uni: tuple[str, ...], n: int) -> Poly:
 
 
 def run_thm_4_3(max_n: int = 7) -> Iterator[Outcome]:
-    enum = treecore.TreeEnumerator()
     for n in range(1, max_n + 1):
         uni = treecore.multivar_universe(n)
         s = _symmetric_sum(uni, n)
         t = Poly.var(uni, "t")
         # the free sum is the rooted sums added up: the same trees, split by root
-        lhs = reduce(add, _rooted_polys(n, enum).values())
+        lhs = reduce(add, _rooted_polys(n).values())
         rhs = poly_prod((s + t * k for k in range(n - 1)), uni)
         yield _cmp({"n": n}, lhs, rhs)
 
 
 def run_thm_4_gen_on(max_n: int = 7) -> Iterator[Outcome]:
-    enum = treecore.TreeEnumerator()
     for n in range(2, max_n + 1):
         uni = treecore.multivar_universe(n)
         s = _symmetric_sum(uni, n)
         t = Poly.var(uni, "t")
         tail = poly_prod((s + t * k for k in range(1, n - 1)), uni)
-        for r, lhs in _rooted_polys(n, enum).items():
+        for r, lhs in _rooted_polys(n).items():
             yield _cmp({"n": n, "r": r}, lhs, Poly.var(uni, f"x{r}") * tail)
 
 
 def run_cor_roots(max_n: int = 7) -> Iterator[Outcome]:
-    enum = treecore.TreeEnumerator()
     for n in range(2, max_n + 1):
         uni = treecore.multivar_universe(n)
-        by_root = _rooted_polys(n, enum)
+        by_root = _rooted_polys(n)
         for r in range(1, n + 1):
             for s in range(r + 1, n + 1):
                 lhs = by_root[r] * Poly.var(uni, f"x{s}")
@@ -428,39 +426,37 @@ def run_cor_catalan(max_vertices: int = 8) -> Iterator[Outcome]:
                      None if ok else {"lhs": str(count), "rhs": f"{unlabeled}*{m}!"})
 
 
-def _leaves_within(forest: tuple[treecore.PlaneTree, ...], k: int) -> bool:
-    """Whether no leaf of the forest's trees has a label above k."""
-    stack = list(forest)
-    while stack:
-        v = stack.pop()
-        if v.children:
-            stack.extend(v.children)
-        elif v.label > k:
-            return False
-    return True
+def _leaf_statistics(m: int) -> tuple[dict[int, int], Counter[int]]:
+    """The trees on [m] by leaf count, and by k the trees whose leaf set is
+    exactly {1, ..., k}, from ``treecore.leaf_census(m)``, the forests on
+    [m - 1] by (leaf count, largest leaf label), which checks [m] against the
+    label cap first and builds no forest.
+
+    A leaf count never reads the root, so each forest counts once per root,
+    the empty forest (m = 1) as one leaf.  A tree whose leaf set is
+    {1, ..., k} has k distinct leaves, none above k, and its root above k
+    (with m >= 2 the forest under the root is never empty, so its leaves are
+    the tree's); relabeled in order, its forest is a forest on [m - 1] with
+    that same leaf set, key (k, k), and exactly the m - k roots above k
+    carry it."""
+    profile: dict[int, int] = {}
+    exact: Counter[int] = Counter()
+    for (leaves, largest), count in treecore.leaf_census(m).items():
+        profile[leaves or 1] = profile.get(leaves or 1, 0) + m * count
+        if leaves == largest:
+            exact[leaves] += (m - leaves) * count
+    return dict(sorted(profile.items())), exact
 
 
 def run_cor_narayana(max_vertices: int = 7, leafset_max_vertices: int = 6) -> Iterator[Outcome]:
-    """Leaf profiles against Narayana numbers, exact leaf sets against leaf_set_count."""
-    enum = treecore.TreeEnumerator()
+    """Leaf profiles against Narayana numbers, exact leaf sets against
+    leaf_set_count, both read off one leaf DP per m (``_leaf_statistics``)."""
     for m in range(2, max_vertices + 1):
-        profile = treecore.leaf_profile(m, enum)
+        profile, exact = _leaf_statistics(m)
         n = m - 1
         for k in sorted(set(profile) | set(range(1, n + 1))):
             yield _cmp({"vertices": m, "k": k},
                        profile.get(k, 0), qpolys.narayana(n, k) * factorial(m))
-        if m <= leafset_max_vertices:
-            # the trees whose leaf set is {1, ..., k}, by k: k distinct leaves,
-            # none above k.  With m >= 2 the forest under the root is never
-            # empty, so its leaves are the tree's.  A tree with leaf set
-            # {1, ..., k} has its root above k; relabeled in order, its forest
-            # is a forest on [m - 1] with that same leaf set, and exactly the
-            # m - k roots above k carry it
-            exact = Counter()
-            for forest in enum.forests(frozenset(range(1, m))):
-                leaves = sum([c.leaf_count for c in forest])
-                if _leaves_within(forest, leaves):
-                    exact[leaves] += m - leaves
         for k in range(1, n + 1):
             got = treecore.leaf_set_count(n, k)
             yield _cmp({"vertices": m, "k": k, "check": "inclusion-exclusion"},
@@ -728,6 +724,7 @@ def run_suite(names: list[str] | None = None,
             return [run_identity(name, overrides.get(name)) for name in targets]
         finally:
             _memo = None
+    from concurrent.futures import ProcessPoolExecutor  # only a pool run loads multiprocessing
     with ProcessPoolExecutor(max_workers=jobs, initializer=_open_memo) as pool:
         futures = [pool.submit(run_identity, name, overrides.get(name))
                    for name in targets]

@@ -20,17 +20,22 @@ per-tree statistics in O(1).  ``TreeEnumerator`` produces every plane tree /
 ordered forest on a label set exactly once (first component's vertex subset
 in binary order, roots ascending) and memoizes small sub-forests.
 
-Two censuses read the trees on [n] = {1, ..., n} and take n:
-``weight_census`` buckets (young(1), eld) by improper count (``census_poly``
-turns a bucket into a polynomial in {x, t}), and ``generating_poly`` sums
-t^eld * prod_i x_i^young(i) (``multivar_exponents``).  Statistics compare
-labels only, so the forest under any root is a forest on [n - 1] relabeled
-in order: ``count_trees``, ``leaf_profile`` and ``weight_census`` read those
-forests once and build no root node.  ``forest_folds`` counts the forests
-on [m] by their fold, a DP over label subsets that builds no forest, and
-every census of the trees on [m + 1], root-1 or free, expands that one
-``Counter``; a serial ``harness.run_suite`` keeps it per (m, variant), so
-those censuses fold the forests once between them.
+The censuses read the trees on [n] = {1, ..., n} and take n.  Statistics
+compare labels only, so the forest under any root is a forest on [n - 1]
+relabeled in order, and three DPs over label subsets count those forests
+without building one:
+* ``forest_folds`` counts them by their fold, and ``weight_census`` expands
+  the fold per root into (young(1), eld) by improper count (``census_poly``
+  turns a bucket into a polynomial in {x, t}); a serial
+  ``harness.run_suite`` keeps a fold per (m, variant), so the root-1 and the
+  free census fold the forests once between them;
+* ``rooted_generating_poly`` sums t^eld * prod_i x_i^young(i) over the trees
+  rooted at n;
+* ``leaf_census`` counts them by leaf count and largest leaf label.
+``generating_poly`` (``multivar_exponents`` per tree) and ``leaf_profile``
+stream the trees instead.  No identity calls them: they are the references
+the last two DPs are checked against.  ``count_trees`` reads the forests on
+[n - 1] once and builds no root node.
 ``TreeEnumerator.unrank`` builds the tree at any position of the stream
 from the forest counts ``forest_count``, without streaming.  The
 increasing-tree generators read the same memoizing stream, narrowed by a
@@ -610,10 +615,61 @@ def multivar_exponents(tree: PlaneTree, n: int) -> tuple[int, ...]:
 def generating_poly(n: int, root: int | None = None,
                     enumerator: TreeEnumerator | None = None) -> Poly:
     """Sum of t^eld * prod_i x_i^young(i) over the plane trees on [n]
-    (optionally root-constrained), in multivar_universe(n)."""
+    (optionally root-constrained), in multivar_universe(n), from the stream
+    of those trees: the reference ``rooted_generating_poly`` is checked
+    against, which no identity calls."""
     enum = enumerator or TreeEnumerator()
     terms = Counter(multivar_exponents(tree, n) for tree in enum.trees(range(1, n + 1), root))
     return Poly(multivar_universe(n), terms)
+
+
+def rooted_generating_poly(n: int) -> Poly:
+    """``generating_poly(n, n)``, the sum of t^eld * prod_i x_i^young(i) over
+    the plane trees on [n] rooted at n; [n] is checked against the label cap
+    first.
+
+    No tree is built.  A forest on S is a tree T on a subset A rooted at r
+    followed by a forest F on S - A, and T is young when F is empty or
+    min A < min(S - A), that is when A holds S's smallest label.  So a DP
+    over label bitmasks keeps per subset the forests on it counted by one
+    packed key, a field of the width of n per exponent of
+    multivar_universe(n): young(l) in label l's field, the young top count
+    in n's and eld in t's.  T's keys are the forests on A - {r} with the top
+    count moved to r's field; a young T adds 1 to the top count, an elder T
+    adds 1 to eld, and the fields of T and F otherwise add by ``+``.  The
+    trees rooted at n are n over the forests on [n - 1], whose keys are
+    therefore those trees' exponents."""
+    check_label_count(n)
+    m = n - 1
+    width = n.bit_length()  # every exponent is below n
+    field = (1 << width) - 1
+    top = width * m                       # n's field, the young top count
+    young_one, eld_one = 1 << top, 1 << top + width
+    forests: dict[int, dict[int, int]] = {0: {0: 1}}  # bit i is label i + 1
+    trees: dict[int, dict[int, int]] = {}
+    for labels in range(1, 1 << m):
+        tree: dict[int, int] = {}
+        for r in range(labels.bit_length()):
+            if labels >> r & 1:
+                for key, count in forests[labels ^ 1 << r].items():
+                    key = key & ~(field << top) | (key >> top & field) << width * r
+                    tree[key] = tree.get(key, 0) + count
+        trees[labels] = tree
+        forest: dict[int, int] = {}
+        low = labels & -labels
+        first = 0
+        while first := (first - labels) & labels:  # the nonempty subsets A
+            rest = forests[labels ^ first].items()
+            step = young_one if first & low else eld_one
+            for tree_key, count in trees[first].items():
+                tree_key += step
+                for key, rest_count in rest:
+                    key += tree_key
+                    forest[key] = forest.get(key, 0) + count * rest_count
+        forests[labels] = forest
+    return Poly(multivar_universe(n),
+                {tuple(key >> width * i & field for i in range(n + 1)): count
+                 for key, count in forests[(1 << m) - 1].items()})
 
 
 def leaf_set_count(n: int, k: int) -> int:
@@ -633,7 +689,9 @@ def leaf_profile(n: int, enumerator: TreeEnumerator | None = None) -> dict[int, 
 
     A leaf count never reads the root, so the profile is n times that of the
     forests on [n - 1], each forest's leaf count being its components' summed,
-    or 1 for the single vertex (an empty forest); no root node is built."""
+    or 1 for the single vertex (an empty forest); no root node is built.  The
+    forests are streamed: this is the reference ``leaf_census`` is checked
+    against, which no identity calls."""
     enum = enumerator or TreeEnumerator()
     enum._checked(range(1, n + 1), None)
     profile: dict[int, int] = {}
@@ -644,6 +702,43 @@ def leaf_profile(n: int, enumerator: TreeEnumerator | None = None) -> dict[int, 
         leaves = leaves or 1
         profile[leaves] = profile.get(leaves, 0) + n
     return dict(sorted(profile.items()))
+
+
+def leaf_census(m: int) -> Counter:
+    """The ordered forests on [m - 1], the forests under every root of the
+    trees on [m], counted by {(leaf count, largest leaf label): count}, the
+    empty forest as (0, 0); [m] must be non-empty and fit the label cap.
+
+    No forest is built.  A forest on S is a tree T on a subset A rooted at r
+    followed by a forest on S - A; T is the leaf (1, r) when A is {r}, and
+    otherwise has the leaves of the forest on A - {r}.  So a DP over label
+    bitmasks keeps per subset its forests by key, and a join adds the leaf
+    counts and takes the larger largest leaf."""
+    if m < 1:
+        raise ValueError("empty label set")
+    check_label_count(m)
+    forests: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}  # bit i is label i + 1
+    trees: dict[int, dict[tuple[int, int], int]] = {}
+    for labels in range(1, 1 << m - 1):
+        tree: dict[tuple[int, int], int] = {}
+        if not labels & labels - 1:  # one label: the leaf
+            tree[1, labels.bit_length()] = 1
+        else:
+            for r in range(labels.bit_length()):
+                if labels >> r & 1:
+                    for key, count in forests[labels ^ 1 << r].items():
+                        tree[key] = tree.get(key, 0) + count
+        trees[labels] = tree
+        forest: dict[tuple[int, int], int] = {}
+        first = 0
+        while first := (first - labels) & labels:  # the nonempty subsets A
+            rest = forests[labels ^ first].items()
+            for (leaves, largest), count in trees[first].items():
+                for (rest_leaves, rest_largest), rest_count in rest:
+                    key = (leaves + rest_leaves, max(largest, rest_largest))
+                    forest[key] = forest.get(key, 0) + count * rest_count
+        forests[labels] = forest
+    return Counter(forests[(1 << m - 1) - 1])
 
 
 # -- increasing trees (no improper edges) ----------------------------------------

@@ -7,11 +7,13 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from concurrent import futures
 from concurrent.futures import Future
 from functools import partial
 from pathlib import Path
 
 import pytest
+from stream_trees import stream_leaf_sets
 
 from ramapoly import cli, forests, harness, qpolys, treecore
 from ramapoly.polyring import Poly, parse
@@ -51,7 +53,9 @@ def test_run_suite_subset_and_jobs():
 def inline_pool(monkeypatch):
     """Run the pool in this process as its one worker: the initializer runs as
     the pool opens, each task at submit, and the worker's memo goes as the
-    pool closes.  Yields the sizes of the pools asked for."""
+    pool closes.  Yields the sizes of the pools asked for.  ``run_suite``
+    imports the pool class from ``concurrent.futures`` as it opens a pool, so
+    that is the name patched."""
     sizes = []
 
     class InlinePool:
@@ -72,7 +76,7 @@ def inline_pool(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", InlinePool)
     yield sizes
 
 
@@ -144,7 +148,7 @@ def _counting(monkeypatch, module, name, calls):
 
 def test_serial_run_enumerates_each_shared_result_once(monkeypatch):
     calls = Counter()
-    for module, name in ((treecore, "forest_folds"), (treecore, "generating_poly"),
+    for module, name in ((treecore, "forest_folds"), (treecore, "rooted_generating_poly"),
                          (forests, "degree_census")):
         _counting(monkeypatch, module, name, calls)
     serial = harness.run_suite(list(SHARED), SHARED)
@@ -152,7 +156,7 @@ def test_serial_run_enumerates_each_shared_result_once(monkeypatch):
     calls.clear()
     alone = [harness.run_identity(name, params) for name, params in SHARED.items()]
     repeated = {key[0] for key, count in calls.items() if count > 1}
-    assert repeated == {"forest_folds", "generating_poly", "degree_census"}
+    assert repeated == {"forest_folds", "rooted_generating_poly", "degree_census"}
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     pooled = harness.run_suite(list(SHARED), SHARED, jobs=2)
     assert _records(serial) == _records(alone) == _records(pooled)
@@ -188,17 +192,46 @@ def test_serial_run_skips_where_each_identity_alone_does(monkeypatch):
     assert {"thm-2-2", "thm-2-3", "eq-equiv", "thm-4-3", "cor-planted"} <= set(skipped)
 
 
+@pytest.fixture(scope="module")
+def per_root_streams():
+    """By n <= 7, the streamed multivariate sum of the trees on [n] per root."""
+    enum = treecore.TreeEnumerator()
+    return {n: {r: treecore.generating_poly(n, r, enum) for r in range(1, n + 1)}
+            for n in range(1, 8)}
+
+
 @pytest.mark.parametrize("memo", [None, {}], ids=["alone", "serial-run-memo"])
-def test_rooted_polys_are_the_per_root_streams(monkeypatch, memo):
-    # the root-n sum renamed per root against a fresh stream per root, keys in
+def test_rooted_polys_are_the_per_root_streams(monkeypatch, memo, per_root_streams):
+    # the DP's root-n sum renamed per root against a stream per root, keys in
     # root order; read twice, so under the memo the second read is the kept one
     monkeypatch.setattr(harness, "_memo", memo)
-    enum = treecore.TreeEnumerator()
-    for n in range(1, 7):
-        want = {r: treecore.generating_poly(n, r) for r in range(1, n + 1)}
+    for n, want in per_root_streams.items():
         for _ in range(2):
-            got = harness._rooted_polys(n, enum)
+            got = harness._rooted_polys(n)
             assert list(got) == list(want) and got == want, n
+
+
+def test_leaf_statistics_are_the_streams(enum):
+    # the leaf DP's profile against leaf_profile's stream, and its exact leaf
+    # sets against the stream over the forests on [m - 1]
+    for m in range(1, 8):
+        profile, exact = harness._leaf_statistics(m)
+        assert list(profile.items()) == list(treecore.leaf_profile(m, enum).items()), m
+        assert exact == stream_leaf_sets(m, enum), m
+
+
+@pytest.mark.parametrize("memo", [None, {}], ids=["alone", "serial-run-memo"])
+def test_tree_dps_past_the_cap_run_nothing(monkeypatch, memo):
+    # [5] on a cap of 4 is refused as the streams refused it, the message
+    # included, and nothing is kept
+    monkeypatch.setattr(harness, "_memo", memo)
+    monkeypatch.setenv("RAMAPOLY_MAX_LABELS", "4")
+    message = "^label set of size 5 exceeds cap 4 "
+    for read in (lambda: harness._rooted_polys(5), lambda: harness._leaf_statistics(5)):
+        with pytest.raises(treecore.BoundExceeded, match=message):
+            read()
+    assert not memo
+    assert len(harness._rooted_polys(4)) == 4 and harness._leaf_statistics(4)[0]
 
 
 @pytest.mark.parametrize("memo", [None, {}], ids=["alone", "serial-run-memo"])
@@ -331,10 +364,12 @@ def test_census_past_the_cap_folds_nothing(monkeypatch, cap):
 
 # the runners whose every tree and forest check reads a DP, at small bounds;
 # prop-2-5 is left out, as its increasing-tree counts come from a
-# TreeEnumerator subclass
+# TreeEnumerator subclass, and lemma-4-2, which unranks its trees
 DP_READERS = {"eq-gs": {"max_n": 3, "enum_max_n": 4}, "eq-general": {"max_n": 5},
               "eq-equiv": {"max_n": 4}, "thm-2-2": {"max_n": 4}, "thm-2-3": {"max_n": 5},
               "cor-2-4": {"max_n": 4}, "cor-catalan": {"max_vertices": 5},
+              "thm-4-3": {"max_n": 5}, "thm-4-gen-on": {"max_n": 5}, "cor-roots": {"max_n": 5},
+              "cor-narayana": {"max_vertices": 5, "leafset_max_vertices": 5},
               "cor-planted": {"enum_max_n": 5, "cayley_max_n": 5},
               "cor-type-planted": {"max_n": 5}, "cor-plane": {"max_n": 5},
               "thm-5-1": {"max_n": 5, "max_r": 3}}

@@ -499,13 +499,38 @@ def test_forest_folds_build_no_forest_and_check_the_cap_first(monkeypatch):
             tc.forest_folds(5, really=really, max_labels=4)
 
 
+def test_rooted_generating_poly_is_the_root_n_stream(enum):
+    for n in range(1, 8):
+        assert tc.rooted_generating_poly(n) == tc.generating_poly(n, n, enum), n
+
+
+def test_tree_dps_build_no_tree_and_check_the_cap_first(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tree or forest was built")
+    monkeypatch.setattr(TreeEnumerator, "forests", refuse)
+    monkeypatch.setattr(tc.PlaneTree, "__init__", refuse)
+    ones = {name: 1 for name in tc.multivar_universe(7)}
+    assert tc.rooted_generating_poly(7).evaluate(ones) == tc.forest_count(6)
+    assert sum(tc.leaf_census(7).values()) == tc.forest_count(6)
+    monkeypatch.setenv("RAMAPOLY_MAX_LABELS", "4")
+    assert tc.rooted_generating_poly(4).evaluate(ones) == tc.forest_count(3)
+    assert sum(tc.leaf_census(4).values()) == tc.forest_count(3)
+    # each DP's work starts with a range loop, so with range refused too a
+    # BoundExceeded shows that [5] was refused before any work
+    monkeypatch.setattr(tc, "range", refuse, raising=False)
+    for read in (lambda: tc.rooted_generating_poly(5), lambda: tc.leaf_census(5)):
+        with pytest.raises(BoundExceeded, match="^label set of size 5 exceeds cap 4 "):
+            read()
+
+
 def test_census_dps_check_their_input_and_cap():
     for read in (lambda: tc.weight_census(3, max_labels=0),
                  lambda: tc.forest_folds(2, max_labels=0)):
         with pytest.raises(ValueError, match="max_labels"):
             read()
-    with pytest.raises(ValueError, match="^empty label set$"):
-        tc.weight_census(0)
+    for read in (lambda: tc.weight_census(0), lambda: tc.leaf_census(0)):
+        with pytest.raises(ValueError, match="^empty label set$"):
+            read()
     with pytest.raises(ValueError, match="^root 4 not in label set$"):
         tc.weight_census(3, 4)
 
