@@ -349,7 +349,7 @@ def _symmetric_sum(uni: tuple[str, ...], n: int) -> Poly:
                   (Poly.var(uni, f"x{i}") for i in range(1, n + 1)))
 
 
-def run_thm_4_3(max_n: int = 7) -> Iterator[Outcome]:
+def run_thm_4_3(max_n: int = 8) -> Iterator[Outcome]:
     for n in range(1, max_n + 1):
         uni = treecore.multivar_universe(n)
         s = _symmetric_sum(uni, n)
@@ -360,7 +360,7 @@ def run_thm_4_3(max_n: int = 7) -> Iterator[Outcome]:
         yield _cmp({"n": n}, lhs, rhs)
 
 
-def run_thm_4_gen_on(max_n: int = 7) -> Iterator[Outcome]:
+def run_thm_4_gen_on(max_n: int = 8) -> Iterator[Outcome]:
     for n in range(2, max_n + 1):
         uni = treecore.multivar_universe(n)
         s = _symmetric_sum(uni, n)
@@ -370,7 +370,7 @@ def run_thm_4_gen_on(max_n: int = 7) -> Iterator[Outcome]:
             yield _cmp({"n": n, "r": r}, lhs, Poly.var(uni, f"x{r}") * tail)
 
 
-def run_cor_roots(max_n: int = 7) -> Iterator[Outcome]:
+def run_cor_roots(max_n: int = 8) -> Iterator[Outcome]:
     for n in range(2, max_n + 1):
         uni = treecore.multivar_universe(n)
         by_root = _rooted_polys(n)
@@ -448,7 +448,7 @@ def _leaf_statistics(m: int) -> tuple[dict[int, int], Counter[int]]:
     return dict(sorted(profile.items())), exact
 
 
-def run_cor_narayana(max_vertices: int = 7, leafset_max_vertices: int = 6) -> Iterator[Outcome]:
+def run_cor_narayana(max_vertices: int = 8, leafset_max_vertices: int = 8) -> Iterator[Outcome]:
     """Leaf profiles against Narayana numbers, exact leaf sets against
     leaf_set_count, both read off one leaf DP per m (``_leaf_statistics``)."""
     for m in range(2, max_vertices + 1):

@@ -956,7 +956,7 @@ def test_cli_verify_list(capsys):
     # the names, descriptions and default bounds in registry order, byte for
     # byte: the registry reads each identity's bounds from its runner
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "fdc8c72aea0e7b759b31325ca55d76a622f85dcd776ee39b3c4123cef455aefb")
+            == "dadbcec6f49cd5ff28d02e37dbad75686b06fc0b319424598ac4a66a809f3140")
 
 
 @pytest.fixture

@@ -142,8 +142,8 @@ def test_leaf_profile(enum):
 
 
 def test_leaf_set_count_against_enumeration(enum):
-    # up to cor-narayana's default leafset_max_vertices; each tree's leaf set
-    # is counted once and read for every k
+    # each tree's leaf set is counted once and read for every k; the leaf
+    # DP's exact leaf sets are checked against the forest stream to m = 7
     for m in (3, 4, 5, 6):
         n = m - 1
         leaf_sets = Counter(frozenset(v.label for v in t.walk() if not v.children)
