@@ -509,11 +509,12 @@ def test_tree_dps_build_no_tree_and_check_the_cap_first(monkeypatch):
         raise AssertionError("a tree or forest was built")
     monkeypatch.setattr(TreeEnumerator, "forests", refuse)
     monkeypatch.setattr(tc.PlaneTree, "__init__", refuse)
-    ones = {name: 1 for name in tc.multivar_universe(7)}
-    assert tc.rooted_generating_poly(7).evaluate(ones) == tc.forest_count(6)
+    def trees(poly):
+        return poly.evaluate(dict.fromkeys(poly.universe, 1))
+    assert trees(tc.rooted_generating_poly(7)) == tc.forest_count(6)
     assert sum(tc.leaf_census(7).values()) == tc.forest_count(6)
     monkeypatch.setenv("RAMAPOLY_MAX_LABELS", "4")
-    assert tc.rooted_generating_poly(4).evaluate(ones) == tc.forest_count(3)
+    assert trees(tc.rooted_generating_poly(4)) == tc.forest_count(3)
     assert sum(tc.leaf_census(4).values()) == tc.forest_count(3)
     # each DP's work starts with a range loop, so with range refused too a
     # BoundExceeded shows that [5] was refused before any work
