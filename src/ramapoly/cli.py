@@ -83,20 +83,20 @@ def cmd_table(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.improper is not None and args.really_improper is not None:
         raise ValueError("give at most one of --improper and --really-improper")
-    enum = treecore.TreeEnumerator(treecore.label_cap(args.max_labels, "--max-labels"))
+    max_labels = treecore.label_cap(args.max_labels, "--max-labels")
     labels = range(1, args.n + 1)
     if args.count_only:
         # counted from the forests on [n - 1], so no root node is built
         if args.improper is None and args.really_improper is None:
-            print(enum.count_trees(labels, args.root))
+            print(treecore.count_trees(labels, args.root, max_labels))
         else:
             really = args.really_improper is not None
             census = treecore.weight_census(args.n, args.root, really=really,
-                                            max_labels=enum.max_labels)
+                                            max_labels=max_labels)
             k = args.really_improper if really else args.improper
             print(sum(census.get(k, {}).values()))
         return 0
-    stream = (tree for tree in enum.trees(labels, args.root)
+    stream = (tree for tree in treecore.TreeEnumerator(max_labels).trees(labels, args.root)
               if (args.improper is None or tree.imp_sub == args.improper)
               and (args.really_improper is None or tree.rimp_sub == args.really_improper))
     # the text of each memo-shared subtree (at most MEMO_LIMIT labels), by id;

@@ -40,8 +40,7 @@ T_VARS = ("t",)
 _IMP_T_VARS = ("u", "t")  # u marks an improper edge
 
 
-def fixed_root_forests(n: int, r: int,
-                       enumerator: TreeEnumerator | None = None) -> Iterator[tuple[PlaneTree, ...]]:
+def fixed_root_forests(n: int, r: int) -> Iterator[tuple[PlaneTree, ...]]:
     """Every forest of r plane trees on [n] with roots exactly 1..r, once, as
     its tuple of components (component i is rooted at i+1).
 
@@ -52,7 +51,7 @@ def fixed_root_forests(n: int, r: int,
     """
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    enum = enumerator or TreeEnumerator()
+    enum = TreeEnumerator()
     free = list(range(r + 1, n + 1))
     enum.check_bound(range(1, n + 1))
     for assignment in product(range(r), repeat=len(free)):
@@ -108,10 +107,9 @@ def forest_generating_poly(n: int, r: int,
     return {k: Poly(T_VARS, cells[k]) for k in sorted(cells)}
 
 
-def plane_forests(labels: Sequence[int],
-                  enumerator: TreeEnumerator | None = None) -> Iterator[tuple[PlaneTree, ...]]:
+def plane_forests(labels: Sequence[int]) -> Iterator[tuple[PlaneTree, ...]]:
     """Ordered forests of plane trees partitioning the label set."""
-    enum = enumerator or TreeEnumerator()
+    enum = TreeEnumerator()
     yield from enum.forests(enum.check_bound(labels))
 
 

@@ -336,7 +336,7 @@ def _enter(memo: _Memo, entry: tuple[HmNode, int, PlaneTree]) -> None:
     memo[id(v)] = entry
 
 
-def enumerate_hm(n: int, enumerator: TreeEnumerator | None = None) -> Iterator[HmForest]:
+def enumerate_hm(n: int) -> Iterator[HmForest]:
     """All half-mobile forests on [n], produced as theta images of the
     root-1 plane trees on [n+1].
 
@@ -346,9 +346,8 @@ def enumerate_hm(n: int, enumerator: TreeEnumerator | None = None) -> Iterator[H
     image is checked once, when it enters theta's memo, and a forest's
     components are then matched by identity with the entries of the tree's
     children; only images of larger subtrees are expanded recursively."""
-    enum = enumerator or TreeEnumerator()
     memo: _Memo = {}
-    for tree in enum.trees(range(1, n + 2), root=1):
+    for tree in TreeEnumerator().trees(range(1, n + 2), root=1):
         forest = theta(tree, _memo=memo)
         if not _rebuilds(forest, tree.children, memo):
             raise RuntimeError(f"theta collision on {forest!r}, the image of "

@@ -134,11 +134,11 @@ def _rooted_polys(n: int) -> dict[int, Poly]:
     the label cap first and builds no tree.  Every statistic compares labels
     only, so the trees rooted at r are those rooted at n relabeled in order
     (n to r, b to b + 1 for r <= b < n), and their sum is the root-n sum with
-    its variables so renamed."""
+    its exponent slots so permuted."""
     def by_root() -> dict[int, Poly]:
         top = treecore.rooted_generating_poly(n)
-        x = {i: Poly.var(top.universe, f"x{i}") for i in range(1, n + 1)}
-        return {r: top.substitute({f"x{n}": x[r], **{f"x{b}": x[b + 1] for b in range(r, n)}})
+        return {r: Poly(top.universe, {e[:r - 1] + e[n - 1:n] + e[r - 1:n - 1] + e[n:]: c
+                                       for e, c in top.terms.items()})
                 for r in range(1, n + 1)}
     return _once(("rooted-polys", n), by_root)
 
@@ -385,14 +385,13 @@ def run_lemma_4_2(instances: int = 200, max_n: int = 8, seed: int = 20260811) ->
     rng = random.Random(seed)
     # unranking needs no cap, but max_n is an enumeration bound like any other
     treecore.check_label_count(max_n)
-    enum = treecore.TreeEnumerator()
     sizes = list(range(4, max_n + 1))
     # each trial makes the random calls that choosing from the list of every
     # tree on [n], then from the drawn tree's n - 1 edges, made, and unranks
     # the drawn tree from its position in the stream
     for trial in range(instances):
         n = rng.choice(sizes)
-        tree = enum.unrank(range(1, n + 1), rng.randrange(n * treecore.forest_count(n - 1)))
+        tree = treecore.unrank(range(1, n + 1), rng.randrange(n * treecore.forest_count(n - 1)))
         i, j = tree.edges()[rng.randrange(n - 1)]
         uni = treecore.multivar_universe(n)
         t = Poly.var(uni, "t")

@@ -401,12 +401,10 @@ def _checked_universe(universe: Iterable[str]) -> Universe:
     return uni
 
 
-def _mul_terms(left: Mapping[Exponents, int], right: Mapping[Exponents, int],
-               out: dict[Exponents, int] | None = None) -> dict[Exponents, int]:
-    """Add the product of two term maps into ``out`` (a new map by default)
-    and return it; the result may hold zero coefficients."""
-    if out is None:
-        out = {}
+def _mul_terms(left: Mapping[Exponents, int],
+               right: Mapping[Exponents, int]) -> dict[Exponents, int]:
+    """The product of two term maps, which may hold zero coefficients."""
+    out: dict[Exponents, int] = {}
     for e1, c1 in left.items():
         for e2, c2 in right.items():
             key = tuple(map(add, e1, e2))
@@ -416,8 +414,8 @@ def _mul_terms(left: Mapping[Exponents, int], right: Mapping[Exponents, int],
 
 def _mul_packed(left: Mapping[int, int], right: Mapping[int, int],
                 out: dict[int, int] | None = None) -> dict[int, int]:
-    """``_mul_terms`` for term maps keyed by packed exponents, where adding
-    two keys multiplies their monomials."""
+    """Add the product of two term maps keyed by packed exponents, where adding
+    two keys multiplies their monomials, into ``out`` (a new map by default)."""
     if out is None:
         out = {}
     get = out.get

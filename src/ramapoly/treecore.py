@@ -34,14 +34,13 @@ without building one:
 * ``leaf_census`` counts them by leaf count and largest leaf label.
 ``generating_poly`` (``multivar_exponents`` per tree) and ``leaf_profile``
 stream the trees instead.  No identity calls them: they are the references
-the last two DPs are checked against.  ``count_trees`` reads the forests on
-[n - 1] once and builds no root node.
-``TreeEnumerator.unrank`` builds the tree at any position of the stream
-from the forest counts ``forest_count``, without streaming.  The
-increasing-tree generators read the same memoizing stream, narrowed by a
+the last two DPs are checked against.  ``count_trees`` multiplies the
+roots by ``forest_count``, the forests on [n - 1], and ``unrank`` builds the
+tree at any position of the stream from those counts, without streaming.
+The increasing-tree generators read the same memoizing stream, narrowed by a
 private subclass to the forests whose every subtree is rooted at its smallest
-label, and ``count_increasing_trees`` counts the forests under vertex 1 of
-that stream, as ``count_trees`` does.
+label, and ``count_increasing_trees`` counts the forests under vertex 1 by a
+recurrence on that subclass's decomposition.
 """
 
 from __future__ import annotations
@@ -421,41 +420,29 @@ class TreeEnumerator:
             self._tree_memo[labels, root] = cached
         return cached
 
-    def _checked(self, labels: Iterable[int], root: int | None,
-                 capped: bool = True) -> tuple[frozenset[int], list[int]]:
-        """The label set and its trees' roots; it must be non-empty, hold root, fit the cap."""
-        labels = frozenset(labels)
-        if not labels:
-            raise ValueError("empty label set")
-        if root is not None and root not in labels:
-            raise ValueError(f"root {root} not in label set")
-        if capped:
-            self.check_bound(labels)
-        return labels, sorted(labels) if root is None else [root]
-
     def trees(self, labels: Iterable[int], root: int | None = None) -> Iterator[PlaneTree]:
-        labels, roots = self._checked(labels, root)
+        labels, roots = _checked(labels, root)
+        self.check_bound(labels)
         return chain.from_iterable(map(self.trees_rooted, repeat(labels), roots))
 
-    def count_trees(self, labels: Iterable[int], root: int | None = None) -> int:
-        """How many trees ``trees(labels, root)`` streams: roots times forests on [n - 1]."""
-        labels, roots = self._checked(labels, root)
-        return len(roots) * sum(1 for _ in self.forests(frozenset(range(1, len(labels)))))
 
-    def unrank(self, labels: Iterable[int], rank: int, root: int | None = None) -> PlaneTree:
-        """The tree at position ``rank`` of ``trees(labels, root)``, built from
-        ``forest_count`` without streaming (the recursive method of Nijenhuis
-        and Wilf); UNRANK_MAX_LABELS, not the label cap, bounds the label set."""
-        labels, roots = self._checked(labels, root, capped=False)
-        if len(labels) > UNRANK_MAX_LABELS:
-            raise BoundExceeded(f"label set of size {len(labels)} exceeds the unranking "
-                                f"bound {UNRANK_MAX_LABELS}")
-        per_root = forest_count(len(labels) - 1)
-        if type(rank) is not int or not 0 <= rank < len(roots) * per_root:
-            raise ValueError(f"rank {rank!r} outside 0..{len(roots) * per_root - 1}")
-        index, rank = divmod(rank, per_root)
-        return PlaneTree(roots[index], _unrank_forest(sorted(labels - {roots[index]}), rank))
+def _checked(labels: Iterable[int], root: int | None) -> tuple[frozenset[int], list[int]]:
+    """The label set and its trees' roots; it must be non-empty and hold root."""
+    labels = frozenset(labels)
+    if not labels:
+        raise ValueError("empty label set")
+    if root is not None and root not in labels:
+        raise ValueError(f"root {root} not in label set")
+    return labels, sorted(labels) if root is None else [root]
 
+
+def count_trees(labels: Iterable[int], root: int | None = None,
+                max_labels: int | None = None) -> int:
+    """How many trees ``TreeEnumerator(max_labels).trees(labels, root)``
+    streams, after its checks: roots times the forests on the other labels."""
+    labels, roots = _checked(labels, root)
+    check_label_count(len(labels), max_labels)
+    return len(roots) * forest_count(len(labels) - 1)
 
 
 @cache
@@ -465,6 +452,21 @@ def forest_count(m: int) -> int:
     component's label set, root, tree and the forest on the rest."""
     return sum(comb(m, k) * k * forest_count(k - 1) * forest_count(m - k)
                for k in range(1, m + 1)) if m else 1
+
+
+def unrank(labels: Iterable[int], rank: int, root: int | None = None) -> PlaneTree:
+    """The tree at position ``rank`` of ``TreeEnumerator().trees(labels, root)``
+    (the recursive method of Nijenhuis and Wilf); UNRANK_MAX_LABELS, not the
+    label cap, bounds the label set."""
+    labels, roots = _checked(labels, root)
+    if len(labels) > UNRANK_MAX_LABELS:
+        raise BoundExceeded(f"label set of size {len(labels)} exceeds the unranking "
+                            f"bound {UNRANK_MAX_LABELS}")
+    per_root = forest_count(len(labels) - 1)
+    if type(rank) is not int or not 0 <= rank < len(roots) * per_root:
+        raise ValueError(f"rank {rank!r} outside 0..{len(roots) * per_root - 1}")
+    index, rank = divmod(rank, per_root)
+    return PlaneTree(roots[index], _unrank_forest(sorted(labels - {roots[index]}), rank))
 
 
 def _unrank_forest(elems: list[int], rank: int) -> tuple[PlaneTree, ...]:
@@ -612,14 +614,13 @@ def multivar_exponents(tree: PlaneTree, n: int) -> tuple[int, ...]:
     return tuple(exps)
 
 
-def generating_poly(n: int, root: int | None = None,
-                    enumerator: TreeEnumerator | None = None) -> Poly:
+def generating_poly(n: int, root: int | None = None) -> Poly:
     """Sum of t^eld * prod_i x_i^young(i) over the plane trees on [n]
     (optionally root-constrained), in multivar_universe(n), from the stream
     of those trees: the reference ``rooted_generating_poly`` is checked
     against, which no identity calls."""
-    enum = enumerator or TreeEnumerator()
-    terms = Counter(multivar_exponents(tree, n) for tree in enum.trees(range(1, n + 1), root))
+    trees = TreeEnumerator().trees(range(1, n + 1), root)
+    terms = Counter(multivar_exponents(tree, n) for tree in trees)
     return Poly(multivar_universe(n), terms)
 
 
@@ -684,7 +685,7 @@ def leaf_set_count(n: int, k: int) -> int:
     return total
 
 
-def leaf_profile(n: int, enumerator: TreeEnumerator | None = None) -> dict[int, int]:
+def leaf_profile(n: int) -> dict[int, int]:
     """Map leaf count -> number of labeled plane trees on [n] with that many leaves.
 
     A leaf count never reads the root, so the profile is n times that of the
@@ -692,8 +693,8 @@ def leaf_profile(n: int, enumerator: TreeEnumerator | None = None) -> dict[int, 
     or 1 for the single vertex (an empty forest); no root node is built.  The
     forests are streamed: this is the reference ``leaf_census`` is checked
     against, which no identity calls."""
-    enum = enumerator or TreeEnumerator()
-    enum._checked(range(1, n + 1), None)
+    enum = TreeEnumerator()
+    enum.check_bound(_checked(range(1, n + 1), None)[0])
     profile: dict[int, int] = {}
     for forest in enum.forests(frozenset(range(1, n))):
         leaves = 0
@@ -776,6 +777,11 @@ def increasing_rooted_trees(n: int) -> Iterator[PlaneTree]:
 
 def count_increasing_trees(n: int, plane: bool) -> int:
     """How many trees ``increasing_plane_trees(n)`` (plane) or
-    ``increasing_rooted_trees(n)`` yields: the forests under vertex 1 are
-    counted and no root node is built.  The same cap check as theirs."""
-    return _IncreasingTrees(plane).count_trees(range(1, n + 1), 1) if n > 0 else 0
+    ``increasing_rooted_trees(n)`` yields, after their cap check: the forests
+    under vertex 1, split as ``_IncreasingTrees`` splits them."""
+    check_label_count(n)
+    forests = [1]  # by size m: k first labels, holding the smallest unless plane, then the rest
+    for m in range(1, n):
+        forests.append(sum((comb(m, k) if plane else comb(m - 1, k - 1))
+                           * forests[k - 1] * forests[m - k] for k in range(1, m + 1)))
+    return forests[-1] if n > 0 else 0

@@ -24,7 +24,7 @@ from typing import Sequence
 from ramapoly.forests import (T_VARS, degree_census, fixed_root_forests,
                               forest_generating_poly, plane_forests)
 from ramapoly.polyring import Poly
-from ramapoly.treecore import PlaneTree, TreeEnumerator
+from ramapoly.treecore import PlaneTree
 
 
 def ordered_degree_sequence(forest: Sequence[PlaneTree], n: int) -> tuple[int, ...]:
@@ -38,17 +38,15 @@ def ordered_degree_sequence(forest: Sequence[PlaneTree], n: int) -> tuple[int, .
     return tuple(degs)
 
 
-def stream_degree_census(n: int, enumerator: TreeEnumerator | None = None) -> Counter:
+def stream_degree_census(n: int) -> Counter:
     """The streamed plane forests on [n] counted by ordered degree sequence."""
-    return Counter(map(ordered_degree_sequence,
-                       plane_forests(range(1, n + 1), enumerator), repeat(n)))
+    return Counter(map(ordered_degree_sequence, plane_forests(range(1, n + 1)), repeat(n)))
 
 
-def stream_generating_poly(n: int, r: int,
-                           enumerator: TreeEnumerator | None = None) -> dict[int, Poly]:
+def stream_generating_poly(n: int, r: int) -> dict[int, Poly]:
     """For each improper count k: the sum of t^eld over the streamed F^r_{n,k}."""
     census: dict[int, dict[tuple[int], int]] = {}
-    for forest in fixed_root_forests(n, r, enumerator):
+    for forest in fixed_root_forests(n, r):
         imp = eld = 0
         for c in forest:
             imp += c.imp_sub
@@ -62,16 +60,15 @@ def main(argv: list[str]) -> int:
     if not argv or not all(arg.isdecimal() for arg in argv):
         print(__doc__.strip().splitlines()[3], file=sys.stderr)
         return 2
-    enum = TreeEnumerator()
     for n in map(int, argv):
-        want = stream_degree_census(n, enum)
+        want = stream_degree_census(n)
         if degree_census(n) != want:
             print(f"degree_census({n}) differs from the stream census")
             return 1
         print(f"degree_census({n}): {len(want)} sequences, {sum(want.values())} forests,"
               " as the stream")
         for r in range(1, min(3, n - 1) + 1):
-            if forest_generating_poly(n, r) != stream_generating_poly(n, r, enum):
+            if forest_generating_poly(n, r) != stream_generating_poly(n, r):
                 print(f"forest_generating_poly({n}, {r}) differs from the stream sum")
                 return 1
             print(f"forest_generating_poly({n}, {r}): as the stream")

@@ -18,7 +18,6 @@ from typing import Iterable
 
 from ramapoly.halfmobile import HM_VARS, HmForest, enumerate_hm, hm_generating_poly, hm_stats
 from ramapoly.polyring import Poly
-from ramapoly.treecore import TreeEnumerator
 
 
 def hm_poly(forests: Iterable[HmForest]) -> Poly:
@@ -31,9 +30,9 @@ def hm_poly(forests: Iterable[HmForest]) -> Poly:
     return Poly(HM_VARS, terms)
 
 
-def stream_hm_poly(n: int, enumerator: TreeEnumerator | None = None) -> Poly:
+def stream_hm_poly(n: int) -> Poly:
     """``hm_poly`` of the streamed half-mobile forests on [n]."""
-    return hm_poly(enumerate_hm(n, enumerator))
+    return hm_poly(enumerate_hm(n))
 
 
 def first_difference(got: Poly, want: Poly) -> str | None:

@@ -1,5 +1,5 @@
-"""The plane-tree streams, the references that ``treecore.rooted_generating_poly``
-and ``treecore.leaf_census`` are checked against.
+"""The plane-tree streams, the references that ``treecore.rooted_generating_poly``,
+``treecore.leaf_census`` and ``treecore.count_increasing_trees`` are checked against.
 
 Usage: PYTHONPATH=src python3 tests/stream_trees.py N [N ...]
 
@@ -10,9 +10,12 @@ trees on [n] by leaf count over the streamed forests on [n - 1], and
 {1, ..., k}, over the same forests.  The script exits 0 when, for each N
 given, ``rooted_generating_poly(N)`` equals ``generating_poly(N, N)`` and
 ``harness._leaf_statistics(N)``, which reads ``leaf_census(N)``, equals the
-streamed profile and leaf sets, and 1 otherwise, naming the first that
-differs.  At N = 8 each of the three streams reads the 2,162,160 forests on
-[7].  Uses only the stdlib and ramapoly.
+streamed profile and leaf sets, and ``count_increasing_trees(N, plane)``
+equals the number of trees that ``increasing_plane_trees(N)`` (plane) and
+``increasing_rooted_trees(N)`` stream, and 1 otherwise, naming the first that
+differs.  At N = 8 each of the first three streams reads the 2,162,160 forests
+on [7], and the increasing streams yield 135,135 and 5,040 trees.  Uses only
+the stdlib and ramapoly.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ import sys
 from collections import Counter
 
 from ramapoly.harness import _leaf_statistics
-from ramapoly.treecore import (PlaneTree, TreeEnumerator, generating_poly, leaf_profile,
-                               rooted_generating_poly)
+from ramapoly.treecore import (PlaneTree, TreeEnumerator, count_increasing_trees,
+                               generating_poly, increasing_plane_trees,
+                               increasing_rooted_trees, leaf_profile, rooted_generating_poly)
 
 
 def _leaves_within(forest: tuple[PlaneTree, ...], k: int) -> bool:
@@ -73,6 +77,12 @@ def main(argv: list[str]) -> int:
             return 1
         print(f"leaf_census({n}): {len(profile)} leaf counts, {len(exact)} exact leaf sets,"
               " as the streams")
+        for plane, stream in ((True, increasing_plane_trees), (False, increasing_rooted_trees)):
+            count = count_increasing_trees(n, plane)
+            if count != sum(1 for _ in stream(n)):
+                print(f"count_increasing_trees({n}, plane={plane}) differs from the stream")
+                return 1
+            print(f"count_increasing_trees({n}, plane={plane}): {count} trees, as the stream")
     return 0
 
 

@@ -246,7 +246,7 @@ def test_c09_enumeration_theorems(enum):
             count = sum(1 for _ in enum.trees(range(1, n + 2)))
             assert count == catalans[n - 1] * factorial(n + 1)
         for m in range(2, 8):
-            profile = tc.leaf_profile(m, enum)
+            profile = tc.leaf_profile(m)
             n = m - 1
             for k in range(1, n + 1):
                 expected = (comb(n, k) * comb(n, k - 1) // n) * factorial(m)

@@ -18,15 +18,15 @@ def expected_row(n, r, k):
     return Poly(("t",), {(e[1],): c for e, c in poly.terms.items()})
 
 
-def test_all_roots_forest_is_unique(enum):
-    out = list(fo.fixed_root_forests(4, 4, enum))
+def test_all_roots_forest_is_unique():
+    out = list(fo.fixed_root_forests(4, 4))
     assert len(out) == 1
     assert sum(c.eld_sub for c in out[0]) == 0 and sum(c.imp_sub for c in out[0]) == 0
 
 
-def test_fixed_root_count_and_partition(enum):
+def test_fixed_root_count_and_partition():
     seen = set()
-    for forest in fo.fixed_root_forests(5, 2, enum):
+    for forest in fo.fixed_root_forests(5, 2):
         roots = tuple(c.label for c in forest)
         assert roots == (1, 2)
         all_labels = sorted(l for c in forest for l in c.labels())
@@ -52,13 +52,13 @@ def test_generating_poly_rejects_r_equal_n(enum):
     with pytest.raises(ValueError):
         fo.forest_generating_poly(3, 0)
     with pytest.raises(ValueError):
-        list(fo.fixed_root_forests(3, 4, enum))
+        list(fo.fixed_root_forests(3, 4))
 
 
-def test_plane_forest_count(enum):
+def test_plane_forest_count():
     # ordered forests on [k] are counted by k! * Catalan(k)
     for k in range(1, 5):
-        count = sum(1 for _ in fo.plane_forests(range(1, k + 1), enum))
+        count = sum(1 for _ in fo.plane_forests(range(1, k + 1)))
         assert count == factorial(k) * qp.catalan(k)
 
 
@@ -95,8 +95,8 @@ def test_type_count_examples():
         fo.type_count([1, 1], "bogus")
 
 
-def test_type_helpers(enum):
-    forest = next(fo.plane_forests([1, 2, 3], enum))
+def test_type_helpers():
+    forest = next(fo.plane_forests([1, 2, 3]))
     assert sum(ordered_degree_sequence(forest, 3)) == 3 - len(forest)
     t = fo.degree_type(ordered_degree_sequence(forest, 3))
     assert sum(t) == 3
@@ -130,7 +130,7 @@ def test_fixed_root_forests_match_reference_order(monkeypatch, memo_limit):
     enum = tc.TreeEnumerator()
     for n in range(1, 7):
         for r in range(1, n + 1):
-            got = list(fo.fixed_root_forests(n, r, enum))
+            got = list(fo.fixed_root_forests(n, r))
             assert got == list(reference_fixed_root_forests(n, r, enum)), (n, r)
 
 
@@ -150,19 +150,17 @@ def test_streamed_component_is_not_held(monkeypatch):
         assert peak < 500_000, (n, r, peak)
 
 
-def test_degree_census_matches_the_stream(enum):
+def test_degree_census_matches_the_stream():
     for n in range(7):
-        assert fo.degree_census(n) == stream_degree_census(n, enum), n
+        assert fo.degree_census(n) == stream_degree_census(n), n
 
 
 @pytest.mark.parametrize("memo_limit", [tc.MEMO_LIMIT, 2])
 def test_generating_poly_matches_the_stream(monkeypatch, memo_limit):
     monkeypatch.setattr(tc, "MEMO_LIMIT", memo_limit)
-    enum = tc.TreeEnumerator()
     for n in range(2, 7):
         for r in range(1, n):
-            assert fo.forest_generating_poly(n, r) == stream_generating_poly(n, r, enum), \
-                (n, r)
+            assert fo.forest_generating_poly(n, r) == stream_generating_poly(n, r), (n, r)
 
 
 def test_forest_censuses_build_no_forest_and_check_the_cap_first(monkeypatch):

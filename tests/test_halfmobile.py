@@ -109,7 +109,7 @@ def test_theta_memo_matches_fresh_images(enum, example_pair):
 
 
 def test_enumerate_hm_shares_small_images(enum):
-    forests = list(hm.enumerate_hm(5, enumerator=enum))
+    forests = list(hm.enumerate_hm(5))
     assert forests == [hm.theta(t) for t in enum.trees(range(1, 7), root=1)]
     # a white component is the image of one shared subtree: equal ones of at
     # most MEMO_LIMIT labels are one object
@@ -121,18 +121,18 @@ def test_enumerate_hm_shares_small_images(enum):
     assert len(by_value) < sum(len(f) for f in forests)
 
 
-def test_enumerate_counts(enum):
-    assert sum(1 for _ in hm.enumerate_hm(1, enumerator=enum)) == 1
-    forests3 = list(hm.enumerate_hm(3, enumerator=enum))
+def test_enumerate_counts():
+    assert sum(1 for _ in hm.enumerate_hm(1)) == 1
+    forests3 = list(hm.enumerate_hm(3))
     assert len(forests3) == 30
     assert len(set(forests3)) == 30
 
 
-def test_forests_are_plain_tuples(enum, example_pair):
+def test_forests_are_plain_tuples(example_pair):
     # a forest is the tuple of its components, wherever it comes from
     tree, forest = example_pair
     assert type(forest) is tuple and type(hm.theta(tree)) is tuple
-    for forests in (hm.enumerate_hm(3, enumerator=enum), hm.enumerate_hm_direct(3)):
+    for forests in (hm.enumerate_hm(3), hm.enumerate_hm_direct(3)):
         for forest in forests:
             assert type(forest) is tuple
             assert all(type(comp) is hm.HmNode for comp in forest)
@@ -146,9 +146,9 @@ def test_generating_poly_matches_family():
         hm.hm_generating_poly(0)
 
 
-def test_generating_poly_matches_the_theta_stream(enum):
+def test_generating_poly_matches_the_theta_stream():
     for n in range(1, 7):
-        assert hm.hm_generating_poly(n) == stream_hm_poly(n, enum), n
+        assert hm.hm_generating_poly(n) == stream_hm_poly(n), n
 
 
 def test_generating_poly_matches_the_direct_generator():
@@ -175,9 +175,9 @@ def test_generating_poly_reads_no_theta_image_and_no_table(monkeypatch):
     assert len(records) == 27 and {status for _, status, _ in records} == {harness.PASS}
 
 
-def test_direct_enumerator_agrees(enum):
+def test_direct_enumerator_agrees():
     for n in range(1, 5):
-        via_theta = set(hm.enumerate_hm(n, enumerator=enum))
+        via_theta = set(hm.enumerate_hm(n))
         direct = list(hm.enumerate_hm_direct(n))
         assert len(direct) == len(set(direct))
         assert set(direct) == via_theta
@@ -234,9 +234,9 @@ def reference_hm_stats(forest):
     return hm.HmStats(imp=imp, tree=len(forest), bdeg=bdeg)
 
 
-def test_cached_stats_match_reference_walk(enum):
+def test_cached_stats_match_reference_walk():
     for n in range(1, 6):
-        for forest in hm.enumerate_hm(n, enumerator=enum):
+        for forest in hm.enumerate_hm(n):
             assert hm.hm_stats(forest) == reference_hm_stats(forest), forest
     for n in range(1, 5):
         for forest in hm.enumerate_hm_direct(n):
@@ -345,10 +345,10 @@ def test_theta_memo_keeps_its_subtrees_alive():
     assert len(memo) == 3 * 4 * 6 * 3
 
 
-def test_enumerate_hm_output_is_pinned(enum):
+def test_enumerate_hm_output_is_pinned():
     digest = hashlib.sha256()
     count = 0
-    for forest in hm.enumerate_hm(5, enumerator=enum):
+    for forest in hm.enumerate_hm(5):
         digest.update((json.dumps(hm.forest_to_obj(forest), sort_keys=True) + "\n").encode())
         count += 1
     assert count == 5040
@@ -363,7 +363,7 @@ def test_enumerate_hm_reports_a_collision(monkeypatch, enum):
     monkeypatch.setattr(hm, "theta", lambda tree, **kw: real(node(1, node(2)), **kw))
     yielded = []
     with pytest.raises(RuntimeError, match="theta collision on"):
-        for forest in hm.enumerate_hm(2, enumerator=enum):
+        for forest in hm.enumerate_hm(2):
             assert forest not in yielded
             yielded.append(forest)
     assert yielded == []
@@ -375,7 +375,7 @@ def test_enumerate_hm_reports_a_collision(monkeypatch, enum):
     monkeypatch.setattr(hm, "theta", lambda tree, **kw: real(before if tree == victim else tree, **kw))
     yielded = []
     with pytest.raises(RuntimeError, match="theta collision on"):
-        for forest in hm.enumerate_hm(3, enumerator=enum):
+        for forest in hm.enumerate_hm(3):
             yielded.append(forest)
     assert yielded == [real(t) for t in trees[:7]]
 
@@ -395,7 +395,7 @@ def test_left_inverse_check_agrees_with_theta_inv(monkeypatch, enum, memo_limit)
             for forest in (forests[idx], forests[idx - 1]):
                 assert hm._rebuilds(forest, tree.children, memo) == (
                     hm.theta_inv(forest) == tree), (tree, forest)
-        assert list(hm.enumerate_hm(n, enumerator=enum)) == forests
+        assert list(hm.enumerate_hm(n)) == forests
 
 
 def test_left_inverse_check_rejects_near_misses():
@@ -450,7 +450,7 @@ def test_a_wrong_shared_image_is_caught_when_it_enters_the_memo(monkeypatch, enu
     monkeypatch.setattr(hm, "_hm_blocks", reversed_blocks)
     yielded = []
     with pytest.raises(RuntimeError, match=r"^theta collision on .*, the image of subtree "):
-        for forest in hm.enumerate_hm(4, enumerator=enum):
+        for forest in hm.enumerate_hm(4):
             yielded.append(forest)
     monkeypatch.undo()
     trees = list(enum.trees(range(1, 6), root=1))

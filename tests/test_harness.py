@@ -195,8 +195,7 @@ def test_serial_run_skips_where_each_identity_alone_does(monkeypatch):
 @pytest.fixture(scope="module")
 def per_root_streams():
     """By n <= 7, the streamed multivariate sum of the trees on [n] per root."""
-    enum = treecore.TreeEnumerator()
-    return {n: {r: treecore.generating_poly(n, r, enum) for r in range(1, n + 1)}
+    return {n: {r: treecore.generating_poly(n, r) for r in range(1, n + 1)}
             for n in range(1, 8)}
 
 
@@ -216,7 +215,7 @@ def test_leaf_statistics_are_the_streams(enum):
     # sets against the stream over the forests on [m - 1]
     for m in range(1, 8):
         profile, exact = harness._leaf_statistics(m)
-        assert list(profile.items()) == list(treecore.leaf_profile(m, enum).items()), m
+        assert list(profile.items()) == list(treecore.leaf_profile(m).items()), m
         assert exact == stream_leaf_sets(m, enum), m
 
 
@@ -362,23 +361,29 @@ def test_census_past_the_cap_folds_nothing(monkeypatch, cap):
     assert not calls
 
 
-# the runners whose every tree and forest check reads a DP, at small bounds;
-# prop-2-5 is left out, as its increasing-tree counts come from a
-# TreeEnumerator subclass, and lemma-4-2, which unranks its trees
-DP_READERS = {"eq-gs": {"max_n": 3, "enum_max_n": 4}, "eq-general": {"max_n": 5},
+# every runner at small bounds: each tree and forest check reads a DP, a
+# count or an unranked tree, and the symbolic ones read no tree at all
+DP_READERS = {"thm-1-1": {"max_n": 5}, "eq-expansion": {"max_n": 5},
+              "eq-special2": {"max_n": 5}, "eq-factor": {"max_n": 5},
+              "eq-qnxt": {"max_n": 5, "ones_max_n": 5}, "eq-lambert": {"max_n": 5},
+              "eq-gs": {"max_n": 3, "enum_max_n": 4}, "eq-general": {"max_n": 5},
               "eq-equiv": {"max_n": 4}, "thm-2-2": {"max_n": 4}, "thm-2-3": {"max_n": 5},
-              "cor-2-4": {"max_n": 4}, "cor-catalan": {"max_vertices": 5},
+              "cor-2-4": {"max_n": 4}, "prop-2-5": {"enum_max_n": 5, "count_max_n": 6},
+              "thm-3-4": {"max_n": 5}, "lemma-4-1": {"max_n": 5},
+              "lemma-4-2": {"instances": 20, "max_n": 6}, "cor-catalan": {"max_vertices": 5},
               "thm-4-3": {"max_n": 5}, "thm-4-gen-on": {"max_n": 5}, "cor-roots": {"max_n": 5},
               "cor-narayana": {"max_vertices": 5, "leafset_max_vertices": 5},
               "cor-planted": {"enum_max_n": 5, "cayley_max_n": 5},
               "cor-type-planted": {"max_n": 5}, "cor-plane": {"max_n": 5},
-              "thm-5-1": {"max_n": 5, "max_r": 3}}
+              "thm-5-1": {"max_n": 5, "max_r": 3}, "lemma-6-1": {"max_n": 5},
+              "lemma-6-2": {"max_n": 5}, "remark-6": {"max_n": 5}}
 
 
-def test_dp_readers_build_no_enumerator(monkeypatch):
+def test_no_identity_builds_an_enumerator(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a TreeEnumerator was built")
     monkeypatch.setattr(treecore.TreeEnumerator, "__init__", refuse)
+    assert set(DP_READERS) == set(harness.REGISTRY)
     for name, params in DP_READERS.items():
         report = harness.run_identity(name, params)
         assert report.instances and {i.status for i in report.instances} == {harness.PASS}, name

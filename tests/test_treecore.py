@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from functools import partial
 from itertools import combinations
 from math import comb, factorial
 
@@ -98,7 +99,7 @@ def test_eld_equals_gdes_of_beta_word(enum):
             break  # one vertex per tree keeps this fast; the root is enough
 
 
-def test_generating_poly_examples(enum):
+def test_generating_poly_examples():
     o41 = tc.census_poly(tc.weight_census(4, root=1)[1], "o")
     assert o41 == parse("3x+4+5t", tc.QK_VARS)
     p31 = tc.census_poly(tc.weight_census(3)[1], "p")
@@ -106,7 +107,7 @@ def test_generating_poly_examples(enum):
     with pytest.raises(ValueError):
         tc.census_poly({(1, 0): 1}, "q")
     uni = tc.multivar_universe(3)
-    p3 = tc.generating_poly(3, enumerator=enum)
+    p3 = tc.generating_poly(3)
     assert p3 == parse("(x1+x2+x3)(x1+x2+x3+t)", uni)
 
 
@@ -129,15 +130,15 @@ def test_census_matches_generating_poly(enum):
                      Poly.zero(tc.QK_VARS))
         uni = tc.multivar_universe(n) + ("x",)
         image = {f"x{i}": 1 for i in range(2, n + 1)} | {"x1": Poly.var(uni, "x")}
-        specialized = tc.generating_poly(n, root, enum).extend(uni).substitute(image)
+        specialized = tc.generating_poly(n, root).extend(uni).substitute(image)
         assert specialized == pooled.extend(uni), (n, root)
 
 
-def test_leaf_profile(enum):
-    assert tc.leaf_profile(2, enum) == {1: 2}
-    profile = tc.leaf_profile(4, enum)
+def test_leaf_profile():
+    assert tc.leaf_profile(2) == {1: 2}
+    profile = tc.leaf_profile(4)
     assert {k: v // factorial(4) for k, v in profile.items()} == {1: 1, 2: 3, 3: 1}
-    total5 = sum(tc.leaf_profile(5, enum).values())
+    total5 = sum(tc.leaf_profile(5).values())
     assert total5 // factorial(5) == 14  # all shapes on 5 vertices
 
 
@@ -413,7 +414,7 @@ def test_forest_stream_with_streamed_rests(monkeypatch):
     enum = TreeEnumerator()
     for n in range(7):
         assert list(enum.forests(labels(n))) == list(reference_forest_stream(enum, labels(n)))
-    assert enum.count_trees(labels(6)) == factorial(10) // factorial(5)
+    assert tc.count_trees(labels(6)) == factorial(10) // factorial(5)
 
 
 def per_tree_census(enum, n, root, really):
@@ -499,9 +500,9 @@ def test_forest_folds_build_no_forest_and_check_the_cap_first(monkeypatch):
             tc.forest_folds(5, really=really, max_labels=4)
 
 
-def test_rooted_generating_poly_is_the_root_n_stream(enum):
+def test_rooted_generating_poly_is_the_root_n_stream():
     for n in range(1, 8):
-        assert tc.rooted_generating_poly(n) == tc.generating_poly(n, n, enum), n
+        assert tc.rooted_generating_poly(n) == tc.generating_poly(n, n), n
 
 
 def test_tree_dps_build_no_tree_and_check_the_cap_first(monkeypatch):
@@ -538,9 +539,9 @@ def test_census_dps_check_their_input_and_cap():
 
 def test_count_trees_matches_stream(enum):
     for m in range(1, 7):
-        assert enum.count_trees(labels(m)) == len(list(enum.trees(labels(m))))
+        assert tc.count_trees(labels(m)) == len(list(enum.trees(labels(m))))
         for root in (1, m):
-            assert (enum.count_trees(labels(m), root)
+            assert (tc.count_trees(labels(m), root)
                     == len(list(enum.trees(labels(m), root))))
 
 
@@ -549,35 +550,35 @@ def test_unrank_matches_stream(enum):
         for root in (None, 1):
             stream = list(enum.trees(labels(n), root))
             assert len(stream) == (n if root is None else 1) * tc.forest_count(n - 1)
-            assert [enum.unrank(labels(n), rank, root) for rank in range(len(stream))] == stream
+            assert [tc.unrank(labels(n), rank, root) for rank in range(len(stream))] == stream
     # 1,000 seeded ranks on [7], read off one pass that holds no tree list
     rng = random.Random(20260811)
     ranks = {rng.randrange(7 * tc.forest_count(6)) for _ in range(1000)}
     seen = 0
     for rank, tree in enumerate(enum.trees(labels(7))):
         if rank in ranks:
-            assert enum.unrank(labels(7), rank) == tree
+            assert tc.unrank(labels(7), rank) == tree
             seen += 1
     assert seen == len(ranks) and rank + 1 == 665280
 
 
-def test_unrank_bounds():
+def test_unrank_bounds(monkeypatch):
     # the unranking bound, not the label cap, limits the label set
-    small = TreeEnumerator(max_labels=2)
+    monkeypatch.setenv(tc.ENV_MAX_LABELS, "2")
     big = range(1, tc.UNRANK_MAX_LABELS + 1)
     last = tc.UNRANK_MAX_LABELS * tc.forest_count(tc.UNRANK_MAX_LABELS - 1) - 1
-    assert small.unrank(big, last).size == tc.UNRANK_MAX_LABELS
+    assert tc.unrank(big, last).size == tc.UNRANK_MAX_LABELS
     with pytest.raises(BoundExceeded):
-        small.unrank(range(1, tc.UNRANK_MAX_LABELS + 2), 0)
+        tc.unrank(range(1, tc.UNRANK_MAX_LABELS + 2), 0)
     for bad, rank, root in ((labels(3), 12, None), (labels(3), -1, None), (labels(3), 4, 1),
                             (labels(3), True, None), ((), 0, None), (labels(3), 0, 4)):
         with pytest.raises(ValueError):
-            small.unrank(bad, rank, root)
+            tc.unrank(bad, rank, root)
 
 
 def test_stream_readers_check_input_on_call():
     small = TreeEnumerator(max_labels=4)
-    readers = (small.trees, small.count_trees,
+    readers = (small.trees, partial(tc.count_trees, max_labels=4),
                lambda lab, root=None: tc.weight_census(len(lab), root, really=True,
                                                        max_labels=4))
     for read in readers:
@@ -637,15 +638,15 @@ def recount_leaf_profile(enum, m):
 
 def test_leaf_profile_matches_per_tree_recount(enum):
     for m in range(1, 7):
-        assert tc.leaf_profile(m, enum) == recount_leaf_profile(enum, m), m
-    assert tc.leaf_profile(1, enum) == {1: 1}
+        assert tc.leaf_profile(m) == recount_leaf_profile(enum, m), m
+    assert tc.leaf_profile(1) == {1: 1}
 
 
 def test_leaf_profile_with_streamed_forests(monkeypatch):
     monkeypatch.setattr(tc, "MEMO_LIMIT", 2)
     enum = TreeEnumerator()
     for m in range(1, 7):
-        assert tc.leaf_profile(m, enum) == recount_leaf_profile(enum, m), m
+        assert tc.leaf_profile(m) == recount_leaf_profile(enum, m), m
 
 
 def test_enumerate_count_only_matches_stream(capsys):
