@@ -17,13 +17,13 @@ Counting formulas:
 
 The two censuses build no forest.  ``forest_generating_poly`` reads F^r_n
 off the root-1 weight censuses of its component sizes (each component is
-rooted at its smallest label), and ``degree_census`` counts the plane
-forests on [n] by ordered degree sequence by a DP over label subsets.  The
-streams they are checked against stay: ``fixed_root_forests`` yields each
-forest as the tuple of its components, picking one tree per component
-recursively (a component too large for the enumerator's memo is streamed
-anew per choice of the components before it), and ``plane_forests`` yields
-the enumerator's ordered forests.
+rooted at its smallest label), and ``degree_census`` reads the plane
+forests on [n] by ordered degree sequence off ``treecore.young_census``, a
+DP over label subsets.  The streams they are checked against stay:
+``fixed_root_forests`` yields each forest as the tuple of its components,
+picking one tree per component recursively (a component too large for the
+enumerator's memo is streamed anew per choice of the components before
+it), and ``plane_forests`` yields the enumerator's ordered forests.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from math import comb, factorial
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .polyring import Poly, poly_prod
-from .treecore import PlaneTree, TreeEnumerator, check_label_count, weight_census
+from .treecore import (PlaneTree, TreeEnumerator, check_label_count, weight_census,
+                       young_census)
 
 T_VARS = ("t",)
 _IMP_T_VARS = ("u", "t")  # u marks an improper edge
@@ -115,41 +116,13 @@ def plane_forests(labels: Sequence[int]) -> Iterator[tuple[PlaneTree, ...]]:
 
 def degree_census(n: int) -> Counter[tuple[int, ...]]:
     """The plane forests on [n] counted by ordered degree sequence (entry i
-    the number of children of label i + 1).
-
-    No forest is built.  A forest on S is a tree on a subset A rooted at r
-    followed by a forest on S - A, and the tree is r over a forest on
-    A - {r}, whose component count is deg(r).  So a DP over label bitmasks
-    keeps per subset the forests on it counted by (packed degrees, component
-    count), and per subset its trees, any root, by packed degrees.  A packed
-    vector holds label l's degree at bits width * (l - 1) on, the width
-    fitting n - 1, so disjoint vectors add by ``|``.  The label cap is
+    the number of children of label i + 1), the first n fields of
+    ``treecore.young_census(n, elder=False)``, which builds no forest and
+    counts every child and every component as young.  The label cap is
     checked on [n] first.
     """
     check_label_count(n)
-    width = n.bit_length()
-    forests: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}  # bit i is label i + 1
-    trees: dict[int, dict[int, int]] = {}
-    for labels in range(1, 1 << n):
-        tree: dict[int, int] = {}
-        for r in range(labels.bit_length()):
-            if labels >> r & 1:
-                for (packed, k), count in forests[labels ^ 1 << r].items():
-                    key = packed | k << width * r
-                    tree[key] = tree.get(key, 0) + count
-        trees[labels] = tree
-        forest: dict[tuple[int, int], int] = {}
-        first = 0
-        while first := (first - labels) & labels:  # the nonempty subsets A
-            rest = forests[labels ^ first].items()
-            for degrees, count in trees[first].items():
-                for (packed, k), rest_count in rest:
-                    key = (degrees | packed, k + 1)
-                    forest[key] = forest.get(key, 0) + count * rest_count
-        forests[labels] = forest
-    low = (1 << width) - 1
-    return Counter({tuple(packed >> width * i & low for i in range(n)): count
-                    for (packed, _), count in forests[(1 << n) - 1].items()})
+    return Counter({key[:n]: count for key, count in young_census(n, elder=False).items()})
 
 
 # -- counting formulas --------------------------------------------------------

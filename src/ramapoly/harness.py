@@ -427,29 +427,34 @@ def run_cor_catalan(max_vertices: int = 8) -> Iterator[Outcome]:
 
 def _leaf_statistics(m: int) -> tuple[dict[int, int], Counter[int]]:
     """The trees on [m] by leaf count, and by k the trees whose leaf set is
-    exactly {1, ..., k}, from ``treecore.leaf_census(m)``, the forests on
-    [m - 1] by (leaf count, largest leaf label), which checks [m] against the
-    label cap first and builds no forest.
+    exactly {1, ..., k}, from the degree census of the forests on [m - 1]
+    (``_degseq_census``, which builds no forest); [m] must be non-empty and
+    is checked against the label cap first.
 
-    A leaf count never reads the root, so each forest counts once per root,
-    the empty forest (m = 1) as one leaf.  A tree whose leaf set is
-    {1, ..., k} has k distinct leaves, none above k, and its root above k
-    (with m >= 2 the forest under the root is never empty, so its leaves are
-    the tree's); relabeled in order, its forest is a forest on [m - 1] with
-    that same leaf set, key (k, k), and exactly the m - k roots above k
-    carry it."""
+    A leaf is a label of degree 0, and a leaf count never reads the root, so
+    each forest counts once per root, the empty forest (m = 1) as one leaf.
+    A tree whose leaf set is {1, ..., k} has k distinct leaves, none above k,
+    and its root above k (with m >= 2 the forest under the root is never
+    empty, so its leaves are the tree's); relabeled in order, its forest is a
+    forest on [m - 1] with that same leaf set, k zero entries all among the
+    first k, and exactly the m - k roots above k carry it."""
+    treecore.check_label_count(m)
+    treecore._checked(range(1, m + 1), None)
     profile: dict[int, int] = {}
     exact: Counter[int] = Counter()
-    for (leaves, largest), count in treecore.leaf_census(m).items():
+    for degrees, count in _degseq_census(m - 1).items():
+        leaves = degrees.count(0)
         profile[leaves or 1] = profile.get(leaves or 1, 0) + m * count
-        if leaves == largest:
+        if not any(degrees[:leaves]):
             exact[leaves] += (m - leaves) * count
     return dict(sorted(profile.items())), exact
 
 
 def run_cor_narayana(max_vertices: int = 8, leafset_max_vertices: int = 8) -> Iterator[Outcome]:
     """Leaf profiles against Narayana numbers, exact leaf sets against
-    leaf_set_count, both read off one leaf DP per m (``_leaf_statistics``)."""
+    leaf_set_count, both read off the degree census of the forests on
+    [m - 1] (``_leaf_statistics``), which a suite run shares with
+    ``cor-planted`` and ``cor-plane``."""
     for m in range(2, max_vertices + 1):
         profile, exact = _leaf_statistics(m)
         n = m - 1

@@ -22,21 +22,25 @@ in binary order, roots ascending) and memoizes small sub-forests.
 
 The censuses read the trees on [n] = {1, ..., n} and take n.  Statistics
 compare labels only, so the forest under any root is a forest on [n - 1]
-relabeled in order, and three DPs over label subsets count those forests
+relabeled in order, and two DPs over label subsets count those forests
 without building one:
 * ``forest_folds`` counts them by their fold, and ``weight_census`` expands
   the fold per root into (young(1), eld) by improper count (``census_poly``
   turns a bucket into a polynomial in {x, t}); a serial
   ``harness.run_suite`` keeps a fold per (m, variant), so the root-1 and the
   free census fold the forests once between them;
-* ``rooted_generating_poly`` sums t^eld * prod_i x_i^young(i) over the trees
-  rooted at n;
-* ``leaf_census`` counts them by leaf count and largest leaf label.
+* ``young_census`` counts them by their young children per label, young top
+  components and elder vertices, or with ``elder=False`` by degree
+  sequence: ``rooted_generating_poly`` reads from it the sum of
+  t^eld * prod_i x_i^young(i) over the trees rooted at n, and
+  ``forests.degree_census`` the plane forests by degree sequence, off
+  which ``harness`` reads the leaf statistics.
 ``generating_poly`` (``multivar_exponents`` per tree) and ``leaf_profile``
 stream the trees instead.  No identity calls them: they are the references
-the last two DPs are checked against.  ``count_trees`` multiplies the
-roots by ``forest_count``, the forests on [n - 1], and ``unrank`` builds the
-tree at any position of the stream from those counts, without streaming.
+the rooted sums and the leaf statistics are checked against.
+``count_trees`` multiplies the roots by ``forest_count``, the forests on
+[n - 1], and ``unrank`` builds the tree at any position of the stream from
+those counts, without streaming.
 The increasing-tree generators read the same memoizing stream, narrowed by a
 private subclass to the forests whose every subtree is rooted at its smallest
 label, and ``count_increasing_trees`` counts the forests under vertex 1 by a
@@ -515,28 +519,31 @@ def forest_folds(m: int, *, really: bool = False, max_labels: int | None = None)
     followed by a forest F on S - A: T's fields expand the fold under r as
     ``weight_census`` expands a root, and T is elder when F's smallest top key
     (beta, or the root label) is below T's.  So a DP over label bitmasks keeps
-    per subset the fold with that key as a fifth field.  A and r ascend as in
-    ``TreeEnumerator``'s stream, T's keys outermost, so keys come in the order
-    the stream first meets them."""
+    per subset its trees by root and the fold with that key as a fifth field.
+    A and r ascend as in ``TreeEnumerator``'s stream, T's keys outermost, so
+    keys come in the order the stream first meets them."""
     check_label_count(m, max_labels)
     folds = {0: {(0, None, 0, 0, None): 1}}  # bit l of a subset is label l
+    trees: dict[int, list[tuple[int, Iterable]]] = {}
     for labels in range(2, 2 << m, 2):
+        low = labels & -labels
+        trees[labels] = []  # per root r ascending: T's top key and its keys
+        for r in range(low.bit_length() - 1, labels.bit_length()):
+            if labels >> r & 1:
+                # the fold under r expanded as weight_census expands a root
+                below = (1 << r) - 1
+                tree = Counter()
+                for (imp, y1, eld, mask, _), count in folds[labels ^ 1 << r].items():
+                    tree[imp + (mask & below).bit_count(),
+                         mask.bit_count() if r == 1 else y1, eld] += count
+                trees[labels].append((r if really else low.bit_length() - 1, tree.items()))
         fold: dict[tuple, int] = {}
         first = 0
         while first := (first - labels) & labels:  # the subsets A in ascending order
             rest = folds[labels ^ first].items()
             low = first & -first
-            for r in range(low.bit_length() - 1, first.bit_length()):
-                if not first >> r & 1:
-                    continue
-                # T's keys: the fold under r expanded as weight_census expands a root
-                below = (1 << r) - 1
-                trees = Counter()
-                for (imp, y1, eld, mask, _), count in folds[first ^ 1 << r].items():
-                    trees[imp + (mask & below).bit_count(),
-                          mask.bit_count() if r == 1 else y1, eld] += count
-                key = r if really else low.bit_length() - 1
-                for (t_imp, t_y1, t_eld), count in trees.items():
+            for key, tree in trees[first]:
+                for (t_imp, t_y1, t_eld), count in tree:
                     for (imp, y1, eld, mask, top), rest_count in rest:
                         if t_y1 is not None:  # 1 is in A
                             y1 = t_y1
@@ -567,14 +574,11 @@ def weight_census(n: int, root: int | None = None, *,
     in which the stream of trees first meets them.  [n] must be non-empty,
     hold root and fit ``label_cap(max_labels)``.
     """
-    if n < 1:
-        raise ValueError("empty label set")
-    if root is not None and root not in range(1, n + 1):
-        raise ValueError(f"root {root} not in label set")
+    _, roots = _checked(range(1, n + 1), root)
     check_label_count(n, max_labels)
     counts = forest_folds(n - 1, really=really, max_labels=max_labels) if folds is None else folds
     census: dict[int, dict[tuple[int, int], int]] = {}
-    for r in range(1, n + 1) if root is None else (root,):
+    for r in roots:
         # root r is improper to the young top components of beta below r
         below = (1 << r) - 1
         for (imp, young1, eld, mask), count in counts.items():
@@ -624,28 +628,25 @@ def generating_poly(n: int, root: int | None = None) -> Poly:
     return Poly(multivar_universe(n), terms)
 
 
-def rooted_generating_poly(n: int) -> Poly:
-    """``generating_poly(n, n)``, the sum of t^eld * prod_i x_i^young(i) over
-    the plane trees on [n] rooted at n; [n] is checked against the label cap
-    first.
+def young_census(m: int, *, elder: bool) -> dict[tuple[int, ...], int]:
+    """The ordered forests on [m] counted by {(y_1, ..., y_m, top, eld): count},
+    y_l the young children of label l, top the young top components and eld
+    the elder vertices; with elder false every child and every component is
+    young, so y is the degree sequence, top the component count and eld 0.
+    The caller checks the label cap.
 
-    No tree is built.  A forest on S is a tree T on a subset A rooted at r
+    No forest is built.  A forest on S is a tree T on a subset A rooted at r
     followed by a forest F on S - A, and T is young when F is empty or
     min A < min(S - A), that is when A holds S's smallest label.  So a DP
-    over label bitmasks keeps per subset the forests on it counted by one
-    packed key, a field of the width of n per exponent of
-    multivar_universe(n): young(l) in label l's field, the young top count
-    in n's and eld in t's.  T's keys are the forests on A - {r} with the top
-    count moved to r's field; a young T adds 1 to the top count, an elder T
-    adds 1 to eld, and the fields of T and F otherwise add by ``+``.  The
-    trees rooted at n are n over the forests on [n - 1], whose keys are
-    therefore those trees' exponents."""
-    check_label_count(n)
-    m = n - 1
-    width = n.bit_length()  # every exponent is below n
+    over label bitmasks keeps per subset its trees and its forests counted by
+    one packed key, a field of m's bit length per entry: T's keys are the
+    forests on A - {r} with the top count moved to r's field, and a join adds
+    T's key, F's key and 1 to the top count (young T) or to eld (elder T)."""
+    width = m.bit_length()  # no entry exceeds m
     field = (1 << width) - 1
-    top = width * m                       # n's field, the young top count
-    young_one, eld_one = 1 << top, 1 << top + width
+    top = width * m
+    young_one = 1 << top
+    elder_one = 1 << top + width if elder else young_one
     forests: dict[int, dict[int, int]] = {0: {0: 1}}  # bit i is label i + 1
     trees: dict[int, dict[int, int]] = {}
     for labels in range(1, 1 << m):
@@ -661,16 +662,26 @@ def rooted_generating_poly(n: int) -> Poly:
         first = 0
         while first := (first - labels) & labels:  # the nonempty subsets A
             rest = forests[labels ^ first].items()
-            step = young_one if first & low else eld_one
+            step = young_one if first & low else elder_one
             for tree_key, count in trees[first].items():
                 tree_key += step
                 for key, rest_count in rest:
                     key += tree_key
                     forest[key] = forest.get(key, 0) + count * rest_count
         forests[labels] = forest
-    return Poly(multivar_universe(n),
-                {tuple(key >> width * i & field for i in range(n + 1)): count
-                 for key, count in forests[(1 << m) - 1].items()})
+    return {tuple(key >> width * i & field for i in range(m + 2)): count
+            for key, count in forests[(1 << m) - 1].items()}
+
+
+def rooted_generating_poly(n: int) -> Poly:
+    """``generating_poly(n, n)``, the sum of t^eld * prod_i x_i^young(i) over
+    the plane trees on [n] rooted at n; [n] is checked against the label cap
+    first.  The trees rooted at n are n over the forests on [n - 1], whose
+    keys in ``young_census(n - 1, elder=True)`` are those trees' exponents:
+    the young top count is young(n).  No tree is built."""
+    check_label_count(n)
+    _checked(range(1, n + 1), n)
+    return Poly(multivar_universe(n), young_census(n - 1, elder=True))
 
 
 def leaf_set_count(n: int, k: int) -> int:
@@ -691,8 +702,8 @@ def leaf_profile(n: int) -> dict[int, int]:
     A leaf count never reads the root, so the profile is n times that of the
     forests on [n - 1], each forest's leaf count being its components' summed,
     or 1 for the single vertex (an empty forest); no root node is built.  The
-    forests are streamed: this is the reference ``leaf_census`` is checked
-    against, which no identity calls."""
+    forests are streamed: this is the reference the leaf profile of
+    ``harness._leaf_statistics`` is checked against, which no identity calls."""
     enum = TreeEnumerator()
     enum.check_bound(_checked(range(1, n + 1), None)[0])
     profile: dict[int, int] = {}
@@ -703,43 +714,6 @@ def leaf_profile(n: int) -> dict[int, int]:
         leaves = leaves or 1
         profile[leaves] = profile.get(leaves, 0) + n
     return dict(sorted(profile.items()))
-
-
-def leaf_census(m: int) -> Counter:
-    """The ordered forests on [m - 1], the forests under every root of the
-    trees on [m], counted by {(leaf count, largest leaf label): count}, the
-    empty forest as (0, 0); [m] must be non-empty and fit the label cap.
-
-    No forest is built.  A forest on S is a tree T on a subset A rooted at r
-    followed by a forest on S - A; T is the leaf (1, r) when A is {r}, and
-    otherwise has the leaves of the forest on A - {r}.  So a DP over label
-    bitmasks keeps per subset its forests by key, and a join adds the leaf
-    counts and takes the larger largest leaf."""
-    if m < 1:
-        raise ValueError("empty label set")
-    check_label_count(m)
-    forests: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}  # bit i is label i + 1
-    trees: dict[int, dict[tuple[int, int], int]] = {}
-    for labels in range(1, 1 << m - 1):
-        tree: dict[tuple[int, int], int] = {}
-        if not labels & labels - 1:  # one label: the leaf
-            tree[1, labels.bit_length()] = 1
-        else:
-            for r in range(labels.bit_length()):
-                if labels >> r & 1:
-                    for key, count in forests[labels ^ 1 << r].items():
-                        tree[key] = tree.get(key, 0) + count
-        trees[labels] = tree
-        forest: dict[tuple[int, int], int] = {}
-        first = 0
-        while first := (first - labels) & labels:  # the nonempty subsets A
-            rest = forests[labels ^ first].items()
-            for (leaves, largest), count in trees[first].items():
-                for (rest_leaves, rest_largest), rest_count in rest:
-                    key = (leaves + rest_leaves, max(largest, rest_largest))
-                    forest[key] = forest.get(key, 0) + count * rest_count
-        forests[labels] = forest
-    return Counter(forests[(1 << m - 1) - 1])
 
 
 # -- increasing trees (no improper edges) ----------------------------------------

@@ -1,5 +1,5 @@
 """The plane-tree streams, the references that ``treecore.rooted_generating_poly``,
-``treecore.leaf_census`` and ``treecore.count_increasing_trees`` are checked against.
+``harness._leaf_statistics`` and ``treecore.count_increasing_trees`` are checked against.
 
 Usage: PYTHONPATH=src python3 tests/stream_trees.py N [N ...]
 
@@ -9,11 +9,11 @@ trees on [n] by leaf count over the streamed forests on [n - 1], and
 ``stream_leaf_sets(n)`` counts by k the trees on [n] whose leaf set is exactly
 {1, ..., k}, over the same forests.  The script exits 0 when, for each N
 given, ``rooted_generating_poly(N)`` equals ``generating_poly(N, N)`` and
-``harness._leaf_statistics(N)``, which reads ``leaf_census(N)``, equals the
-streamed profile and leaf sets, and ``count_increasing_trees(N, plane)``
-equals the number of trees that ``increasing_plane_trees(N)`` (plane) and
-``increasing_rooted_trees(N)`` stream, and 1 otherwise, naming the first that
-differs.  At N = 8 each of the first three streams reads the 2,162,160 forests
+``harness._leaf_statistics(N)``, which reads the degree census of the forests
+on [N - 1] (``forests.degree_census(N - 1)``), equals the streamed profile and
+leaf sets, and ``count_increasing_trees(N, plane)`` equals the number of trees
+that ``increasing_plane_trees(N)`` (plane) and ``increasing_rooted_trees(N)``
+stream, and 1 otherwise, naming the first that differs.  At N = 8 each of the first three streams reads the 2,162,160 forests
 on [7], and the increasing streams yield 135,135 and 5,040 trees.  Uses only
 the stdlib and ramapoly.
 """
@@ -70,12 +70,12 @@ def main(argv: list[str]) -> int:
         print(f"rooted_generating_poly({n}): {len(want.terms)} terms, as the stream")
         profile, exact = _leaf_statistics(n)
         if profile != leaf_profile(n):
-            print(f"the leaf profile of leaf_census({n}) differs from leaf_profile({n})")
+            print(f"the leaf profile of _leaf_statistics({n}) differs from leaf_profile({n})")
             return 1
         if exact != stream_leaf_sets(n):
-            print(f"the exact leaf sets of leaf_census({n}) differ from the stream")
+            print(f"the exact leaf sets of _leaf_statistics({n}) differ from the stream")
             return 1
-        print(f"leaf_census({n}): {len(profile)} leaf counts, {len(exact)} exact leaf sets,"
+        print(f"_leaf_statistics({n}): {len(profile)} leaf counts, {len(exact)} exact leaf sets,"
               " as the streams")
         for plane, stream in ((True, increasing_plane_trees), (False, increasing_rooted_trees)):
             count = count_increasing_trees(n, plane)

@@ -127,7 +127,8 @@ SHARED = {"thm-2-2": {"max_n": 4}, "thm-2-3": {"max_n": 5},
           "eq-gs": {"max_n": 4, "enum_max_n": 4}, "thm-4-3": {"max_n": 5},
           "thm-4-gen-on": {"max_n": 5}, "cor-roots": {"max_n": 5},
           "cor-planted": {"enum_max_n": 5, "cayley_max_n": 5}, "cor-plane": {"max_n": 5},
-          "cor-catalan": {"max_vertices": 5}}
+          "cor-catalan": {"max_vertices": 5},
+          "cor-narayana": {"max_vertices": 5, "leafset_max_vertices": 5}}
 
 
 def _records(reports):
@@ -153,6 +154,9 @@ def test_serial_run_enumerates_each_shared_result_once(monkeypatch):
         _counting(monkeypatch, module, name, calls)
     serial = harness.run_suite(list(SHARED), SHARED)
     assert calls and max(calls.values()) == 1
+    # cor-narayana reads the degree census on [m - 1] for m up to 5, and
+    # cor-planted and cor-plane on [n] for n from 2 to 5: one census each
+    assert {key[1] for key in calls if key[0] == "degree_census"} == set(range(1, 6))
     calls.clear()
     alone = [harness.run_identity(name, params) for name, params in SHARED.items()]
     repeated = {key[0] for key, count in calls.items() if count > 1}
@@ -211,8 +215,8 @@ def test_rooted_polys_are_the_per_root_streams(monkeypatch, memo, per_root_strea
 
 
 def test_leaf_statistics_are_the_streams(enum):
-    # the leaf DP's profile against leaf_profile's stream, and its exact leaf
-    # sets against the stream over the forests on [m - 1]
+    # the degree census's leaf profile against leaf_profile's stream, and its
+    # exact leaf sets against the stream over the forests on [m - 1]
     for m in range(1, 8):
         profile, exact = harness._leaf_statistics(m)
         assert list(profile.items()) == list(treecore.leaf_profile(m).items()), m

@@ -9,7 +9,8 @@ from math import comb, factorial
 import pytest
 from stream_fold import _forest_fold, stream_folds
 
-from ramapoly import cli, fixtures
+from ramapoly import cli, fixtures, harness
+from ramapoly import forests as fo
 from ramapoly import treecore as tc
 from ramapoly.polyring import Poly, parse
 from ramapoly.treecore import (BoundExceeded, TreeEnumerator, gdes, node, stats,
@@ -512,29 +513,44 @@ def test_tree_dps_build_no_tree_and_check_the_cap_first(monkeypatch):
     monkeypatch.setattr(tc.PlaneTree, "__init__", refuse)
     def trees(poly):
         return poly.evaluate(dict.fromkeys(poly.universe, 1))
+    # the packed DP's readers: the rooted sums, the degree census and the
+    # leaf statistics, which count each forest on [m - 1] once per root
     assert trees(tc.rooted_generating_poly(7)) == tc.forest_count(6)
-    assert sum(tc.leaf_census(7).values()) == tc.forest_count(6)
+    assert sum(fo.degree_census(6).values()) == tc.forest_count(6)
+    assert sum(harness._leaf_statistics(7)[0].values()) == 7 * tc.forest_count(6)
     monkeypatch.setenv("RAMAPOLY_MAX_LABELS", "4")
     assert trees(tc.rooted_generating_poly(4)) == tc.forest_count(3)
-    assert sum(tc.leaf_census(4).values()) == tc.forest_count(3)
-    # each DP's work starts with a range loop, so with range refused too a
-    # BoundExceeded shows that [5] was refused before any work
+    assert sum(fo.degree_census(4).values()) == tc.forest_count(4)
+    assert sum(harness._leaf_statistics(4)[0].values()) == 4 * tc.forest_count(3)
+    # the packed DP's work starts with a range loop, so with range refused
+    # too a BoundExceeded shows that [5] was refused before any work
     monkeypatch.setattr(tc, "range", refuse, raising=False)
-    for read in (lambda: tc.rooted_generating_poly(5), lambda: tc.leaf_census(5)):
+    for read in (lambda: tc.rooted_generating_poly(5), lambda: fo.degree_census(5),
+                 lambda: harness._leaf_statistics(5)):
         with pytest.raises(BoundExceeded, match="^label set of size 5 exceeds cap 4 "):
             read()
 
 
-def test_census_dps_check_their_input_and_cap():
+def test_census_dps_check_their_input_and_cap(enum):
     for read in (lambda: tc.weight_census(3, max_labels=0),
                  lambda: tc.forest_folds(2, max_labels=0)):
         with pytest.raises(ValueError, match="max_labels"):
             read()
-    for read in (lambda: tc.weight_census(0), lambda: tc.leaf_census(0)):
+    # weight_census names its input as the stream of trees does
+    for read in (lambda: tc.weight_census(0), lambda: tc.weight_census(0, 1),
+                 lambda: harness._leaf_statistics(0), lambda: tc.rooted_generating_poly(0),
+                 lambda: enum.trees(labels(0))):
         with pytest.raises(ValueError, match="^empty label set$"):
             read()
-    with pytest.raises(ValueError, match="^root 4 not in label set$"):
-        tc.weight_census(3, 4)
+    for root in (4, 0):
+        for read in (lambda: tc.weight_census(3, root), lambda: enum.trees(labels(3), root)):
+            with pytest.raises(ValueError, match=f"^root {root} not in label set$"):
+                read()
+    # [0] holds one forest, the empty one, which the packed DP and the
+    # degree census count
+    assert fo.degree_census(0) == Counter({(): 1})
+    for elder in (False, True):
+        assert tc.young_census(0, elder=elder) == {(0, 0): 1}
 
 
 def test_count_trees_matches_stream(enum):
