@@ -220,10 +220,7 @@ def run_eq_general(max_n: int = 7) -> Iterator[Outcome]:
     t = Poly.var(uni, "t")
     for n in range(1, max_n + 1):
         treecore.check_label_count(n)   # n! permutations: the label cap bounds n
-        counts: dict[int, int] = {}
-        for perm in iter_permutations(range(1, n + 1)):
-            g = treecore.gdes(perm)
-            counts[g] = counts.get(g, 0) + 1
+        counts = Counter(map(treecore.gdes, iter_permutations(range(1, n + 1))))
         lhs = Poly(uni, {(g,): c for g, c in counts.items()})
         rhs = poly_prod((t * j + 1 for j in range(1, n)), uni)
         yield _cmp({"n": n}, lhs, rhs)

@@ -17,14 +17,17 @@ multiplication (``3x``, ``(x+1)t``), parentheses with integer powers, and
 arbitrary whitespace.
 
 ``substitute`` folds every value with at most one term (an int, zero, or
-c * monomial) into each term directly, and groups the terms by their
-exponents of the remaining values only.  Inside it, exponent vectors are
-packed into one int each (Kronecker's substitution): one slot per universe
-variable, ``(deg(self) * max(1, D)).bit_length()`` bits wide for D the
-largest total degree among the values, which bounds every exponent of every
-partial product, so multiplying two monomials is adding two ints with no
-carry between slots.  Products outside ``substitute`` keep tuple keys:
-their operands are small, and packing each one costs more than it saves.
+c * monomial) into each term directly, groups the terms by their exponents
+of the remaining values, and sums the groups by Horner's rule in those
+values: from the top exponent down, the running sum is multiplied by the
+value once per degree and the next group is added, so no power of a value
+is built.  Inside it, exponent vectors are packed into one int each
+(Kronecker's substitution): one slot per universe variable,
+``(deg(self) * max(1, D)).bit_length()`` bits wide for D the largest total
+degree among the values, which bounds every exponent of every partial
+Horner sum, so multiplying two monomials is adding two ints with no carry
+between slots.  Products outside ``substitute`` keep tuple keys: their
+operands are small, and packing each one costs more than it saves.
 
 Invariant: every ``Poly`` has a universe of distinct names, and its term map
 holds only nonzero ``int`` coefficients keyed by tuples of universe arity
@@ -237,16 +240,23 @@ class Poly:
         coefficient is multiplied by c^e and e times the monomial's exponents
         are added to the kept ones.  An unassigned variable keeps its
         exponent.  The terms are grouped by their exponents of the values
-        with two or more terms, so each group's product of powers is
-        computed once.
+        with two or more terms, and the groups are summed by Horner's rule:
+        for one such value v with groups g_0 .. g_E, the sum
+        g_0 + g_1 v + ... + g_E v^E is (...(g_E v + g_(E-1)) v + ...) v + g_0,
+        one product by v per degree, the empty degrees included.  With
+        several such values the rule nests: each group of the first value's
+        exponent is itself summed by Horner's rule in the next value.
 
         Every exponent vector is packed into one int, with a slot of
         ``(deg(self) * max(1, D)).bit_length()`` bits per universe variable,
-        D the largest total degree among the values.  No exponent of the
-        result, nor of any partial product, exceeds deg(self) * max(1, D), so
-        adding two keys adds their vectors slot by slot without a carry.  The
-        group rests, the powers of each value and the result are all keyed
-        by these ints, and the result is unpacked once, at the end.
+        D the largest total degree among the values.  Every monomial of a
+        partial Horner sum, g_j v^(j-e) (and likewise in the nested sums),
+        divides a monomial of g_j v^j, the image of a term of ``self``
+        before cancellation, whose total degree is at most
+        deg(self) * max(1, D); so no slot overflows, and adding two keys
+        adds their vectors slot by slot without a carry.  The groups, the
+        values and the result are all keyed by these ints, and the result is
+        unpacked once, at the end.
         """
         uni = self.universe
         for name in assignment:
@@ -301,18 +311,8 @@ class Poly:
                 key += exps[idx] << s
             group = groups.setdefault(tuple([exps[idx] for idx, _ in polys]), {})
             group[key] = group.get(key, 0) + coeff
-        one = {0: 1}
-        # powers[pos][e] = packed terms of value^e
-        powers = [[one, {pack(e): c for e, c in value.terms.items()}] for _, value in polys]
-        out: dict[int, int] = {}
-        for exps, group in groups.items():
-            product = one
-            for chain, e in zip(powers, exps):
-                while len(chain) <= e:
-                    chain.append(_mul_packed(chain[-1], chain[1]))
-                if e:
-                    product = chain[e] if product is one else _mul_packed(product, chain[e])
-            _mul_packed(group, product, out)
+        values = [{pack(e): c for e, c in value.terms.items()} for _, value in polys]
+        out = _horner(groups, values) if groups else {}
         mask = (1 << width) - 1
         return Poly._trusted(uni, {tuple([key >> s & mask for s in shifts]): c
                                    for key, c in out.items() if c})
@@ -425,6 +425,28 @@ def _mul_packed(left: Mapping[int, int], right: Mapping[int, int],
             key = k1 + k2
             out[key] = get(key, 0) + c1 * c2
     return out
+
+
+def _horner(groups: dict[Exponents, dict[int, int]],
+            values: list[dict[int, int]]) -> dict[int, int]:
+    """The sum of groups[e] * values[0]^e[0] * values[1]^e[1] ... over the
+    keys e, by Horner's rule in values[0] with the rest nested inside, from
+    the top exponent down: one ``_mul_packed`` per degree, with the value's
+    few terms in the outer loop and the accumulator in the inner one.  Each
+    group's map takes its degree's product as the output, so the groups are
+    consumed."""
+    if not values:
+        return groups[()]
+    value, rest = values[0], values[1:]
+    buckets: dict[int, dict[Exponents, dict[int, int]]] = {}
+    for exps, group in groups.items():
+        buckets.setdefault(exps[0], {})[exps[1:]] = group
+    top = max(buckets)
+    acc = _horner(buckets[top], rest)
+    for e in range(top - 1, -1, -1):
+        bucket = buckets.get(e)
+        acc = _mul_packed(value, acc, _horner(bucket, rest) if bucket else {})
+    return acc
 
 
 def poly_prod(factors: Iterable[Union[Poly, int]], universe: Iterable[str]) -> Poly:

@@ -19,7 +19,9 @@ the operator identities, and the Chu-Vandermonde variant).
 from __future__ import annotations
 
 from functools import partial
+from itertools import accumulate
 from math import comb
+from operator import mul
 from typing import Callable
 
 from .polyring import Poly, poly_prod
@@ -264,14 +266,13 @@ def _operator_remark(n: int) -> Witness:
 
 def _chu(n: int) -> Witness:
     uni = ("x", "y", "t")
-    x = Poly.var(uni, "x")
-    y = Poly.var(uni, "y")
-    t = Poly.var(uni, "t")
+    x, y, t = (Poly.var(uni, v) for v in uni)
+    # running products: heads[k] = prod_{i<=k} (x + ti), tails[m] = prod_{j<m} (y + tj)
+    heads = list(accumulate((x + t * i for i in range(1, n + 1)), mul, initial=x))
+    tails = list(accumulate((y + t * j for j in range(n)), mul, initial=Poly.const(uni, 1)))
     lhs = Poly.zero(uni)
     for k in range(n + 1):
-        head = poly_prod((x + t * i for i in range(k + 1)), uni)
-        tail = poly_prod((y + t * j for j in range(n - k)), uni)
-        lhs = lhs + head * tail * comb(n, k)
+        lhs = lhs + heads[k] * tails[n - k] * comb(n, k)
     rhs = x * poly_prod((x + y + t * k for k in range(1, n + 1)), uni)
     return mismatch(lhs, rhs)
 

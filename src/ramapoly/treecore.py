@@ -54,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, product, repeat, starmap
-from math import comb
+from math import comb, inf
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -263,10 +263,17 @@ def right_to_left_minima(word: Sequence[int]) -> list[int]:
 
 
 def gdes(word: Sequence[int]) -> int:
-    """Number of positions with a smaller entry somewhere to the right."""
+    """Number of positions with a smaller entry somewhere to the right, in
+    one right-to-left pass with a running minimum."""
     if len(set(word)) != len(word):
         raise ValueError("entries must be distinct")
-    return len(word) - len(right_to_left_minima(word))
+    count, low = 0, inf
+    for entry in reversed(word):
+        if entry > low:
+            count += 1
+        else:
+            low = entry
+    return count
 
 
 @dataclass(frozen=True)

@@ -281,6 +281,47 @@ def test_substitute_folds_and_packs():
     assert fast.coefficient((150, 150, 2, 0)) == 3 * comb(300, 150)
 
 
+def test_substitute_horner_skips_empty_degrees():
+    x, y, z, t = (V(name) for name in XYZT)
+    # gapped x-exponents: nothing between x^2*t and x^7, and no x^0 term
+    gapped = parse("x^7 + x^2*t", XYZT)
+    for value in (x + y, 2 * x - 3 * z * t + 1, y + z):
+        assignment = {"x": value, "z": -t}
+        fast = gapped.substitute(assignment)
+        assert fast == reference_substitute(gapped, assignment)
+        assert_canonical(fast)
+    # two multi-term values: each x-degree holds its own gapped set of y-degrees
+    nested = parse("x^5*y^3 + 2x^5 - x^3*y^4 + x^3*y + 4x*y^2 - 3y^5 + 7", XYZT)
+    for assignment in ({"x": x + t, "y": y - z + 1},
+                       {"x": x + z * 3 + t * 3, "y": t * t - x, "z": -t},
+                       {"x": x + y, "y": x - y, "z": z + t + 1, "t": 2}):
+        fast = nested.substitute(assignment)
+        assert fast == reference_substitute(nested, assignment)
+        assert_canonical(fast)
+
+
+def test_substitute_makes_one_packed_product_per_degree(monkeypatch):
+    import ramapoly.polyring as pr
+    calls = []
+
+    def counting(left, right, out=None):
+        calls.append(1)
+        return mul_packed(left, right, out)
+    mul_packed = pr._mul_packed
+    monkeypatch.setattr(pr, "_mul_packed", counting)
+    x, z, t = V("x"), V("z"), V("t")
+    dual = {"x": x + z * 3 + t * 3, "z": -t, "t": -z}
+    for d in range(0, 9):
+        p = parse(f"x^{d}*y + 3y*z^2 - z*t + 2", XYZT)   # of x-degree d
+        calls.clear()
+        assert p.substitute(dual) == reference_substitute(p, dual)
+        assert len(calls) == d
+    q = q_n(8)   # of x-degree 7
+    calls.clear()
+    assert q.substitute(dual) == reference_substitute(q, dual)
+    assert len(calls) == 7
+
+
 @given(polys4, polys4, assignments, st.integers(0, 3))
 @settings(max_examples=150, deadline=None)
 def test_results_store_canonical_terms(p, q, assignment, shift):

@@ -207,6 +207,25 @@ def test_duality_needs_the_sign_of_z():
         assert q.substitute({"x": x + z * n + t * n, "z": t, "t": -z}) != q
 
 
+def test_chu_builds_its_products_by_running_products(monkeypatch):
+    calls = []
+    mul = Poly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    # At n, Poly.__mul__ runs: n scalings t*i and n products for the heads
+    # x(x+t)...(x+nt); n scalings t*j and n products for the tails
+    # (y)(y+t)...(y+(n-1)t); two per k for head * tail * C(n, k), k = 0..n;
+    # n scalings t*k and n products in poly_prod for the right side, and one
+    # more for its factor x: 2n + 2n + 2(n + 1) + 2n + 1 = 8n + 3, linear in n.
+    for n in (1, 10, 20):
+        calls.clear()
+        assert qp.verify_identity("chu", n) is None
+        assert len(calls) == 8 * n + 3
+
+
 def test_verify_identity_bound_exceeded():
     with pytest.raises(BoundExceeded):
         qp.verify_identity("duality", qp.MAX_SYMBOLIC_N + 1)

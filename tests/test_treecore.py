@@ -7,6 +7,7 @@ from itertools import combinations
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies
 from stream_fold import _forest_fold, stream_folds
 
 from ramapoly import cli, fixtures, harness
@@ -28,6 +29,15 @@ def test_gdes_examples():
     assert gdes([]) == 0
     with pytest.raises(ValueError):
         gdes([2, 2])
+
+
+@given(strategies.lists(strategies.integers(-40, 40), unique=True, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_gdes_is_its_definition(word):
+    above_a_smaller = sum(any(later < entry for later in word[i + 1:])
+                          for i, entry in enumerate(word))
+    assert gdes(word) == above_a_smaller
+    assert gdes(tuple(word)) == len(word) - len(tc.right_to_left_minima(word))
 
 
 def test_single_vertex():
