@@ -1,10 +1,21 @@
 """Exact sparse multivariate polynomial arithmetic over the integers.
 
 A polynomial lives in a fixed *universe*: an ordered tuple of variable names,
-e.g. ``("x", "y", "z", "t")``.  Terms are stored as a dict mapping exponent
-tuples (one entry per universe variable) to nonzero ``int`` coefficients; the
-zero polynomial has an empty term map.  Coefficients are plain Python ints,
-so nothing overflows or rounds.
+e.g. ``("x", "y", "z", "t")``.  Coefficients are plain Python ints, so
+nothing overflows or rounds; the zero polynomial has no terms.
+
+Each ``Poly`` stores its terms as a dict from packed exponent vectors to
+nonzero coefficients (Kronecker's substitution): one slot per universe
+variable, the first in the lowest bytes, every slot the same whole number of
+bytes, enough for an upper bound on the total degree: the largest degree of
+the input terms for the public constructor, deg a + deg b for a product, the
+larger bound for a sum, deg * max(1, D) for a substitution (see
+``substitute``), and the operand's for the other operations.  No exponent of
+a term exceeds its total degree, so once a product's operands are repacked
+to its width, multiplying two monomials is adding two keys, with no carry
+between slots; a sum repacks the narrower operand likewise.  Below total
+degree 256 every slot is one byte, packed and unpacked by ``bytes`` and
+``int.from_bytes``.  ``terms``, keyed by exponent tuples, is unpacked once.
 
 Canonical text form (bit-stable, used for golden comparisons): terms sorted
 by descending total degree, ties broken lexicographically by the exponent
@@ -16,34 +27,18 @@ The parser accepts the canonical form plus relaxed input: implicit
 multiplication (``3x``, ``(x+1)t``), parentheses with integer powers, and
 arbitrary whitespace.
 
-``substitute`` folds every value with at most one term (an int, zero, or
-c * monomial) into each term directly, groups the terms by their exponents
-of the remaining values, and sums the groups by Horner's rule in those
-values: from the top exponent down, the running sum is multiplied by the
-value once per degree and the next group is added, so no power of a value
-is built.  Inside it, exponent vectors are packed into one int each
-(Kronecker's substitution): one slot per universe variable,
-``(deg(self) * max(1, D)).bit_length()`` bits wide for D the largest total
-degree among the values, which bounds every exponent of every partial
-Horner sum, so multiplying two monomials is adding two ints with no carry
-between slots.  Products outside ``substitute`` keep tuple keys: their
-operands are small, and packing each one costs more than it saves.
-
 Invariant: every ``Poly`` has a universe of distinct names, and its term map
-holds only nonzero ``int`` coefficients keyed by tuples of universe arity
-with nonnegative ``int`` entries.  ``__eq__`` and ``__hash__`` compare term
-maps directly, and ``substitute``'s packing needs int exponents, so they rely
-on it.  The public constructor ``Poly(...)`` checks all of this;
-arithmetic, ``derivative``, ``shifted_derivative``, ``extend`` and
-``substitute`` build their results with the private ``Poly._trusted``, which
-only drops zero coefficients: exponent tuples made from valid operands by
-adding, copying or lowering a positive entry are valid already.
+holds only nonzero ``int`` coefficients keyed by packed nonnegative
+exponents of total degree at most the stored bound; ``__eq__`` compares
+term maps of equal widths directly.  The public constructor ``Poly(...)``
+checks and packs its input; every other result is built by the private
+``Poly._trusted`` from keys made of valid operands' keys.
 """
 
 from __future__ import annotations
 
 import re
-from operator import add, index
+from operator import index
 from typing import Iterable, Iterator, Mapping, Union
 
 
@@ -68,44 +63,69 @@ Exponents = tuple[int, ...]
 class Poly:
     """Immutable sparse polynomial with integer coefficients."""
 
-    __slots__ = ("universe", "terms")
+    __slots__ = ("universe", "_keys", "_deg", "_width", "_terms")
 
     def __init__(self, universe: Iterable[str], terms: Mapping[Exponents, int] | None = None):
         uni = _checked_universe(universe)
-        object.__setattr__(self, "universe", uni)
-        clean: dict[Exponents, int] = {}
-        if terms:
-            arity = len(uni)
-            for exps, coeff in terms.items():
-                try:  # index() refuses floats and turns int subclasses into ints
-                    exps = tuple(map(index, exps))
-                    coeff = index(coeff)
-                except TypeError:
-                    raise PolyError(f"term {coeff!r} at {exps!r}: exponents and "
-                                    "coefficients must be ints") from None
-                if len(exps) != arity or (exps and min(exps) < 0):
-                    raise PolyError(f"bad exponent vector {exps} for universe {uni}")
-                if coeff:
-                    clean[exps] = clean.get(exps, 0) + coeff
-        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c != 0})
+        arity = len(uni)
+        keys, deg = {}, 0  # packed one-byte slots, or exponent tuples past degree 255
+        from_bytes = int.from_bytes
+        for exps, coeff in (terms or {}).items():
+            try:  # index() and bytes() refuse floats and turn int subclasses into ints
+                coeff = index(coeff)
+                try:
+                    raw = bytes(iter(exps))  # iter() refuses an int, which bytes() reads as a size
+                except ValueError:  # an exponent outside 0..255
+                    raw = tuple(map(index, exps))
+                    if min(raw) < 0:
+                        raise PolyError(f"bad exponent vector {raw} for universe {uni}") from None
+            except TypeError:
+                raise PolyError(f"term {coeff!r} at {exps!r}: exponents and "
+                                "coefficients must be ints") from None
+            if len(raw) != arity:
+                raise PolyError(f"bad exponent vector {tuple(raw)} for universe {uni}")
+            if coeff:
+                d = sum(raw)
+                if d > deg:
+                    deg = d
+                key = from_bytes(raw, "little") if d < 256 else tuple(raw)
+                keys[key] = keys.get(key, 0) + coeff
+        width = _slot_bytes(deg)
+        if width > 1:
+            keys = {_pack(e if type(e) is tuple else _unpack(e, arity, 1), width): c
+                    for e, c in keys.items()}
+        self.universe = uni
+        self._keys = _nonzero(keys)
+        self._deg = deg
+        self._width = width
 
     @classmethod
-    def _trusted(cls, universe: Universe, terms: dict[Exponents, int]) -> "Poly":
-        """Wrap a term map built from valid operands, without validation.
-
-        The caller guarantees a checked universe and arity-correct,
-        nonnegative exponent tuples; zero coefficients are dropped here.
-        The poly takes ownership of ``terms``.
-        """
-        for exps in [e for e, c in terms.items() if not c]:
-            del terms[exps]
+    def _trusted(cls, universe: Universe, keys: dict[int, int], deg: int) -> "Poly":
+        """Wrap (and own) a map of nonzero coefficients keyed by exponents packed
+        at the width of ``deg``, a bound on their total degree, unchecked."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "universe", universe)
-        object.__setattr__(poly, "terms", terms)
+        poly.universe = universe
+        poly._keys = keys
+        poly._deg = deg
+        poly._width = _slot_bytes(deg)
         return poly
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Poly is immutable")
+    @property
+    def terms(self) -> dict[Exponents, int]:
+        """The term map keyed by exponent tuples, unpacked on first read."""
+        try:
+            return self._terms
+        except AttributeError:
+            arity, width = len(self.universe), self._width
+            self._terms = {_unpack(k, arity, width): c for k, c in self._keys.items()}
+            return self._terms
+
+    def _keys_at(self, width: int) -> dict[int, int]:
+        """The term map packed with ``width``-byte slots, at least this one's."""
+        if width == self._width:
+            return self._keys
+        arity = len(self.universe)
+        return {_pack(_unpack(k, arity, self._width), width): c for k, c in self._keys.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -131,18 +151,18 @@ class Poly:
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._keys
 
     def coefficient(self, exps: Exponents) -> int:
         return self.terms.get(tuple(exps), 0)
 
     def variables_used(self) -> set[str]:
-        used = set()
-        for exps in self.terms:
-            for name, e in zip(self.universe, exps):
-                if e:
-                    used.add(name)
-        return used
+        seen = 0
+        for key in self._keys:
+            seen |= key
+        bits = 8 * self._width
+        mask = (1 << bits) - 1
+        return {name for idx, name in enumerate(self.universe) if seen >> bits * idx & mask}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -156,39 +176,52 @@ class Poly:
             return Poly.const(self.universe, other)
         return NotImplemented  # type: ignore[return-value]
 
-    def __add__(self, other: Union["Poly", int]) -> "Poly":
+    def _sum(self, other: Union["Poly", int], sign: int) -> "Poly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, 0) + coeff
-        return Poly._trusted(self.universe, out)
+        width = max(self._width, other._width)
+        out, right = dict(self._keys_at(width)), other._keys_at(width)
+        get = out.get
+        for key, coeff in right.items():
+            out[key] = get(key, 0) + sign * coeff
+        deg = self._deg if self._deg > other._deg else other._deg
+        return Poly._trusted(self.universe, _nonzero(out), deg)
+
+    def __add__(self, other: Union["Poly", int]) -> "Poly":
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other: Union["Poly", int]) -> "Poly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, 0) - coeff
-        return Poly._trusted(self.universe, out)
+        return self._sum(other, -1)
 
     def __rsub__(self, other: Union["Poly", int]) -> "Poly":
         return (-self) + other
 
     def __neg__(self) -> "Poly":
-        return Poly._trusted(self.universe, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.universe, {k: -c for k, c in self._keys.items()}, self._deg)
 
     def __mul__(self, other: Union["Poly", int]) -> "Poly":
         if isinstance(other, int):
-            return Poly._trusted(self.universe, {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return Poly._trusted(self.universe, {}, 0)
+            return Poly._trusted(self.universe, {k: c * other for k, c in self._keys.items()},
+                                 self._deg)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Poly._trusted(self.universe, _mul_terms(self.terms, other.terms))
+        deg = self._deg + other._deg
+        width = _slot_bytes(deg)
+        left, right = self._keys_at(width), other._keys_at(width)
+        if len(left) > len(right):
+            left, right = right, left
+        if len(left) == 1:  # a shift of the keys: no collision, no zero
+            (mono, coeff), = left.items()
+            out = {key + mono: c * coeff for key, c in right.items()}
+        else:
+            out = _nonzero(_mul_packed(left, right))
+        return Poly._trusted(self.universe, out, deg)
 
     __rmul__ = __mul__
 
@@ -205,7 +238,10 @@ class Poly:
             return self == Poly.const(self.universe, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.universe == other.universe and self.terms == other.terms
+        if self.universe != other.universe:
+            return False
+        return (self._keys == other._keys if self._width == other._width
+                else self.terms == other.terms)
 
     def __hash__(self) -> int:
         return hash((self.universe, frozenset(self.terms.items())))
@@ -213,33 +249,30 @@ class Poly:
     # -- calculus and substitution -----------------------------------------
 
     def derivative(self, name: str) -> "Poly":
-        idx = self._var_index(name)
-        out: dict[Exponents, int] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[idx]
-            if e == 0:
-                continue
-            key = exps[:idx] + (e - 1,) + exps[idx + 1:]
-            out[key] = out.get(key, 0) + coeff * e
-        return Poly._trusted(self.universe, out)
+        bits = 8 * self._width
+        shift, mask = bits * self._var_index(name), (1 << bits) - 1
+        unit = 1 << shift
+        return Poly._trusted(self.universe, {key - unit: c * e for key, c in self._keys.items()
+                                             if (e := key >> shift & mask)}, self._deg)
 
     def shifted_derivative(self, name: str, shift: int) -> "Poly":
         """Apply the operator (shift + v * d/dv) for v = name, which maps
         c * v^e to (shift + e) * c * v^e."""
         if shift < 0:
             raise PolyError("shift must be nonnegative")
-        idx = self._var_index(name)
-        return Poly._trusted(self.universe,
-                             {e: (shift + e[idx]) * c for e, c in self.terms.items()})
+        bits = 8 * self._width
+        slot, mask = bits * self._var_index(name), (1 << bits) - 1
+        out = {key: (shift + (key >> slot & mask)) * c for key, c in self._keys.items()}
+        return Poly._trusted(self.universe, _nonzero(out), self._deg)
 
     def substitute(self, assignment: Mapping[str, Union["Poly", int]]) -> "Poly":
         """Simultaneous substitution; unassigned variables map to themselves.
 
         One pass over the terms.  A value with at most one term (an int, the
         zero polynomial or c * monomial) folds into each term: the
-        coefficient is multiplied by c^e and e times the monomial's exponents
-        are added to the kept ones.  An unassigned variable keeps its
-        exponent.  The terms are grouped by their exponents of the values
+        coefficient is multiplied by c^e and e times the monomial's key is
+        added to the key.  The unassigned variables keep their slots, under
+        one mask.  The terms are grouped by their exponents of the values
         with two or more terms, and the groups are summed by Horner's rule:
         for one such value v with groups g_0 .. g_E, the sum
         g_0 + g_1 v + ... + g_E v^E is (...(g_E v + g_(E-1)) v + ...) v + g_0,
@@ -247,16 +280,13 @@ class Poly:
         several such values the rule nests: each group of the first value's
         exponent is itself summed by Horner's rule in the next value.
 
-        Every exponent vector is packed into one int, with a slot of
-        ``(deg(self) * max(1, D)).bit_length()`` bits per universe variable,
-        D the largest total degree among the values.  Every monomial of a
-        partial Horner sum, g_j v^(j-e) (and likewise in the nested sums),
-        divides a monomial of g_j v^j, the image of a term of ``self``
-        before cancellation, whose total degree is at most
-        deg(self) * max(1, D); so no slot overflows, and adding two keys
-        adds their vectors slot by slot without a carry.  The groups, the
-        values and the result are all keyed by these ints, and the result is
-        unpacked once, at the end.
+        The result's degree bound is deg(self) * max(1, D), D the largest
+        bound among the values, and ``self``, the values and the result are
+        all packed at its width.  Every monomial of a partial Horner sum,
+        g_j v^(j-e) (and likewise in the nested sums), divides a monomial of
+        g_j v^j, the image of a term of ``self`` before cancellation, whose
+        total degree is at most that bound; so no slot overflows, and adding
+        two keys adds their vectors slot by slot without a carry.
         """
         uni = self.universe
         for name in assignment:
@@ -264,72 +294,69 @@ class Poly:
                 raise UniverseMismatch(
                     f"cannot substitute unknown variable {name!r} in universe {uni}")
         kept: list[int] = []  # indexes of the unassigned variables
-        folds: list[tuple[int, int, Exponents]] = []  # (idx, c, monomial)
+        folds: list[tuple[int, int, Poly | None]] = []  # (idx, c, c * monomial or None)
         polys: list[tuple[int, Poly]] = []  # values with two or more terms
-        degree = 0  # the largest total degree among the values
-        constant = (0,) * len(uni)
+        degree = 0  # the largest degree bound among the values
         for idx, name in enumerate(uni):
             value = assignment.get(name, None)
             if value is None:
                 kept.append(idx)
             elif isinstance(value, int):
-                folds.append((idx, value, constant))
+                folds.append((idx, value, None))
             else:
                 if value.universe != uni:
                     raise UniverseMismatch(
                         f"substituted value for {name!r} lives in {value.universe}, "
                         f"expected {uni}")
-                degree = max(degree, max(map(sum, value.terms), default=0))
-                if len(value.terms) > 1:
+                degree = max(degree, value._deg)
+                if len(value._keys) > 1:
                     polys.append((idx, value))
                 else:
-                    (mono, c), = value.terms.items() or [(constant, 0)]
-                    folds.append((idx, c, mono))
-        if not self.terms:
-            return Poly._trusted(uni, {})
-        width = (max(map(sum, self.terms)) * max(1, degree)).bit_length()
-        shifts = [width * idx for idx in range(len(uni))]
-
-        def pack(exps: Exponents) -> int:
-            return sum([e << s for e, s in zip(exps, shifts)])
-
-        kept_shifts = [(idx, shifts[idx]) for idx in kept]
-        folds_packed = [(idx, c, pack(mono)) for idx, c, mono in folds]
+                    folds.append((idx, next(iter(value._keys.values()), 0), value))
+        if not self._deg:  # a constant: no value changes it, or widens it
+            return Poly._trusted(uni, dict(self._keys), 0)
+        deg = self._deg * max(1, degree)
+        width = _slot_bytes(deg)
+        bits = 8 * width
+        mask = (1 << bits) - 1
+        keep = sum([mask << bits * idx for idx in kept])
+        folds_packed = [(bits * idx, c, next(iter(value._keys_at(width)), 0)
+                         if value is not None else 0) for idx, c, value in folds]
+        poly_slots = [bits * idx for idx, _ in polys]
         # group key: exponents of the variables whose values have two or more terms;
         # group value: {packed exponents of the rest: coefficient}
         groups: dict[Exponents, dict[int, int]] = {}
-        for exps, coeff in self.terms.items():
-            key = 0
-            for idx, c, mono in folds_packed:
-                e = exps[idx]
+        for k, coeff in self._keys_at(width).items():
+            key = k & keep
+            for slot, c, mono in folds_packed:
+                e = k >> slot & mask
                 if e:
                     coeff *= c ** e
                     key += e * mono
             if not coeff:
                 continue
-            for idx, s in kept_shifts:
-                key += exps[idx] << s
-            group = groups.setdefault(tuple([exps[idx] for idx, _ in polys]), {})
+            group = groups.setdefault(tuple([k >> slot & mask for slot in poly_slots]), {})
             group[key] = group.get(key, 0) + coeff
-        values = [{pack(e): c for e, c in value.terms.items()} for _, value in polys]
+        values = [value._keys_at(width) for _, value in polys]
         out = _horner(groups, values) if groups else {}
-        mask = (1 << width) - 1
-        return Poly._trusted(uni, {tuple([key >> s & mask for s in shifts]): c
-                                   for key, c in out.items() if c})
+        return Poly._trusted(uni, _nonzero(out), deg)
 
     def evaluate(self, point: Mapping[str, int]) -> int:
         """Exact integer evaluation; every variable appearing in p must be assigned."""
         missing = self.variables_used() - set(point)
         if missing:
             raise PolyError(f"unassigned variables: {sorted(missing)}")
-        values = [point.get(name, 0) for name in self.universe]
+        bits = 8 * self._width
+        mask = (1 << bits) - 1
+        slots = [(bits * idx, point[name]) for idx, name in enumerate(self.universe)
+                 if name in point and point[name] != 1]  # v ** e is 1 for v = 1
         total = 0
-        for exps, coeff in self.terms.items():
-            prod = coeff
-            for v, e in zip(values, exps):
+        for key, coeff in self._keys.items():
+            for slot, v in slots:
+                e = key >> slot & mask
                 if e:
-                    prod *= v ** e
-            total += prod
+                    coeff *= v ** e
+            total += coeff
         return total
 
     def extend(self, universe: Iterable[str]) -> "Poly":
@@ -340,13 +367,11 @@ class Poly:
         except ValueError as exc:
             raise UniverseMismatch(
                 f"universe {uni} does not contain all of {self.universe}") from exc
-        out: dict[Exponents, int] = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * len(uni)
-            for pos, e in zip(positions, exps):
-                new[pos] = e
-            out[tuple(new)] = coeff
-        return Poly._trusted(uni, out)
+        bits = 8 * self._width
+        mask = (1 << bits) - 1
+        moves = [(bits * idx, bits * pos) for idx, pos in enumerate(positions)]
+        return Poly._trusted(uni, {sum([(k >> s & mask) << t for s, t in moves]): c
+                                   for k, c in self._keys.items()}, self._deg)
 
     # -- rendering ---------------------------------------------------------
 
@@ -401,23 +426,39 @@ def _checked_universe(universe: Iterable[str]) -> Universe:
     return uni
 
 
-def _mul_terms(left: Mapping[Exponents, int],
-               right: Mapping[Exponents, int]) -> dict[Exponents, int]:
-    """The product of two term maps, which may hold zero coefficients."""
-    out: dict[Exponents, int] = {}
-    for e1, c1 in left.items():
-        for e2, c2 in right.items():
-            key = tuple(map(add, e1, e2))
-            out[key] = out.get(key, 0) + c1 * c2
-    return out
+def _slot_bytes(deg: int) -> int:
+    """The bytes per slot that hold every exponent of total degree <= deg."""
+    return (deg.bit_length() + 7) >> 3 or 1
+
+
+def _pack(exps: Exponents, width: int) -> int:
+    return int.from_bytes(b"".join([e.to_bytes(width, "little") for e in exps]), "little")
+
+
+def _unpack(key: int, arity: int, width: int) -> Exponents:
+    raw = key.to_bytes(arity * width, "little")
+    if width == 1:
+        return tuple(raw)
+    return tuple([int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)])
+
+
+def _nonzero(keys: dict[int, int]) -> dict[int, int]:
+    """Drop the zero coefficients from ``keys``, in place."""
+    if 0 in keys.values():
+        for key in [k for k, c in keys.items() if not c]:
+            del keys[key]
+    return keys
 
 
 def _mul_packed(left: Mapping[int, int], right: Mapping[int, int],
                 out: dict[int, int] | None = None) -> dict[int, int]:
     """Add the product of two term maps keyed by packed exponents, where adding
-    two keys multiplies their monomials, into ``out`` (a new map by default)."""
+    two keys multiplies their monomials, into ``out`` (a new map by default),
+    with the map of fewer terms in the outer loop."""
     if out is None:
         out = {}
+    if len(left) > len(right):
+        left, right = right, left
     get = out.get
     right_items = list(right.items())
     for k1, c1 in left.items():
@@ -431,8 +472,7 @@ def _horner(groups: dict[Exponents, dict[int, int]],
             values: list[dict[int, int]]) -> dict[int, int]:
     """The sum of groups[e] * values[0]^e[0] * values[1]^e[1] ... over the
     keys e, by Horner's rule in values[0] with the rest nested inside, from
-    the top exponent down: one ``_mul_packed`` per degree, with the value's
-    few terms in the outer loop and the accumulator in the inner one.  Each
+    the top exponent down: one ``_mul_packed`` per degree.  Each
     group's map takes its degree's product as the output, so the groups are
     consumed."""
     if not values:

@@ -1,9 +1,11 @@
+from collections import Counter
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ramapoly.polyring as pr
 from ramapoly.polyring import (ParseError, Poly, PolyError, UniverseMismatch,
                                parse, poly_prod)
 from ramapoly.qpolys import q_n
@@ -132,9 +134,17 @@ def test_public_constructor_validates():
     assert Poly(XT, {(1, 0): 2, (0, 1): 0}).terms == {(1, 0): 2}
     # exact arithmetic only: a float coefficient or exponent is refused, as
     # is a key that is no exponent vector, even with a zero coefficient
-    for terms in ({(1, 0): 1.5}, {(1.5, 0): 2}, {(1, 0.0): 0}, {1: 1}, {(1, "0"): 1}):
+    for terms in ({(1, 0): 1.5}, {(1.5, 0): 2}, {(1, 0.0): 0}, {1: 1}, {(1, "0"): 1},
+                  {(300, 1.5): 1}, {(300, -1): 1}, {(256,): 1}):
         with pytest.raises(PolyError):
             Poly(XT, terms)
+    with pytest.raises(PolyError):
+        Poly(("t",), {1: 1})
+    # exponents past one byte, and a total degree past 255 from one-byte exponents
+    for terms in ({(300, 2): 4, (0, 1): -1}, {(200, 100): 3, (1, 1): 2}):
+        p = Poly(XT, terms)
+        assert p.terms == terms and p._width == 2
+        assert_canonical(p)
     # exponents and coefficients are stored as plain ints
     p = Poly(XT, {(True, 0): True})
     assert p.terms == {(1, 0): 1} and type(next(iter(p.terms))[0]) is int
@@ -167,6 +177,8 @@ def test_ring_axioms(p, q, r):
     assert p * q == q * p
     assert (p + q) + r == p + (q + r)
     assert p - p == Poly.zero(XT)
+    for result in ((p + q) * r, p * r + q * r, p * q, p - p):
+        assert_canonical(result)
 
 
 @given(polys)
@@ -216,11 +228,20 @@ def reference_substitute(p, assignment):
 
 def assert_canonical(p):
     """The stored form __eq__ relies on: no zero coefficient, int
-    coefficients, and nonnegative exponent tuples of universe arity."""
+    coefficients, and packed keys whose unpacked exponent tuples have
+    universe arity, nonnegative int entries and a total degree within the
+    bound that sets the slot width; and the tuple view is what the public
+    constructor builds from it."""
+    assert p._width == pr._slot_bytes(p._deg)
+    assert len(p._keys) == len(p.terms)
     for exps, coeff in p.terms.items():
         assert type(coeff) is int and coeff != 0
         assert type(exps) is tuple and len(exps) == len(p.universe)
         assert all(type(e) is int and e >= 0 for e in exps)
+        assert sum(exps) <= p._deg
+        assert p._keys[pr._pack(exps, p._width)] == coeff
+    built = Poly(p.universe, p.terms)
+    assert built == p and built.terms == p.terms
 
 
 polys4 = poly_over(XYZT, 3, 6)
@@ -301,7 +322,6 @@ def test_substitute_horner_skips_empty_degrees():
 
 
 def test_substitute_makes_one_packed_product_per_degree(monkeypatch):
-    import ramapoly.polyring as pr
     calls = []
 
     def counting(left, right, out=None):
@@ -313,12 +333,14 @@ def test_substitute_makes_one_packed_product_per_degree(monkeypatch):
     dual = {"x": x + z * 3 + t * 3, "z": -t, "t": -z}
     for d in range(0, 9):
         p = parse(f"x^{d}*y + 3y*z^2 - z*t + 2", XYZT)   # of x-degree d
+        expected = reference_substitute(p, dual)   # its products count too
         calls.clear()
-        assert p.substitute(dual) == reference_substitute(p, dual)
+        assert p.substitute(dual) == expected
         assert len(calls) == d
     q = q_n(8)   # of x-degree 7
+    expected = reference_substitute(q, dual)
     calls.clear()
-    assert q.substitute(dual) == reference_substitute(q, dual)
+    assert q.substitute(dual) == expected
     assert len(calls) == 7
 
 
@@ -342,6 +364,7 @@ def test_results_store_canonical_terms(p, q, assignment, shift):
 @settings(max_examples=150, deadline=None)
 def test_evaluation_commutes_with_arithmetic(p, q, point, e):
     a, b = p.evaluate(point), q.evaluate(point)
+    assert_canonical(p ** e)
     assert (p + q).evaluate(point) == a + b
     assert (p - q).evaluate(point) == a - b
     assert (p * q).evaluate(point) == a * b
@@ -351,7 +374,9 @@ def test_evaluation_commutes_with_arithmetic(p, q, point, e):
 @given(polys4, polys4, st.sampled_from(XYZT))
 @settings(max_examples=150, deadline=None)
 def test_derivative_product_rule(p, q, name):
-    assert (p * q).derivative(name) == p.derivative(name) * q + p * q.derivative(name)
+    rhs = p.derivative(name) * q + p * q.derivative(name)
+    assert (p * q).derivative(name) == rhs
+    assert_canonical(rhs)
 
 
 @given(polys4, st.sampled_from(XYZT), st.integers(0, 5), points)
@@ -360,3 +385,129 @@ def test_shifted_derivative_evaluates_to_its_definition(p, name, shift, point):
     # (s + v d/dv) p evaluates to s * p + v * p'
     expected = shift * p.evaluate(point) + point[name] * p.derivative(name).evaluate(point)
     assert p.shifted_derivative(name, shift).evaluate(point) == expected
+
+
+# -- the packed store: slot widths, and products by one term --------------------
+
+
+def reference_product(p, q):
+    """The product computed on exponent tuples, built by the public constructor."""
+    out = Counter()
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            out[tuple(a + b for a, b in zip(e1, e2))] += c1 * c2
+    return Poly(p.universe, out)
+
+
+def rewidened(p):
+    """p again, with two-byte slots from a degree bound of 300 that the
+    cancelled x^300 leaves behind."""
+    big = Poly.var(p.universe, p.universe[0], 300)
+    wide = (p + big) - big
+    assert wide._width == 2
+    return wide
+
+
+def test_product_derivative_and_substitution_widen_past_degree_255():
+    x, y, z = V("x"), V("y"), V("z")
+    p, q = x ** 200 + y, x ** 100 * y - 1       # degrees 200 and 101: one byte
+    assert p._width == q._width == 1
+    prod = p * q                                 # bound 301: two bytes
+    assert prod._width == 2
+    assert_canonical(prod)
+    assert prod.terms == {(300, 1, 0, 0): 1, (200, 0, 0, 0): -1,
+                          (100, 2, 0, 0): 1, (0, 1, 0, 0): -1}
+    assert prod == reference_product(p, q)
+    point = {"x": 2, "y": 3}
+    assert prod.evaluate(point) == p.evaluate(point) * q.evaluate(point)
+    d = prod.derivative("x")
+    assert d._width == 2
+    assert_canonical(d)
+    assert d.terms == {(299, 1, 0, 0): 300, (199, 0, 0, 0): -200, (99, 2, 0, 0): 100}
+    assert prod.shifted_derivative("y", 1).terms == {
+        (300, 1, 0, 0): 2, (200, 0, 0, 0): -1, (100, 2, 0, 0): 3, (0, 1, 0, 0): -2}
+    # degree 128 times value degree 2 is a bound of 256: two bytes
+    s = Poly.var(XYZT, "x", 128).substitute({"x": y * y + z})
+    assert s._width == 2
+    assert_canonical(s)
+    assert s.coefficient((0, 256, 0, 0)) == 1
+    assert s.coefficient((0, 254, 1, 0)) == 128
+    assert s.coefficient((0, 0, 128, 0)) == 1
+    assert s.evaluate({"y": 1, "z": 1}) == 2 ** 128
+    # a constant is its own image, however wide the values are
+    for value in (y ** 300 + z, y ** 300, Poly.var(XYZT, "y", 300) * 0):
+        image = Poly.const(XYZT, 3).substitute({"x": value, "t": value})
+        assert_canonical(image)
+        assert image == 3
+
+
+def test_equal_polys_of_different_widths_compare_and_hash_equal():
+    narrow = parse("x*y + 3 - 2z^2", XYZT)
+    wide = rewidened(narrow)
+    assert narrow._width == 1
+    assert wide == narrow and narrow == wide
+    assert hash(wide) == hash(narrow)
+    assert wide != narrow + 1 and narrow + 1 != wide
+    assert {wide: "found"}[narrow] == "found"
+    assert wide.terms == narrow.terms
+    assert wide.render() == narrow.render()
+    # mixed operands are repacked to the wider slots
+    for result, expected in ((wide + narrow, narrow * 2), (narrow - wide, Poly.zero(XYZT)),
+                             (wide * narrow, narrow * narrow), (narrow * wide, narrow * narrow),
+                             (wide.extend(XYZT + ("w",)), narrow.extend(XYZT + ("w",)))):
+        assert_canonical(result)
+        assert result == expected
+
+
+def test_substitute_values_of_different_widths():
+    x, y, z, t = (V(name) for name in XYZT)
+    p = parse("x^2*y + 3x*z - t + 1", XYZT)
+    cases = [{"x": x + y, "y": z - 1},
+             {"x": 2 * t, "y": x + z, "z": -t},
+             {"z": y + t, "t": -3 * x * x, "x": 2}]
+    for assignment in cases:
+        expected = p.substitute(assignment)
+        for name in assignment:   # widen one value at a time, then all of them
+            if not isinstance(assignment[name], int):
+                mixed = dict(assignment, **{name: rewidened(assignment[name])})
+                fast = p.substitute(mixed)
+                assert_canonical(fast)
+                assert fast == expected == reference_substitute(p, mixed)
+        wide = {name: v if isinstance(v, int) else rewidened(v) for name, v in assignment.items()}
+        for poly, values in ((p, wide), (rewidened(p), assignment), (rewidened(p), wide)):
+            fast = poly.substitute(values)
+            assert_canonical(fast)
+            assert fast == expected
+
+
+monomials = st.builds(lambda exps, c: Poly(XYZT, {exps: c}),
+                      st.tuples(*(st.integers(0, 3) for _ in XYZT)),
+                      st.integers(-9, 9).filter(bool))
+
+
+@given(polys4, monomials)
+@settings(max_examples=150, deadline=None)
+def test_one_term_product_is_the_general_product(p, m):
+    general = pr._nonzero(pr._mul_packed(p._keys, m._keys, {}))
+    for result in (p * m, m * p):
+        assert_canonical(result)
+        assert result._keys == general
+        assert result == reference_product(p, m)
+
+
+@given(polys4, polys4, st.integers(-3, 3))
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_terms_are_the_constructor_terms(p, q, c):
+    sums = Counter(p.terms)
+    sums.update(q.terms)
+    differences = Counter(p.terms)
+    differences.subtract(q.terms)
+    lowered = {(a, b, d - 1, f): v * d for (a, b, d, f), v in p.terms.items() if d}
+    for result, built in ((p * q, reference_product(p, q)),
+                          (p + q, Poly(XYZT, sums)),
+                          (p - q, Poly(XYZT, differences)),
+                          (p * c, Poly(XYZT, {e: v * c for e, v in p.terms.items()})),
+                          (-p, Poly(XYZT, {e: -v for e, v in p.terms.items()})),
+                          (p.derivative("z"), Poly(XYZT, lowered))):
+        assert result.terms == built.terms
+        assert result == built and hash(result) == hash(built)
