@@ -25,7 +25,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import combinations_with_replacement, permutations as iter_permutations
+from itertools import combinations_with_replacement
 from math import comb, factorial
 from operator import add, sub
 from typing import Callable, Iterator
@@ -219,9 +219,8 @@ def run_eq_general(max_n: int = 7) -> Iterator[Outcome]:
     uni = ("t",)
     t = Poly.var(uni, "t")
     for n in range(1, max_n + 1):
-        treecore.check_label_count(n)   # n! permutations: the label cap bounds n
-        counts = Counter(map(treecore.gdes, iter_permutations(range(1, n + 1))))
-        lhs = Poly(uni, {(g,): c for g, c in counts.items()})
+        treecore.check_label_count(n)   # a DP over the subsets of [n]: the label cap bounds n
+        lhs = Poly(uni, {(g,): c for g, c in treecore.gdes_census(n).items()})
         rhs = poly_prod((t * j + 1 for j in range(1, n)), uni)
         yield _cmp({"n": n}, lhs, rhs)
 

@@ -45,6 +45,10 @@ The increasing-tree generators read the same memoizing stream, narrowed by a
 private subclass to the forests whose every subtree is rooted at its smallest
 label, and ``count_increasing_trees`` counts the forests under vertex 1 by a
 recurrence on that subclass's decomposition.
+``gdes_census`` counts the permutations of [n] by general descents with a
+DP over the sets of entries placed, without building a permutation; the
+stream of the n! permutations is the tests' reference
+(``tests/stream_perms.py``).
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, product, repeat, starmap
-from math import comb, inf
+from math import comb
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -262,18 +266,27 @@ def right_to_left_minima(word: Sequence[int]) -> list[int]:
     return positions
 
 
-def gdes(word: Sequence[int]) -> int:
-    """Number of positions with a smaller entry somewhere to the right, in
-    one right-to-left pass with a running minimum."""
-    if len(set(word)) != len(word):
-        raise ValueError("entries must be distinct")
-    count, low = 0, inf
-    for entry in reversed(word):
-        if entry > low:
-            count += 1
-        else:
-            low = entry
-    return count
+def gdes_census(n: int) -> dict[int, int]:
+    """The permutations of [n] counted by general descents, {gdes: count}
+    in ascending gdes; the caller checks the label cap.
+
+    No permutation is built.  A word is built right to left, so a DP over
+    the bitmask of the entries already placed keeps per mask its suffixes
+    counted by gdes.  An entry placed left of a suffix whose smallest entry
+    is m adds a general descent when it exceeds m, and is otherwise a new
+    right-to-left minimum; m's bit is the mask's lowest, placed & -placed."""
+    rows: list[list[int]] = [[0] * n for _ in range(1 << n)]
+    rows[0][:1] = [1]
+    for placed, row in enumerate(rows):
+        low = placed & -placed
+        descent = [0, *row[:-1]]
+        for v in range(n):
+            bit = 1 << v
+            if not placed & bit:
+                step = descent if low and bit > low else row
+                out = rows[placed | bit]
+                out[:] = map(add, out, step)
+    return {g: count for g, count in enumerate(rows[-1]) if count}
 
 
 @dataclass(frozen=True)

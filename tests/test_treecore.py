@@ -9,13 +9,13 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies
 from stream_fold import _forest_fold, stream_folds
+from stream_perms import gdes, stream_gdes
 
 from ramapoly import cli, fixtures, harness
 from ramapoly import forests as fo
 from ramapoly import treecore as tc
 from ramapoly.polyring import Poly, parse
-from ramapoly.treecore import (BoundExceeded, TreeEnumerator, gdes, node, stats,
-                               tree_from_obj)
+from ramapoly.treecore import BoundExceeded, TreeEnumerator, node, stats, tree_from_obj
 
 
 def labels(n):
@@ -38,6 +38,14 @@ def test_gdes_is_its_definition(word):
                           for i, entry in enumerate(word))
     assert gdes(word) == above_a_smaller
     assert gdes(tuple(word)) == len(word) - len(tc.right_to_left_minima(word))
+
+
+def test_gdes_census_is_the_stream():
+    for n in range(8):
+        census = tc.gdes_census(n)
+        assert list(census.items()) == sorted(stream_gdes(n).items()), n
+        assert sum(census.values()) == factorial(n), n
+        assert census[0] == 1, n   # only the increasing word has no general descent
 
 
 def test_single_vertex():
