@@ -215,7 +215,7 @@ def run_eq_gs(max_n: int = 20, enum_max_n: int = 5) -> Iterator[Outcome]:
 # -- section 2: plane-tree interpretations ---------------------------------------
 
 
-def run_eq_general(max_n: int = 7) -> Iterator[Outcome]:
+def run_eq_general(max_n: int = 8) -> Iterator[Outcome]:
     uni = ("t",)
     t = Poly.var(uni, "t")
     for n in range(1, max_n + 1):

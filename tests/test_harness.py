@@ -965,7 +965,7 @@ def test_cli_verify_list(capsys):
     # the names, descriptions and default bounds in registry order, byte for
     # byte: the registry reads each identity's bounds from its runner
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "dadbcec6f49cd5ff28d02e37dbad75686b06fc0b319424598ac4a66a809f3140")
+            == "b3108b2125027e4e0c250e6685dce04287b52f8a31c3ef4f64644a44526cf23c")
 
 
 @pytest.fixture
