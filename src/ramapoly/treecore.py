@@ -276,7 +276,7 @@ def gdes_census(n: int) -> dict[int, int]:
     is m adds a general descent when it exceeds m, and is otherwise a new
     right-to-left minimum; m's bit is the mask's lowest, placed & -placed."""
     rows: list[list[int]] = [[0] * n for _ in range(1 << n)]
-    rows[0][:1] = [1]
+    rows[0][:1] = [1]  # the empty word; the row is [1] for n = 0 as well
     for placed, row in enumerate(rows):
         low = placed & -placed
         descent = [0, *row[:-1]]
